@@ -2,9 +2,8 @@
 
 Exit codes: 0 on success, 1 on a domain error (bad system, impossible
 path, failed lift), 2 on a usage error.  All subcommands are
-deterministic given identical flags; ``--threads`` is accepted for
-interface stability but builds always run single threaded so output is
-bit stable.
+deterministic given identical flags, and builds run single threaded,
+so output is bit stable.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .fileformat import (
 from .model import CONSTRAINTS, System, SystemFile
 from .shape import build_shape_complex, lift_path, random_shape_path
 from .statecomplex import build_complex, check_link_condition
-from .topology import betti_mod2, euler_characteristic, f_vector
+from .topology import betti_mod2, euler_characteristic
 
 _PAIR_HELP = "translation written as (tx,ty)"
 
@@ -141,9 +140,6 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", metavar="STATEFILE", help="start state file")
     p.add_argument("--cap", type=int, default=1_000_000, help="vertex cap")
     p.add_argument("--out", metavar="FILE", help="write output here, not stdout")
-    p.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; builds are single threaded"
-    )
     p.add_argument("--shapes", action="store_true", help="build the translation quotient instead")
 
 

@@ -12,11 +12,10 @@ their homotopy class in a nonpositively curved complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PathError
 from .model import (
-    Action,
     System,
     admissible_actions,
     apply_action,
@@ -270,16 +269,7 @@ def oracle_shortest(complex_, u, v) -> int:
     """
     from collections import deque
 
-    adj = getattr(complex_, "_cube_move_adjacency", None)
-    if adj is None:
-        adj = [set() for _ in range(complex_.n_vertices)]
-        for k in range(1, complex_.max_dim + 1):
-            for rec in complex_.cells(k):
-                corners = rec.corners
-                full = len(corners) - 1
-                for m, vid in enumerate(corners):
-                    adj[vid].add(corners[full ^ m])
-        complex_._cube_move_adjacency = adj
+    adj = complex_.cube_move_adjacency()
     src = complex_.vertex_vid(u)
     dst = complex_.vertex_vid(v)
     if src == dst:

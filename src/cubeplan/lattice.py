@@ -9,7 +9,7 @@ are translation-symmetric with rank 2; a finite graph has no translations.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ModelError
 
@@ -34,30 +34,6 @@ def rot60(cell):
     """Rotate an axial hex coordinate 60 degrees counterclockwise."""
     q, r = cell
     return (-r, q + r)
-
-
-def rot120(cell):
-    q, r = cell
-    return (-q - r, q)
-
-
-def rot90(cell):
-    """Rotate a square-grid coordinate 90 degrees counterclockwise."""
-    x, y = cell
-    return (-y, x)
-
-
-def rot90_edge(cell):
-    """Rotate a squareEdge cell 90 degrees counterclockwise.
-
-    A horizontal edge from (x,y) to (x+1,y) maps to the vertical edge
-    from (-y,x) to (-y,x+1); a vertical edge maps to the horizontal edge
-    based at (-y-1,x).
-    """
-    x, y, o = cell
-    if o == HORIZONTAL:
-        return (-y, x, VERTICAL)
-    return (-y - 1, x, HORIZONTAL)
 
 
 def _is_int_pair(cell):
@@ -104,10 +80,6 @@ class Lattice:
             object.__setattr__(self, "edges", tuple(sorted(norm)))
         elif self.nodes or self.edges:
             raise ModelError(f"{self.kind} lattice takes no nodes/edges")
-
-    @property
-    def translation_rank(self) -> int:
-        return 0 if self.kind == GRAPH else 2
 
     def is_cell(self, cell) -> bool:
         """Structural validity of a cell for this lattice."""
@@ -184,9 +156,6 @@ class Lattice:
             return (x + dx, y + dy, o)
         x, y = cell
         return (x + dx, y + dy)
-
-    def zero_offset(self):
-        return () if self.kind == GRAPH else (0, 0)
 
     def offset_between(self, src, dst):
         """The translation carrying cell ``src`` to cell ``dst``, or None."""

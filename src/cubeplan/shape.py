@@ -11,30 +11,21 @@ containment and obstacle rules step by step.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import lattice as lat
 from .errors import ModelError, StateError
 from .model import (
-    Action,
     FORWARD,
     BACKWARD,
     Placement,
     System,
     apply_action,
     commute,
-    commute_pair,
     make_action,
     pattern_matches,
 )
-from .statecomplex import (
-    CellRecord,
-    CubeComplex,
-    _corner_states,
-    _enumerate_cliques,
-    state_key,
-)
+from .statecomplex import StateComplex, _build, _corner_states
 
 REASON_START = "start-invalid"
 REASON_WORKSPACE = "out-of-workspace"
@@ -64,6 +55,16 @@ def _shift_offset(offset: tuple, shift: tuple) -> tuple:
     return (offset[0] + shift[0], offset[1] + shift[1])
 
 
+def _cube_rep(actions, corner_state: frozenset, shift: tuple, lattice) -> tuple:
+    """The cube read from one corner, translated by that corner's shift."""
+    union_sup = frozenset()
+    for a in actions:
+        union_sup |= a.support
+    placements = tuple(sorted((a.gid, _shift_offset(a.offset, shift)) for a in actions))
+    off = tuple(sorted(lattice.translate(c, shift) for c in corner_state - union_sup))
+    return (placements, off)
+
+
 def shape_cube_key(actions, corner_state: frozenset, lattice: lat.Lattice) -> tuple:
     """Translation-invariant identity of the cube at a corner.
 
@@ -71,40 +72,47 @@ def shape_cube_key(actions, corner_state: frozenset, lattice: lat.Lattice) -> tu
     re-expressed with that corner canonicalized.
     """
     actions = list(actions)
-    if not actions:
-        return ((), state_key(canonicalize(corner_state, lattice)[0]))
-    corners = _corner_states(corner_state, actions)
-    union_sup = frozenset()
-    for a in actions:
-        union_sup |= a.support
-    best = None
-    for corner in corners:
-        _, shift = canonicalize(corner, lattice)
-        placements = tuple(
-            sorted((a.gid, _shift_offset(a.offset, shift)) for a in actions)
-        )
-        off = tuple(
-            sorted(lattice.translate(c, shift) for c in corner - union_sup)
-        )
-        rep = (placements, off)
-        if best is None or rep < best:
-            best = rep
-    return best
+    return min(
+        _cube_rep(actions, corner, canonicalize(corner, lattice)[1], lattice)
+        for corner in _corner_states(corner_state, actions)
+    )
 
 
-class ShapeComplex(CubeComplex):
-    """Cube complex over canonical shapes of one system."""
+class ShapeFrame:
+    """The frame of a shape complex: states are named up to translation."""
 
     def __init__(self, system: System):
-        super().__init__()
         self.system = system
+        self.lattice = system.workspace.lattice
 
-    def cell_key(self, actions, corner_state):
-        return shape_cube_key(actions, corner_state, self.system.workspace.lattice)
+    def actions_at(self, shape: frozenset) -> list:
+        return shape_actions(self.system, shape)
 
-    def corner_vid_of(self, state):
-        canon, _ = canonicalize(state, self.system.workspace.lattice)
-        return self._vid_of[state_key(canon)]
+    def canonical(self, state: frozenset) -> tuple:
+        return canonicalize(state, self.lattice)
+
+    def cell_key(self, actions, corner_state: frozenset) -> tuple:
+        return shape_cube_key(actions, corner_state, self.lattice)
+
+    def rebase(self, actions, corner_state, shift, key):
+        """The actions translated by the corner's canonical shift, or None
+        when the cube's key is not read from that corner."""
+        if _cube_rep(actions, corner_state, shift, self.lattice) != key:
+            return None
+        return [
+            make_action(
+                Placement(a.placement.generator, _shift_offset(a.offset, shift)),
+                a.direction,
+                self.lattice,
+            )
+            for a in actions
+        ]
+
+
+class ShapeComplex(StateComplex):
+    """Cube complex over canonical shapes of one system."""
+
+    frame_type = ShapeFrame
 
 
 def _require_homogeneous(system: System) -> None:
@@ -152,115 +160,10 @@ def shape_actions(system: System, shape: frozenset) -> list:
     return out
 
 
-def _shape_record(
-    cx: ShapeComplex, key: tuple, actions: list, corner_states: list
-) -> CellRecord | None:
-    """Record for a new shape cube, expressed in the frame of its key."""
-    lattice = cx.system.workspace.lattice
-    k = len(actions)
-    base_mask = None
-    base_shift = None
-    for mask, corner in enumerate(corner_states):
-        _, shift = canonicalize(corner, lattice)
-        placements = tuple(
-            sorted((a.gid, _shift_offset(a.offset, shift)) for a in actions)
-        )
-        union_sup = frozenset()
-        for a in actions:
-            union_sup |= a.support
-        off = tuple(sorted(lattice.translate(c, shift) for c in corner - union_sup))
-        if (placements, off) == key:
-            base_mask = mask
-            base_shift = shift
-            break
-    if base_mask is None:
-        return None
-    base = frozenset(
-        lattice.translate(c, base_shift) for c in corner_states[base_mask]
-    )
-    from_base = []
-    for i, act in enumerate(actions):
-        a = act.reverse() if (base_mask >> i) & 1 else act
-        placement = Placement(a.placement.generator, _shift_offset(a.offset, base_shift))
-        from_base.append(make_action(placement, a.direction, lattice))
-    order = sorted(range(k), key=lambda i: from_base[i].sort_key)
-    acts = tuple(from_base[i] for i in order)
-    shifted_corners = _corner_states(base, acts)
-    corners = []
-    for state in shifted_corners:
-        canon, _ = canonicalize(state, lattice)
-        ckey = state_key(canon)
-        if ckey not in cx._vid_of:
-            return None
-        corners.append(cx._vid_of[ckey])
-    facets = []
-    for i in range(k):
-        sub = acts[:i] + acts[i + 1 :]
-        far = apply_action(base, acts[i])
-        facets.append(shape_cube_key(sub, base, lattice))
-        facets.append(shape_cube_key(sub, far, lattice))
-    return CellRecord(k, key, base, acts, tuple(corners), tuple(facets))
-
-
 def build_shape_complex(system: System, seed_shapes, cap: int = 1_000_000) -> ShapeComplex:
     """Close seed shapes under moves-up-to-translation, then add cubes."""
     _require_homogeneous(system)
-    lattice = system.workspace.lattice
-    cx = ShapeComplex(system)
-    cx.cap = cap
-    queue = deque()
-    for s in seed_shapes:
-        canon, _ = canonicalize(frozenset(s), lattice)
-        if not system.constraint_holds(canon):
-            raise StateError("seed shape violates the system's global constraint")
-        if not cx.has_state(canon):
-            if cx.n_vertices >= cap:
-                cx.truncated = True
-                break
-            queue.append(cx.add_vertex(canon))
-    acts_of: dict = {}
-    while queue:
-        vid = queue.popleft()
-        shape = cx.vertex_state(vid)
-        acts = shape_actions(system, shape)
-        acts_of[vid] = acts
-        for act in acts:
-            canon, _ = canonicalize(apply_action(shape, act), lattice)
-            if not cx.has_state(canon):
-                if cx.n_vertices >= cap:
-                    cx.truncated = True
-                    continue
-                queue.append(cx.add_vertex(canon))
-
-    check_corners = not system.is_local
-    for vid in range(cx.n_vertices):
-        shape = cx.vertex_state(vid)
-        acts = acts_of.get(vid)
-        if acts is None:
-            acts = shape_actions(system, shape)
-        n = len(acts)
-        adjacency = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if commute_pair(acts[i], acts[j]):
-                    adjacency[i] |= 1 << j
-                    adjacency[j] |= 1 << i
-        for clique in _enumerate_cliques(n, adjacency):
-            chosen = [acts[i] for i in clique]
-            key = shape_cube_key(chosen, shape, lattice)
-            k = len(clique)
-            if cx.has_cell(k, key):
-                continue
-            corner_states = _corner_states(shape, chosen)
-            if check_corners and any(
-                not system.constraint_holds(c) for c in corner_states
-            ):
-                continue
-            rec = _shape_record(cx, key, chosen, corner_states)
-            if rec is None:
-                continue
-            cx.add_cell(rec)
-    return cx
+    return _build(ShapeComplex(system), seed_shapes, cap)
 
 
 def random_shape_path(system: System, shape, length: int, rng):

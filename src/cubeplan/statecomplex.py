@@ -5,6 +5,12 @@ enumerates one k-cube for every set of k pairwise-commuting actions
 admissible at a reached state.  A cube is identified by a canonical key
 (its placement set plus the state restricted off the union of supports),
 so the same cube found from different corners is stored once.
+
+One builder serves plain and quotient complexes alike.  A *frame* tells
+it how states are named: which actions leave a state, which canonical
+representative stands for a state, and how a cube is keyed.  The plain
+frame names every state by itself; ``shape`` supplies the translation
+frame.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from .errors import (
     StateError,
 )
 from .model import (
-    Action,
     System,
     admissible_actions,
     apply_action,
@@ -48,8 +53,9 @@ def cube_key(actions, corner_state: frozenset) -> tuple:
 class CellRecord:
     """One cell of a cube complex.
 
-    ``actions`` are expressed from the canonical base corner (the corner
-    with the least state key) and sorted; ``corners`` lists vertex ids in
+    ``actions`` are expressed from the canonical base corner (of the
+    corners that read the cell's key, the one whose canonical state has
+    the least state key) and sorted; ``corners`` lists vertex ids in
     bitmask order, bit i meaning action i has been applied; ``facets``
     holds 2*dim facet keys as (near_i, far_i) pairs, flattened.
     """
@@ -71,8 +77,18 @@ class CubeComplex:
         self._states: list = []
         self.truncated: bool = False
         self.cap: int | None = None
+        # how states and cubes are named; None for a complex assembled
+        # by hand, which has no system to move in
+        self.frame = None
+        # derived views, built on first use and dropped on every change
+        self._incidence: dict | None = None
+        self._move_adjacency: list | None = None
 
     # -- construction -------------------------------------------------
+
+    def _changed(self) -> None:
+        self._incidence = None
+        self._move_adjacency = None
 
     def add_vertex(self, state: frozenset) -> int:
         skey = state_key(state)
@@ -83,20 +99,14 @@ class CubeComplex:
             self._states.append(state)
             key = ((), skey)
             self._dims[0][key] = CellRecord(0, key, state, (), (vid,), ())
+            self._changed()
         return vid
 
     def add_cell(self, rec: CellRecord) -> None:
         while len(self._dims) <= rec.dim:
             self._dims.append({})
         self._dims[rec.dim][rec.key] = rec
-
-    # -- keying hooks (overridden by quotient complexes) ----------------
-
-    def cell_key(self, actions, corner_state) -> tuple:
-        return cube_key(actions, corner_state)
-
-    def corner_vid_of(self, state) -> int:
-        return self._vid_of[state_key(state)]
+        self._changed()
 
     # -- cell access ---------------------------------------------------
 
@@ -177,33 +187,75 @@ class CubeComplex:
             (a1, s0, s2),  # traversed far->near: s2 -> s0
         )
         forward = (True, True, False, False)
+        frame = self.frame
         out = []
         for (act, near, far), fwd in zip(walk, forward):
-            ekey = self.cell_key((act,), near)
+            ekey = frame.cell_key((act,), near)
             base_vid = self.record(1, ekey).corners[0]
-            from_vid = self.corner_vid_of(near if fwd else far)
+            from_vid = self.vertex_vid(frame.canonical(near if fwd else far)[0])
             out.append((ekey, 1 if from_vid == base_vid else -1))
         return out
 
     def incident_cells(self, vid: int) -> list:
         """All (dim, key) pairs of cells having the vertex as a corner."""
-        cache = getattr(self, "_incidence", None)
-        if cache is None:
+        if self._incidence is None:
             cache = {v: [] for v in range(len(self._states))}
             for k in range(1, self.max_dim + 1):
                 for key, rec in self._dims[k].items():
                     for v in set(rec.corners):
                         cache[v].append((k, key))
             self._incidence = cache
-        return cache[vid]
+        return self._incidence[vid]
+
+    def cube_move_adjacency(self) -> list:
+        """Per vertex, the set of vertices one cube move away.
+
+        A cube move jumps from a corner of a cube to its antipode.
+        """
+        if self._move_adjacency is None:
+            adj = [set() for _ in range(len(self._states))]
+            for k in range(1, self.max_dim + 1):
+                for rec in self._dims[k].values():
+                    corners = rec.corners
+                    full = len(corners) - 1
+                    for m, vid in enumerate(corners):
+                        adj[vid].add(corners[full ^ m])
+            self._move_adjacency = adj
+        return self._move_adjacency
+
+
+class PlainFrame:
+    """The frame of a plain state complex: every state names itself."""
+
+    def __init__(self, system: System):
+        self.system = system
+
+    def actions_at(self, state: frozenset) -> list:
+        return admissible_actions(state, self.system)
+
+    def canonical(self, state: frozenset) -> tuple:
+        """(representative, shift); the shift is meaningless here."""
+        return state, None
+
+    def cell_key(self, actions, corner_state: frozenset) -> tuple:
+        return cube_key(actions, corner_state)
+
+    def rebase(self, actions, corner_state, shift, key):
+        """The actions in the frame of the corner's representative, or
+        None when the cube's key is not read from that corner.  Every
+        corner of a plain cube reads the same key in the same frame."""
+        return actions
 
 
 class StateComplex(CubeComplex):
     """Cube complex of a specific system, built from seed states."""
 
+    frame_type = PlainFrame
+
     def __init__(self, system: System):
         super().__init__()
         self.system = system
+        self.frame = self.frame_type(system)
 
 
 def _enumerate_cliques(n: int, adjacency: list):
@@ -240,53 +292,63 @@ def _corner_states(base: frozenset, actions) -> list:
     return states
 
 
-def _build_record(
-    complex_: CubeComplex, key: tuple, actions: list, corner_states: list
+def _cell_record(
+    cx: StateComplex, key: tuple, actions: list, corner_states: list
 ) -> CellRecord | None:
-    """Make the canonical record for a new cube; None if a corner is absent."""
+    """Make the canonical record for a new cube; None if a corner is absent.
+
+    The base is the corner with the least canonical state key among the
+    corners that read the cube's key; actions are re-expressed from the
+    base, in the frame of its canonical state, and sorted.
+    """
+    frame = cx.frame
     k = len(actions)
-    corner_keys = [state_key(s) for s in corner_states]
-    for ck in corner_keys:
-        if ck not in complex_._vid_of:
+    canon = []
+    for state in corner_states:
+        rep, shift = frame.canonical(state)
+        skey = state_key(rep)
+        if skey not in cx._vid_of:
             return None
-    base_mask = min(range(1 << k), key=lambda m: corner_keys[m])
-    base = corner_states[base_mask]
-    from_base = []
-    for i, act in enumerate(actions):
-        from_base.append(act.reverse() if (base_mask >> i) & 1 else act)
-    order = sorted(range(k), key=lambda i: from_base[i].sort_key)
-    acts = tuple(from_base[i] for i in order)
+        canon.append((skey, rep, shift))
+    for base_mask in sorted(range(1 << k), key=lambda m: canon[m][0]):
+        from_corner = [
+            act.reverse() if (base_mask >> i) & 1 else act
+            for i, act in enumerate(actions)
+        ]
+        _, base, shift = canon[base_mask]
+        moved = frame.rebase(from_corner, corner_states[base_mask], shift, key)
+        if moved is not None:
+            break
+    order = sorted(range(k), key=lambda i: moved[i].sort_key)
+    acts = tuple(moved[i] for i in order)
     corners = []
     for mask in range(1 << k):
         orig = base_mask
         for j in range(k):
             if (mask >> j) & 1:
                 orig ^= 1 << order[j]
-        corners.append(complex_._vid_of[corner_keys[orig]])
+        corners.append(cx._vid_of[canon[orig][0]])
     facets = []
     for i in range(k):
         sub = acts[:i] + acts[i + 1 :]
-        near = complex_._states[corners[0]]
-        far = apply_action(near, acts[i])
-        facets.append(cube_key(sub, near))
-        facets.append(cube_key(sub, far))
+        facets.append(frame.cell_key(sub, base))
+        facets.append(frame.cell_key(sub, apply_action(base, acts[i])))
     return CellRecord(k, key, base, acts, tuple(corners), tuple(facets))
 
 
-def build_complex(system: System, seeds, max_vertices: int = 1_000_000) -> StateComplex:
+def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     """Breadth-first closure of the seeds, then cube enumeration.
 
-    Stops discovering new states at ``max_vertices`` and marks the result
-    truncated; cubes are then restricted to fully-visited corner sets so
-    the stored complex is still closed under facets.
+    States are named through the complex's frame.  Stops discovering new
+    states at ``cap`` vertices and marks the result truncated; cubes are
+    then restricted to fully-visited corner sets so the stored complex
+    is still closed under facets.
     """
-    if not system.workspace.is_finite:
-        raise ModelError("WorkspaceNotFinite: complex building needs a finite workspace")
-    cx = StateComplex(system)
-    cx.cap = max_vertices
+    system, frame = cx.system, cx.frame
+    cx.cap = cap
     seed_states = []
     for s in seeds:
-        occ = system.workspace.check_state(s)
+        occ, _ = frame.canonical(system.workspace.check_state(s))
         if not system.constraint_holds(occ):
             raise StateError("seed state violates the system's global constraint")
         seed_states.append(occ)
@@ -295,33 +357,30 @@ def build_complex(system: System, seeds, max_vertices: int = 1_000_000) -> State
     queue = deque()
     for occ in seed_states:
         if not cx.has_state(occ):
-            if len(cx._states) >= max_vertices:
+            if cx.n_vertices >= cap:
                 cx.truncated = True
                 break
-            vid = cx.add_vertex(occ)
+            queue.append(cx.add_vertex(occ))
             acts_of.append(None)
-            queue.append(vid)
     while queue:
         vid = queue.popleft()
         state = cx.vertex_state(vid)
-        acts = admissible_actions(state, system)
-        acts_of[vid] = acts
+        acts = acts_of[vid] = frame.actions_at(state)
         for act in acts:
-            nxt = apply_action(state, act)
+            nxt, _ = frame.canonical(apply_action(state, act))
             if not cx.has_state(nxt):
-                if len(cx._states) >= max_vertices:
+                if cx.n_vertices >= cap:
                     cx.truncated = True
                     continue
-                nvid = cx.add_vertex(nxt)
+                queue.append(cx.add_vertex(nxt))
                 acts_of.append(None)
-                queue.append(nvid)
 
     check_corners = not system.is_local
-    for vid in range(len(cx._states)):
+    for vid in range(cx.n_vertices):
         state = cx.vertex_state(vid)
         acts = acts_of[vid]
         if acts is None:  # frontier vertex never expanded (truncated build)
-            acts = admissible_actions(state, system)
+            acts = frame.actions_at(state)
         n = len(acts)
         adjacency = [0] * n
         for i in range(n):
@@ -331,7 +390,7 @@ def build_complex(system: System, seeds, max_vertices: int = 1_000_000) -> State
                     adjacency[j] |= 1 << i
         for clique in _enumerate_cliques(n, adjacency):
             chosen = [acts[i] for i in clique]
-            key = cube_key(chosen, state)
+            key = frame.cell_key(chosen, state)
             k = len(clique)
             if cx.has_cell(k, key):
                 continue
@@ -340,10 +399,9 @@ def build_complex(system: System, seeds, max_vertices: int = 1_000_000) -> State
                 not system.constraint_holds(c) for c in corner_states
             ):
                 continue
-            rec = _build_record(cx, key, chosen, corner_states)
-            if rec is None:
-                continue
-            cx.add_cell(rec)
+            rec = _cell_record(cx, key, chosen, corner_states)
+            if rec is not None:
+                cx.add_cell(rec)
 
     for k in range(1, cx.max_dim + 1):
         for rec in cx._dims[k].values():
@@ -353,6 +411,17 @@ def build_complex(system: System, seeds, max_vertices: int = 1_000_000) -> State
                         f"facet {fk!r} of a stored {k}-cell is missing"
                     )
     return cx
+
+
+def build_complex(system: System, seeds, max_vertices: int = 1_000_000) -> StateComplex:
+    """Build the state complex reachable from the seeds.
+
+    Stops discovering new states at ``max_vertices`` and marks the
+    result truncated.
+    """
+    if not system.workspace.is_finite:
+        raise ModelError("WorkspaceNotFinite: complex building needs a finite workspace")
+    return _build(StateComplex(system), seeds, max_vertices)
 
 
 def boundary(complex_: CubeComplex, rec: CellRecord) -> list:
@@ -421,7 +490,7 @@ def link(complex_: CubeComplex, vertex_state) -> LinkComplex:
                 act = rec.actions[i]
                 if (pos >> i) & 1:
                     act = act.reverse()
-                ekey = complex_.cell_key((act,), frames[pos])
+                ekey = complex_.frame.cell_key((act,), frames[pos])
                 edge_keys_here.append(ekey)
                 if k == 1:
                     action_of[ekey] = act

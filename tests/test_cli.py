@@ -150,6 +150,12 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_threads_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--builtin", "hex", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_seed_file_overrides_builtin_seed(capsys, tmp_path):
     sf = agv_grid_fixture(2, 2)
     statefile = tmp_path / "state.txt"

@@ -1,0 +1,172 @@
+"""Golden digests of every builtin complex and of the shape fixtures.
+
+A digest does not depend on how cells are keyed: it covers the
+f-vector, the truncation flag, each cell's corner states and each
+cell's facets, every facet given by its own corner states.  Plain
+complexes also pin the sha256 of their ``export_complex`` text, which
+does print keys, so that listing stays byte-stable.  Any change to the
+builder that alters one of these values changes the complex.
+"""
+
+import hashlib
+
+import pytest
+
+from cubeplan.cli import _build, build_parser
+from cubeplan.fileformat import export_complex
+from cubeplan.shape import build_shape_complex
+from cubeplan.statecomplex import state_key
+from cubeplan.systems import (
+    VARIANT_CHANGING,
+    VARIANT_PRESERVING,
+    hex_pivot_system,
+    sliding_squares_system,
+)
+
+TRIANGLE = frozenset([(0, 0), (1, 0), (0, 1)])
+
+
+def complex_digest(cx) -> str:
+    """sha256 over the corner-state sets of every cell and its facets."""
+
+    def corners(rec):
+        return tuple(sorted(state_key(cx.vertex_state(v)) for v in rec.corners))
+
+    h = hashlib.sha256()
+    for k in range(cx.max_dim + 1):
+        rows = sorted(
+            (
+                corners(rec),
+                tuple(sorted(corners(cx.record(k - 1, fk)) for fk in rec.facets)),
+            )
+            for rec in cx.cells(k)
+        )
+        h.update(repr((k, rows)).encode())
+    return h.hexdigest()
+
+
+def cell_counts(cx) -> tuple:
+    """The f-vector, read without the full-complex check of ``f_vector``."""
+    return tuple(cx.n_cells(k) for k in range(cx.max_dim + 1))
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# CLI arguments -> (f-vector, truncated, complex digest, export digest)
+BUILTINS = {
+    ("agv-k5", "--n", "2"): (
+        (10, 30, 15), False,
+        "175d3514507ce4222ba634108b255a51938801e9e4cfbcb44d743d05986c3bbc",
+        "bddeb2d011abce31cb69a3ebf8ad7cde23464d05a6e1bced12dc8d23f6729469",
+    ),
+    ("agv-grid",): (
+        (12, 17, 6), False,
+        "9f610b678c508494b2f7acf3aec48cb9a43af8f15f15899ef99fa9c5cd52fda1",
+        "ede6e76b5d028db6140c7df57fbdcfeb70ad3e63730dc982811b1955c456c188",
+    ),
+    ("arm", "--n", "4"): (
+        (16, 20, 5), False,
+        "aac8718a6fa76817e4ec4cb65884f31985285257ca7d1ad7ed8f84f14ef683e7",
+        "5ce0bc45652a253cfeffdab5181d69ed923e8d95fe5f1f1464716e1d83d637a5",
+    ),
+    ("arm", "--n", "6"): (
+        (64, 112, 56, 7), False,
+        "1eb7613fac0c60bcb2ca3a3e56c004fac1226e920ef336b9822687ec7d304a55",
+        "8442f936184a7f0ba3ee710bd344d093a5e7adfff1b4221b6b970a93170a3a14",
+    ),
+    ("sliding-ring", "--p", "1", "--q", "1"): (
+        (12, 12), False,
+        "cf625b4eff12047b4c26a595277a63d659eed26c0a57679cee739e425ccb2e19",
+        "a70a1909190f4e6758fd6bba7bdf68b00d9ffd2c6a879474b3bc1ec199410d8e",
+    ),
+    ("sliding-ring", "--p", "2", "--q", "3"): (
+        (38, 46, 8), False,
+        "1d71a96835dedc9e2a028a7b9621a69c783e98c642bac8ca8e3ca94839afc755",
+        "e87ece6312ab9ccbfae0d83674ebf4462a9e6a69251092451b788947be403ecd",
+    ),
+    ("hex", "--radius", "2"): (
+        (579, 1152, 69), False,
+        "1fae48fb24f42662f1cd9577407bece2d0ffe6aa28186f3046943159adf7338d",
+        "e0fe065c4165ad136f8e5e318af9338d6780762fb7b1a21e8bc71a7b08b4e1ba",
+    ),
+    ("hex", "--radius", "2", "--variant", "preserving"): (
+        (21, 36, 9), False,
+        "956d5e5afc0010c6a22f344bc81ed6bab7cf93c7f86eb3bfd9c445ada1c3142f",
+        "bd5a0bc80371966221ae7af7a3e0d904a2404b8b79fe99bfc6d9e30302f32998",
+    ),
+    ("hex-trap",): (
+        (48, 192, 234, 74), False,
+        "41594448338b109cc23474285ef6950755a3c52a0f17cc822b671d60b17d51ed",
+        "e110a2f7b1eeaddecf377f3fe5521c6712bcedc7096a9c8b833d546454a5f50d",
+    ),
+    ("hex-trap-free",): (
+        (64, 288, 432, 216), False,
+        "b2c23d375dab5bb8b59762fb705427627f3d92795e3f96359a2afa307af7c9fb",
+        "31cd2ad0b8de656f0b082deea72bb3be910259c0311b4cd22db3b66416afa38c",
+    ),
+}
+
+
+def build_builtin(argv):
+    _, cx = _build(build_parser().parse_args(["stats", "--builtin", *argv]))
+    return cx
+
+
+@pytest.mark.parametrize("argv", sorted(BUILTINS), ids=" ".join)
+def test_builtin_complexes_match_their_golden_digests(argv):
+    fvec, truncated, digest, export = BUILTINS[argv]
+    cx = build_builtin(argv)
+    assert cell_counts(cx) == fvec
+    assert cx.truncated is truncated
+    assert complex_digest(cx) == digest
+    assert sha(export_complex(cx)) == export
+
+
+def shape_fixture(name):
+    if name == "triangle":
+        return build_shape_complex(hex_pivot_system(VARIANT_PRESERVING), [TRIANGLE])
+    if name == "domino":
+        return build_shape_complex(
+            sliding_squares_system(2, None),
+            [frozenset([(0, 0), (1, 0)]), frozenset([(0, 0), (0, 1)])],
+        )
+    if name == "truncated":
+        return build_shape_complex(
+            hex_pivot_system(VARIANT_CHANGING), [TRIANGLE], cap=15
+        )
+    assert name == "five-modules"
+    return build_shape_complex(
+        hex_pivot_system(VARIANT_PRESERVING), [frozenset((i, 0) for i in range(5))]
+    )
+
+
+# fixture -> (f-vector, truncated, complex digest)
+SHAPES = {
+    "domino": (
+        (2,), False,
+        "76765e46349e3d5d892f1154039e6148d42bd60e33ace0416e5467815c659184",
+    ),
+    "five-modules": (
+        (186, 414, 231, 12), False,
+        "13c5cb93f5fade8235f03313201e0283cd4f5c30bcb979ff8004f7956851f2c2",
+    ),
+    "triangle": (
+        (11, 24, 9), False,
+        "f2d65b1ca22eb13613cbf0bdc4975be3b846fcafdb09015d8435f0353c7d2f04",
+    ),
+    "truncated": (
+        (15, 38, 9), True,
+        "927c5fdd486f8bcdecc7f15747b93896632c9c51a7e97df4d42583da1b17eed0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_shape_complexes_match_their_golden_digests(name):
+    fvec, truncated, digest = SHAPES[name]
+    cx = shape_fixture(name)
+    assert cell_counts(cx) == fvec
+    assert cx.truncated is truncated
+    assert complex_digest(cx) == digest

@@ -29,7 +29,7 @@ def test_hex_rotation_permutes_neighbors():
     hexl = lat.hex_lattice()
     nbrs = set(hexl.neighbors((0, 0)))
     assert {lat.rot60(c) for c in nbrs} == nbrs
-    assert {lat.rot120(c) for c in nbrs} == nbrs
+    assert {lat.rot60(lat.rot60(c)) for c in nbrs} == nbrs
 
 
 def test_rot60_has_order_six():

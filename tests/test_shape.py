@@ -158,6 +158,33 @@ def test_hex_preserving_square_adjacency_fingerprint():
     assert len(seen) == 9
 
 
+def test_shape_seeds_are_checked_against_the_workspace():
+    plane = preserving()
+    with pytest.raises(StateError, match="outside workspace"):
+        build_shape_complex(plane, [frozenset({(0, 0, 0)})])
+    with pytest.raises(StateError, match="outside workspace"):
+        build_shape_complex(plane, [frozenset({"x"})])
+
+
+def test_shape_records_do_not_depend_on_the_seed():
+    """Each cell's base corner, actions and facet order follow from the
+    cell alone, not from which corner the closure reached first."""
+    plane = preserving()
+
+    def records(cx):
+        return {
+            (k, key): (rec.base, rec.actions, rec.facets)
+            for k in range(cx.max_dim + 1)
+            for key, rec in zip(cx.cell_keys(k), cx.cells(k))
+        }
+
+    cx = build_shape_complex(plane, [TRIANGLE])
+    expected = records(cx)
+    for vid in range(cx.n_vertices):
+        other = build_shape_complex(plane, [cx.vertex_state(vid)])
+        assert records(other) == expected
+
+
 def test_sliding_domino_shapes_are_rigid():
     system = sliding_squares_system(2, None)
     horizontal = frozenset([(0, 0), (1, 0)])

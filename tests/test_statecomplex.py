@@ -3,9 +3,11 @@
 import pytest
 
 import cubeplan.lattice as lat
+from cubeplan.cubepaths import oracle_shortest
 from cubeplan.errors import BuildTruncatedError, CubeplanError
 from cubeplan.model import System, Workspace, apply_action
 from cubeplan.statecomplex import (
+    CellRecord,
     boundary,
     build_complex,
     check_link_condition,
@@ -232,3 +234,16 @@ def test_seed_must_satisfy_constraint():
 
     with pytest.raises(StateError, match="constraint"):
         build_complex(system, [frozenset((0, 2))])
+
+
+def test_derived_views_follow_cells_added_after_first_use():
+    cx = build_fixture(agv_grid_fixture(2, 2))
+    u, v = frozenset(("p0.0", "p1.0")), frozenset(("p0.2", "p1.2"))
+    a, b = cx.vertex_vid(u), cx.vertex_vid(v)
+    before = len(cx.incident_cells(a))
+    assert oracle_shortest(cx, u, v) == 2
+    facets = (((), state_key(u)), ((), state_key(v)))
+    cx.add_cell(CellRecord(1, ("shortcut",), u, (), (a, b), facets))
+    assert len(cx.incident_cells(a)) == before + 1
+    assert (1, ("shortcut",)) in cx.incident_cells(b)
+    assert oracle_shortest(cx, u, v) == 1
