@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ModelError
 
@@ -94,25 +95,17 @@ class Lattice:
             )
         return cell in self._node_set
 
-    @property
+    @cached_property
     def _node_set(self):
-        cached = self.__dict__.get("_node_set_cache")
-        if cached is None:
-            cached = frozenset(self.nodes)
-            self.__dict__["_node_set_cache"] = cached
-        return cached
+        return frozenset(self.nodes)
 
-    @property
+    @cached_property
     def _graph_adj(self):
-        cached = self.__dict__.get("_graph_adj_cache")
-        if cached is None:
-            adj = {n: set() for n in self.nodes}
-            for a, b in self.edges:
-                adj[a].add(b)
-                adj[b].add(a)
-            cached = {n: tuple(sorted(s)) for n, s in adj.items()}
-            self.__dict__["_graph_adj_cache"] = cached
-        return cached
+        adj = {n: set() for n in self.nodes}
+        for a, b in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return {n: tuple(sorted(s)) for n, s in adj.items()}
 
     def neighbors(self, cell) -> tuple:
         if self.kind == SQUARE:
@@ -136,13 +129,9 @@ class Lattice:
         key = (a, b) if a <= b else (b, a)
         return key in self._edge_set
 
-    @property
+    @cached_property
     def _edge_set(self):
-        cached = self.__dict__.get("_edge_set_cache")
-        if cached is None:
-            cached = frozenset(self.edges)
-            self.__dict__["_edge_set_cache"] = cached
-        return cached
+        return frozenset(self.edges)
 
     def translate(self, cell, offset):
         """Shift a cell by an integer vector (identity on finite graphs)."""

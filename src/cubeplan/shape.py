@@ -25,7 +25,7 @@ from .model import (
     make_action,
     pattern_matches,
 )
-from .statecomplex import StateComplex, _build, _corner_states
+from .statecomplex import StateComplex, _build, _corner_states, _leaving
 
 REASON_START = "start-invalid"
 REASON_WORKSPACE = "out-of-workspace"
@@ -46,9 +46,14 @@ def canonicalize(state, lattice: lat.Lattice) -> tuple:
         raise StateError("cannot canonicalize an empty state")
     if lattice.kind == lat.GRAPH:
         return occ, ()
-    least = min(occ)
-    shift = (-least[0], -least[1])
+    shift = _shift(occ)
     return frozenset(lattice.translate(c, shift) for c in occ), shift
+
+
+def _shift(state) -> tuple:
+    """The translation that puts the state's least cell at the origin."""
+    x, y = min(state)
+    return (-x, -y)
 
 
 def _shift_offset(offset: tuple, shift: tuple) -> tuple:
@@ -69,13 +74,13 @@ def shape_cube_key(actions, corner_state: frozenset, lattice: lat.Lattice) -> tu
     """Translation-invariant identity of the cube at a corner.
 
     Takes the least representation over all corners of the cube, each
-    re-expressed with that corner canonicalized.
+    re-expressed with that corner canonicalized.  The corners agree off
+    the union of supports, so a representation depends only on the
+    corner's shift.
     """
     actions = list(actions)
-    return min(
-        _cube_rep(actions, corner, canonicalize(corner, lattice)[1], lattice)
-        for corner in _corner_states(corner_state, actions)
-    )
+    shifts = {_shift(corner) for corner in _corner_states(corner_state, actions)}
+    return min(_cube_rep(actions, corner_state, s, lattice) for s in shifts)
 
 
 class ShapeFrame:
@@ -88,24 +93,27 @@ class ShapeFrame:
     def actions_at(self, shape: frozenset) -> list:
         return shape_actions(self.system, shape)
 
-    def canonical(self, state: frozenset) -> tuple:
-        return canonicalize(state, self.lattice)
+    def canonical(self, state: frozenset) -> frozenset:
+        return canonicalize(state, self.lattice)[0]
 
     def cell_key(self, actions, corner_state: frozenset) -> tuple:
         return shape_cube_key(actions, corner_state, self.lattice)
 
-    def rebase(self, actions, corner_state, shift, key):
-        """The actions translated by the corner's canonical shift, or None
-        when the cube's key is not read from that corner."""
-        if _cube_rep(actions, corner_state, shift, self.lattice) != key:
-            return None
+    def corner_actions(self, base: frozenset, actions, mask: int) -> list:
+        """The cube's actions leaving corner ``mask``, translated into the
+        frame of that corner's canonical shape."""
+        corner = base
+        for i, act in enumerate(actions):
+            if (mask >> i) & 1:
+                corner = apply_action(corner, act)
+        shift = _shift(corner)
         return [
             make_action(
                 Placement(a.placement.generator, _shift_offset(a.offset, shift)),
                 a.direction,
                 self.lattice,
             )
-            for a in actions
+            for a in _leaving(actions, mask)
         ]
 
 

@@ -8,9 +8,9 @@ so the same cube found from different corners is stored once.
 
 One builder serves plain and quotient complexes alike.  A *frame* tells
 it how states are named: which actions leave a state, which canonical
-representative stands for a state, and how a cube is keyed.  The plain
-frame names every state by itself; ``shape`` supplies the translation
-frame.
+representative stands for a state, how a cube is keyed, and how a
+cube's actions read from each of its corners.  The plain frame names
+every state by itself; ``shape`` supplies the translation frame.
 """
 
 from __future__ import annotations
@@ -139,9 +139,6 @@ class CubeComplex:
     def facet_keys(self, k: int, key: tuple) -> tuple:
         return self.record(k, key).facets
 
-    def corner_vids(self, k: int, key: tuple) -> tuple:
-        return self.record(k, key).corners
-
     # -- vertices ------------------------------------------------------
 
     @property
@@ -171,30 +168,19 @@ class CubeComplex:
     def square_boundary(self, key: tuple) -> list:
         """The four directed edges around a square, as (edge key, sign).
 
-        The traversal runs base -> a0 -> a0+a1 -> a1 -> base; the sign is
-        +1 when the step runs from the edge's own base corner.
+        Read from the square's own record: its facets are stored as
+        (a1 at base, a1 at a0, a0 at base, a0 at a1) and its corners in
+        bitmask order.  The traversal runs base -> a0 -> a0+a1 -> a1 ->
+        base; the sign is +1 when the step starts at the edge's own base
+        corner.
         """
         rec = self.record(2, key)
-        a0, a1 = rec.actions
-        s0 = rec.base
-        s1 = apply_action(s0, a0)
-        s3 = apply_action(s1, a1)
-        s2 = apply_action(s0, a1)
-        walk = (
-            (a0, s0, s1),
-            (a1, s1, s3),
-            (a0, s2, s3),  # traversed far->near: s3 -> s2
-            (a1, s0, s2),  # traversed far->near: s2 -> s0
-        )
-        forward = (True, True, False, False)
-        frame = self.frame
-        out = []
-        for (act, near, far), fwd in zip(walk, forward):
-            ekey = frame.cell_key((act,), near)
-            base_vid = self.record(1, ekey).corners[0]
-            from_vid = self.vertex_vid(frame.canonical(near if fwd else far)[0])
-            out.append((ekey, 1 if from_vid == base_vid else -1))
-        return out
+        f, c = rec.facets, rec.corners
+        walk = ((f[2], c[0]), (f[1], c[1]), (f[3], c[3]), (f[0], c[2]))
+        return [
+            (ekey, 1 if self.record(1, ekey).corners[0] == start else -1)
+            for ekey, start in walk
+        ]
 
     def incident_cells(self, vid: int) -> list:
         """All (dim, key) pairs of cells having the vertex as a corner."""
@@ -233,18 +219,16 @@ class PlainFrame:
     def actions_at(self, state: frozenset) -> list:
         return admissible_actions(state, self.system)
 
-    def canonical(self, state: frozenset) -> tuple:
-        """(representative, shift); the shift is meaningless here."""
-        return state, None
+    def canonical(self, state: frozenset) -> frozenset:
+        return state
 
     def cell_key(self, actions, corner_state: frozenset) -> tuple:
         return cube_key(actions, corner_state)
 
-    def rebase(self, actions, corner_state, shift, key):
-        """The actions in the frame of the corner's representative, or
-        None when the cube's key is not read from that corner.  Every
-        corner of a plain cube reads the same key in the same frame."""
-        return actions
+    def corner_actions(self, base: frozenset, actions, mask: int) -> list:
+        """The cube's actions leaving corner ``mask``, in the frame of
+        that corner's vertex; every plain state is its own frame."""
+        return _leaving(actions, mask)
 
 
 class StateComplex(CubeComplex):
@@ -292,6 +276,15 @@ def _corner_states(base: frozenset, actions) -> list:
     return states
 
 
+def _leaving(actions, mask: int) -> list:
+    """The actions of a cube as they leave its corner ``mask``: those
+    already applied there (bit set) run in reverse."""
+    return [
+        act.reverse() if (mask >> i) & 1 else act
+        for i, act in enumerate(actions)
+    ]
+
+
 def _cell_record(
     cx: StateComplex, key: tuple, actions: list, corner_states: list
 ) -> CellRecord | None:
@@ -305,19 +298,15 @@ def _cell_record(
     k = len(actions)
     canon = []
     for state in corner_states:
-        rep, shift = frame.canonical(state)
+        rep = frame.canonical(state)
         skey = state_key(rep)
         if skey not in cx._vid_of:
             return None
-        canon.append((skey, rep, shift))
+        canon.append((skey, rep))
     for base_mask in sorted(range(1 << k), key=lambda m: canon[m][0]):
-        from_corner = [
-            act.reverse() if (base_mask >> i) & 1 else act
-            for i, act in enumerate(actions)
-        ]
-        _, base, shift = canon[base_mask]
-        moved = frame.rebase(from_corner, corner_states[base_mask], shift, key)
-        if moved is not None:
+        base = canon[base_mask][1]
+        moved = frame.corner_actions(corner_states[0], actions, base_mask)
+        if cube_key(moved, base) == key:
             break
     order = sorted(range(k), key=lambda i: moved[i].sort_key)
     acts = tuple(moved[i] for i in order)
@@ -348,7 +337,7 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     cx.cap = cap
     seed_states = []
     for s in seeds:
-        occ, _ = frame.canonical(system.workspace.check_state(s))
+        occ = frame.canonical(system.workspace.check_state(s))
         if not system.constraint_holds(occ):
             raise StateError("seed state violates the system's global constraint")
         seed_states.append(occ)
@@ -367,7 +356,7 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
         state = cx.vertex_state(vid)
         acts = acts_of[vid] = frame.actions_at(state)
         for act in acts:
-            nxt, _ = frame.canonical(apply_action(state, act))
+            nxt = frame.canonical(apply_action(state, act))
             if not cx.has_state(nxt):
                 if cx.n_vertices >= cap:
                     cx.truncated = True
@@ -456,15 +445,15 @@ def star(complex_: CubeComplex, rec: CellRecord) -> set:
 class LinkComplex:
     """The simplicial link of a vertex.
 
-    Vertices are the keys of the edges at the state; each incident
-    (k+1)-cube contributes the k-simplex of its edges at the state.
-    ``action_of`` maps an edge key to the action leaving the vertex.
+    Vertices are the actions leaving the state, in the state's own frame
+    and sorted; each incident k-cube contributes, at each corner lying on
+    the state, the (k-1)-simplex of its actions leaving that corner.
+    ``simplices`` counts how often each action set is contributed.
     """
 
     state: frozenset
     vertices: tuple
     simplices: dict
-    action_of: dict
 
     def skeleton_edges(self) -> list:
         return sorted(
@@ -476,29 +465,16 @@ def link(complex_: CubeComplex, vertex_state) -> LinkComplex:
     """Link of a vertex: one simplex per incident cube of dimension >= 1."""
     state = frozenset(vertex_state)
     vid = complex_.vertex_vid(state)
+    frame = complex_.frame
     simplices: dict = {}
-    action_of: dict = {}
     for k, key in complex_.incident_cells(vid):
         rec = complex_.record(k, key)
-        frames = _corner_states(rec.base, rec.actions)
-        edge_keys = []
-        for pos, corner in enumerate(rec.corners):
-            if corner != vid:
-                continue
-            edge_keys_here = []
-            for i in range(k):
-                act = rec.actions[i]
-                if (pos >> i) & 1:
-                    act = act.reverse()
-                ekey = complex_.frame.cell_key((act,), frames[pos])
-                edge_keys_here.append(ekey)
-                if k == 1:
-                    action_of[ekey] = act
-            edge_keys.append(frozenset(edge_keys_here))
-        for simplex in edge_keys:
-            simplices[simplex] = simplices.get(simplex, 0) + 1
-    vertices = sorted(k for s in simplices for k in s)
-    return LinkComplex(state, tuple(sorted(set(vertices))), simplices, action_of)
+        for mask, corner in enumerate(rec.corners):
+            if corner == vid:
+                simplex = frozenset(frame.corner_actions(rec.base, rec.actions, mask))
+                simplices[simplex] = simplices.get(simplex, 0) + 1
+    vertices = tuple(sorted({a for s in simplices for a in s}))
+    return LinkComplex(state, vertices, simplices)
 
 
 @dataclass(frozen=True)
@@ -536,11 +512,5 @@ def check_link_condition(complex_: CubeComplex) -> LinkConditionReport:
             simplex = frozenset(verts[i] for i in clique)
             count = lnk.simplices.get(simplex, 0)
             if count != 1:
-                actions = tuple(
-                    sorted(
-                        (lnk.action_of[e] for e in simplex),
-                        key=lambda a: a.sort_key,
-                    )
-                )
-                violations.append((state, actions, count))
+                violations.append((state, tuple(sorted(simplex)), count))
     return LinkConditionReport(not violations, tuple(violations))

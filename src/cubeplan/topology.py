@@ -12,6 +12,7 @@ decided combinatorially instead of via integral homology.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import BuildTruncatedError, CubeplanError, TooLargeError
@@ -203,81 +204,45 @@ def is_orientable_surface(view) -> bool:
     return True
 
 
-class FilteredView:
-    """A sub-collection of a complex's cells, closed under facets."""
-
-    truncated = False
-
-    def __init__(self, base, alive):
-        self._base = base
-        self._alive = [sorted(a) for a in alive]
-
-    @property
-    def max_dim(self) -> int:
-        top = 0
-        for k, cells in enumerate(self._alive):
-            if cells:
-                top = k
-        return top
-
-    def n_cells(self, k: int) -> int:
-        return len(self._alive[k]) if 0 <= k < len(self._alive) else 0
-
-    def cell_keys(self, k: int) -> list:
-        return list(self._alive[k]) if 0 <= k < len(self._alive) else []
-
-    def facet_keys(self, k: int, key):
-        return self._base.facet_keys(k, key)
-
-
-def collapse_subcomplex(view) -> FilteredView:
+def collapse_subcomplex(view) -> list:
     """Greedily remove free faces with their cofaces.
 
     A face is free when it appears exactly once in the facet lists of
-    exactly one remaining cell.  Pairs are removed highest dimension
-    first, least key first, so runs are deterministic.
+    the remaining cells.  Pairs are removed highest dimension first,
+    least key first, so runs are deterministic; free faces wait in a
+    heap that takes a face again when its count drops to one.  Returns
+    the set of keys left in each dimension.
     """
     _require_full(view)
     top = view.max_dim
     alive = [set(view.cell_keys(k)) for k in range(top + 1)]
-    facets_of = {}
-    cofaces: dict = {}
-    counts: dict = {}
-    for k in range(top + 1):
-        for key in alive[k]:
-            counts.setdefault((k, key), 0)
+    counts = [dict.fromkeys(cells, 0) for cells in alive]
+    cofaces: list = [{} for _ in alive]
     for k in range(1, top + 1):
         for key in alive[k]:
-            fl = list(view.facet_keys(k, key))
-            facets_of[(k, key)] = fl
-            for fk in fl:
-                counts[(k - 1, fk)] += 1
-                cofaces.setdefault((k - 1, fk), {}).setdefault(key, 0)
-                cofaces[(k - 1, fk)][key] += 1
+            for fk in view.facet_keys(k, key):
+                counts[k - 1][fk] += 1
+                cofaces[k - 1].setdefault(fk, []).append(key)
+    free = [(-k, key) for k in range(top) for key, n in counts[k].items() if n == 1]
+    heapq.heapify(free)
 
-    def drop(cell):
-        k, key = cell
-        alive[k].discard(key)
-        for fk in facets_of.get(cell, ()):
-            counts[(k - 1, fk)] -= 1
+    def drop(k, key):
+        alive[k].remove(key)
+        if k:
+            below = counts[k - 1]
+            for fk in view.facet_keys(k, key):
+                below[fk] -= 1
+                if below[fk] == 1:
+                    heapq.heappush(free, (1 - k, fk))
 
-    while True:
-        free = None
-        for d in range(top - 1, -1, -1):
-            candidates = [key for key in alive[d] if counts[(d, key)] == 1]
-            if candidates:
-                free = (d, min(candidates))
-                break
-        if free is None:
-            break
-        d, key = free
-        coface = None
-        for ck, mult in cofaces.get((d, key), {}).items():
-            if ck in alive[d + 1] and mult > 0:
-                coface = ck
-        drop((d + 1, coface))
-        drop(free)
-    return FilteredView(view, alive)
+    while free:
+        neg, key = heapq.heappop(free)
+        d = -neg
+        if key not in alive[d] or counts[d][key] != 1:
+            continue
+        drop(d + 1, next(c for c in cofaces[d][key] if c in alive[d + 1]))
+        drop(d, key)
+    return alive
 
 
 def greedy_collapse(view) -> tuple:
@@ -286,5 +251,4 @@ def greedy_collapse(view) -> tuple:
     Reaching (1, 0, ...) certifies the complex contracts to a point;
     anything else certifies nothing.
     """
-    remaining = collapse_subcomplex(view)
-    return tuple(remaining.n_cells(k) for k in range(view.max_dim + 1))
+    return tuple(len(cells) for cells in collapse_subcomplex(view))

@@ -7,7 +7,7 @@ import pytest
 from cubeplan.cubepaths import CubePath, validate
 from cubeplan.errors import ModelError, StateError
 from cubeplan.lattice import graph_lattice, hex_lattice, square_lattice
-from cubeplan.model import Generator, System, Workspace, apply_action
+from cubeplan.model import Generator, System, Workspace, apply_action, pattern_matches
 from cubeplan.shape import (
     REASON_CONSTRAINT,
     REASON_OBSTACLE,
@@ -22,7 +22,7 @@ from cubeplan.shape import (
     shape_actions,
     shape_cube_key,
 )
-from cubeplan.statecomplex import check_link_condition
+from cubeplan.statecomplex import check_link_condition, link
 from cubeplan.systems import (
     VARIANT_CHANGING,
     VARIANT_PRESERVING,
@@ -130,6 +130,23 @@ def test_hex_preserving_three_modules():
     assert euler_characteristic(cx) == -4
     assert betti_mod2(cx) == (1, 5, 0)
     assert check_link_condition(cx).ok
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [TRIANGLE, frozenset((i, 0) for i in range(5))],
+    ids=["triangle", "five-modules"],
+)
+def test_link_vertices_are_the_actions_at_the_vertex(seed):
+    """Link vertices are the moves leaving a shape, in the shape's own
+    frame, so each of them applies at that shape."""
+    system = preserving()
+    cx = build_shape_complex(system, [seed])
+    for vid in range(cx.n_vertices):
+        shape = cx.vertex_state(vid)
+        lnk = link(cx, shape)
+        assert all(pattern_matches(shape, a) for a in lnk.vertices)
+        assert lnk.vertices == tuple(shape_actions(system, shape))
 
 
 def test_hex_preserving_square_adjacency_fingerprint():

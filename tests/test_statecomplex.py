@@ -6,6 +6,7 @@ import cubeplan.lattice as lat
 from cubeplan.cubepaths import oracle_shortest
 from cubeplan.errors import BuildTruncatedError, CubeplanError
 from cubeplan.model import System, Workspace, apply_action
+from cubeplan.shape import build_shape_complex
 from cubeplan.statecomplex import (
     CellRecord,
     boundary,
@@ -19,10 +20,13 @@ from cubeplan.statecomplex import (
 from cubeplan.systems import (
     HEX_TRAP_MOVERS,
     HEX_TRAP_STATE,
+    VARIANT_PRESERVING,
     agv_grid_fixture,
+    arm_word_complex,
     complete_graph,
     graph_agv_system,
     hex_connectivity_trap,
+    hex_pivot_system,
     path_graph,
     token_generator,
 )
@@ -98,8 +102,20 @@ def test_base_corner_is_least_state_key():
         assert state_key(rec.base) == min(state_key(s) for s in corner_states)
 
 
-def test_square_boundary_is_a_closed_cycle():
-    cx = build_fixture(agv_grid_fixture(2, 2))
+SQUARE_COMPLEXES = {
+    "agv-grid": lambda: build_fixture(agv_grid_fixture(2, 2)),
+    "triangle-shapes": lambda: build_shape_complex(
+        hex_pivot_system(VARIANT_PRESERVING), [frozenset([(0, 0), (1, 0), (0, 1)])]
+    ),
+    # assembled by hand, with no frame
+    "arm-words": lambda: arm_word_complex(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_COMPLEXES))
+def test_square_boundary_is_a_closed_cycle(name):
+    cx = SQUARE_COMPLEXES[name]()
+    assert cx.n_cells(2) > 0
     for key in cx.cell_keys(2):
         cycle = cx.square_boundary(key)
         assert len(cycle) == 4

@@ -2,13 +2,21 @@
 
 import pytest
 
+from cubeplan import statecomplex, topology
 from cubeplan.errors import CubeplanError, TooLargeError
+from cubeplan.shape import build_shape_complex
 from cubeplan.statecomplex import build_complex
 from cubeplan.systems import (
+    VARIANT_CHANGING,
+    VARIANT_PRESERVING,
+    SystemFile,
     agv_grid_fixture,
     arm_system,
     complete_graph,
     graph_agv_system,
+    hex_ball,
+    hex_connectivity_trap,
+    hex_pivot_system,
     sliding_ring_fixture,
 )
 from cubeplan.topology import (
@@ -113,6 +121,65 @@ def test_collapse_is_deterministic_and_facet_closed():
     a = greedy_collapse(cx)
     b = greedy_collapse(cx)
     assert a == b == (1, 0, 0)
+
+
+def _hex_ball_fixture():
+    system = hex_pivot_system(VARIANT_CHANGING, hex_ball(2))
+    return SystemFile(system, (frozenset([(0, 0), (1, 0), (0, 1)]),))
+
+
+COLLAPSE_FIXTURES = {
+    "hex-trap": (
+        lambda: build_fixture(hex_connectivity_trap(constrained=True)),
+        (44, 151, 123, 0),
+    ),
+    "hex-radius-2": (
+        lambda: build_fixture(_hex_ball_fixture()),
+        (579, 1083, 0),
+    ),
+    "sliding-ring-2x3": (
+        lambda: build_fixture(sliding_ring_fixture(2, 3)),
+        (18, 18, 0),
+    ),
+    "five-module-shapes": (
+        lambda: build_shape_complex(
+            hex_pivot_system(VARIANT_PRESERVING),
+            [frozenset((i, 0) for i in range(5))],
+        ),
+        (77, 86, 0, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLAPSE_FIXTURES))
+def test_collapse_leaves_what_its_removal_order_leaves(name):
+    """Where collapsing stops short of a point depends on which free
+    face goes first: highest dimension, then least key."""
+    make, expected = COLLAPSE_FIXTURES[name]
+    assert greedy_collapse(make()) == expected
+
+
+def test_certificate_and_collapse_reach_their_module_globals(monkeypatch):
+    """Profilers and the benchmark's tracer wrap ``statecomplex.link``
+    and ``topology.collapse_subcomplex`` where they are defined; the
+    callers must look them up there to be seen."""
+    calls = {"link": 0, "collapse": 0}
+    link, collapse = statecomplex.link, topology.collapse_subcomplex
+
+    def counted_link(*args):
+        calls["link"] += 1
+        return link(*args)
+
+    def counted_collapse(*args):
+        calls["collapse"] += 1
+        return collapse(*args)
+
+    monkeypatch.setattr(statecomplex, "link", counted_link)
+    monkeypatch.setattr(topology, "collapse_subcomplex", counted_collapse)
+    cx = build_fixture(agv_grid_fixture(2, 2))
+    assert statecomplex.check_link_condition(cx).ok
+    assert topology.greedy_collapse(cx) == (1, 0, 0)
+    assert calls == {"link": cx.n_vertices, "collapse": 1}
 
 
 def test_betti_refuses_oversized_complexes():
