@@ -15,7 +15,6 @@ from .errors import (
     ModelError,
     NotAdmissibleError,
     PathError,
-    PlacementError,
     StateError,
     TooLargeError,
 )
@@ -29,7 +28,6 @@ from .lattice import (
 from .model import (
     Action,
     Generator,
-    Placement,
     System,
     SystemFile,
     Workspace,

@@ -15,13 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PathError
+from .lattice import GRAPH
 from .model import (
     System,
+    _graph_embeddings,
     admissible_actions,
     apply_action,
     commute,
     is_admissible,
     pattern_matches,
+    placement_fault,
 )
 
 STOP_ON_LENGTH = "stopOnLength"
@@ -229,26 +232,50 @@ class PathReport:
     reason: str | None = None
 
 
+def _placement_fault(act, system: System, embeddings: dict) -> str | None:
+    """Why the action is not a placement of the system, or None.
+
+    On a finite graph the offset must also be one the catalogue lists,
+    in its node order; ``embeddings`` keeps each generator's offsets.
+    """
+    ws = system.workspace
+    fault = placement_fault(act, ws)
+    if fault is None and ws.lattice.kind == GRAPH:
+        if act.gid not in embeddings:
+            embeddings[act.gid] = frozenset(_graph_embeddings(act.generator, ws))
+        if act.offset not in embeddings[act.gid]:
+            fault = "not-an-embedding"
+    return fault
+
+
 def validate(path: CubePath) -> PathReport:
     """Check the structural invariants of a cube path.
 
     Every step must be a nonempty, pairwise-commuting set of actions,
     each admissible at the state the step starts from (including the
-    global constraint when the path carries a non-local system).
+    global constraint when the path carries a non-local system).  When
+    the path carries a system, every action must also be one of its
+    placements.
     """
     cur = path.start
     system = path.system
+    embeddings = {}
     for i, step in enumerate(path.steps):
         if not step:
             return PathReport(False, i, "empty step")
         if not commute(step):
             return PathReport(False, i, "step actions do not commute")
         for act in sorted(step):
-            ok = (
-                is_admissible(cur, act, system)
-                if system is not None
-                else pattern_matches(cur, act)
-            )
+            if system is None:
+                ok = pattern_matches(cur, act)
+            else:
+                fault = _placement_fault(act, system, embeddings)
+                if fault is not None:
+                    why = f"is not a placement of the system ({fault})"
+                    return PathReport(
+                        False, i, f"action {act.gid} at {act.offset} {why}"
+                    )
+                ok = is_admissible(cur, act, system)
             if not ok:
                 return PathReport(
                     False, i, f"action {act.gid} at {act.offset} not admissible"

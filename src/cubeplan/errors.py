@@ -9,10 +9,6 @@ class ModelError(CubeplanError):
     """A system definition is malformed (bad generator, bad workspace, ...)."""
 
 
-class PlacementError(ModelError):
-    """A generator placement does not fit inside the workspace."""
-
-
 class StateError(CubeplanError):
     """A state is inconsistent with the workspace or its obstacles."""
 

@@ -20,7 +20,6 @@ from .model import (
     CONSTRAINTS,
     FORWARD,
     Generator,
-    Placement,
     System,
     SystemFile,
     Workspace,
@@ -449,7 +448,7 @@ def _parse_action(part: str, system: System, gens_by_gid: dict, ln: int):
         if len(mid) != 2 or not all(_INT_RE.match(t) for t in mid):
             raise _err(ln, f"action for {gid} needs two integer offsets")
         offset = (int(mid[0]), int(mid[1]))
-    return make_action(Placement(gen, offset), direction, lattice)
+    return make_action(gen, offset, direction, lattice)
 
 
 def parse_path(text: str, system: System) -> CubePath:

@@ -20,6 +20,10 @@ from .errors import ModelError, NotAdmissibleError, StateError
 FORWARD = 0
 BACKWARD = 1
 
+# why an action is not a placement in a workspace
+REASON_WORKSPACE = "out-of-workspace"
+REASON_OBSTACLE = "obstacle-trace"
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -71,79 +75,43 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class Placement:
-    """A generator rigidly placed into a workspace.
+class Action:
+    """A generator placed into the workspace and run in one direction.
 
     ``offset`` is a translation vector for lattice kinds.  On a finite
     graph it is the tuple of host nodes the local support maps to, in
-    local support order.
+    local support order.  The placed cell sets are filled in by
+    ``make_action``; equality ignores them, and the hash reads only the
+    generator id, so hashing never walks the generator.
     """
 
     generator: Generator
     offset: tuple
-
-    @property
-    def gid(self) -> str:
-        return self.generator.gid
-
-    @property
-    def key(self):
-        return (self.generator.gid, self.offset)
-
-    def _map_cell(self, cell, lattice: lat.Lattice):
-        if lattice.kind == lat.GRAPH:
-            return self.offset[self.generator.support.index(cell)]
-        return lattice.translate(cell, self.offset)
-
-    def place(self, lattice: lat.Lattice):
-        """Compute the placed cell sets once; cached on the instance."""
-        cached = self.__dict__.get("_placed")
-        if cached is None:
-            gen = self.generator
-            if lattice.kind == lat.GRAPH:
-                mapping = dict(zip(gen.support, self.offset))
-            else:
-                mapping = {c: lattice.translate(c, self.offset) for c in gen.support}
-            cached = (
-                frozenset(mapping.values()),
-                frozenset(mapping[c] for c in gen.trace),
-                frozenset(mapping[c] for c in gen.occ0),
-                frozenset(mapping[c] for c in gen.occ1),
-            )
-            self.__dict__["_placed"] = cached
-        return cached
-
-
-@dataclass(frozen=True)
-class Action:
-    """A placed generator plus the direction it is traversed in."""
-
-    placement: Placement
     direction: int  # FORWARD: occ0 -> occ1, BACKWARD: occ1 -> occ0
     support: frozenset = field(compare=False, repr=False)
     trace: frozenset = field(compare=False, repr=False)
     src_occ: frozenset = field(compare=False, repr=False)
     dst_occ: frozenset = field(compare=False, repr=False)
 
-    @property
-    def gid(self) -> str:
-        return self.placement.gid
+    def __hash__(self):
+        return hash((self.generator.gid, self.offset, self.direction))
 
     @property
-    def offset(self) -> tuple:
-        return self.placement.offset
+    def gid(self) -> str:
+        return self.generator.gid
 
     @property
     def placement_key(self):
-        return self.placement.key
+        return (self.generator.gid, self.offset)
 
     @property
     def sort_key(self):
-        return (self.placement.gid, self.placement.offset, self.direction)
+        return (self.generator.gid, self.offset, self.direction)
 
     def reverse(self) -> "Action":
         return Action(
-            self.placement,
+            self.generator,
+            self.offset,
             BACKWARD if self.direction == FORWARD else FORWARD,
             self.support,
             self.trace,
@@ -155,11 +123,24 @@ class Action:
         return self.sort_key < other.sort_key
 
 
-def make_action(placement: Placement, direction: int, lattice: lat.Lattice) -> Action:
-    support, trace, occ0, occ1 = placement.place(lattice)
-    if direction == FORWARD:
-        return Action(placement, direction, support, trace, occ0, occ1)
-    return Action(placement, direction, support, trace, occ1, occ0)
+def make_action(
+    generator: Generator, offset: tuple, direction: int, lattice: lat.Lattice
+) -> Action:
+    """Place the generator at the offset and run it in the direction."""
+    if lattice.kind == lat.GRAPH:
+        mapping = dict(zip(generator.support, offset))
+    else:
+        mapping = {c: lattice.translate(c, offset) for c in generator.support}
+    src, dst = (
+        (generator.occ0, generator.occ1)
+        if direction == FORWARD
+        else (generator.occ1, generator.occ0)
+    )
+    support = frozenset(mapping.values())
+    trace = frozenset(mapping[c] for c in generator.trace)
+    src_occ = frozenset(mapping[c] for c in src)
+    dst_occ = frozenset(mapping[c] for c in dst)
+    return Action(generator, offset, direction, support, trace, src_occ, dst_occ)
 
 
 @dataclass(frozen=True)
@@ -213,10 +194,6 @@ class Workspace:
     @cached_property
     def obstacle_cells(self) -> frozenset:
         return frozenset(cell for cell, _ in self.obstacles)
-
-    @cached_property
-    def pinned_bits(self) -> dict:
-        return {cell: bit for cell, bit in self.obstacles}
 
     def check_state(self, occupied) -> frozenset:
         """Validate a state against the workspace; returns it frozen."""
@@ -296,10 +273,6 @@ class System:
         out.sort()
         return tuple(out)
 
-    @cached_property
-    def actions_by_key(self) -> dict:
-        return {(a.gid, a.offset, a.direction): a for a in self.all_actions}
-
 
 @dataclass(frozen=True)
 class SystemFile:
@@ -363,17 +336,29 @@ def _graph_embeddings(gen: Generator, workspace: Workspace):
     return sorted(found.values())
 
 
+def placement_fault(action: Action, workspace: Workspace) -> str | None:
+    """Why the action is not a placement in the workspace, or None.
+
+    A placement's support lies inside the workspace and its trace
+    avoids every obstacle cell.
+    """
+    if not all(map(workspace.contains, action.support)):
+        return REASON_WORKSPACE
+    if action.trace & workspace.obstacle_cells:
+        return REASON_OBSTACLE
+    return None
+
+
 def placements(generator: Generator, workspace: Workspace) -> list:
     """Every placement of the generator that fits the workspace.
 
-    Each placement is returned in both directions.  The placed support
-    must lie inside the workspace and the placed trace must avoid all
-    obstacle cells.  Output is sorted by (generator id, offset, direction).
+    Each placement is returned in both directions; see
+    ``placement_fault`` for what fits.  Output is sorted by (generator
+    id, offset, direction).
     """
     if not workspace.is_finite:
         raise ModelError("WorkspaceNotFinite: placements need a finite workspace")
     lattice = workspace.lattice
-    out = []
     if lattice.kind == lat.GRAPH:
         offsets = _graph_embeddings(generator, workspace)
     else:
@@ -384,17 +369,12 @@ def placements(generator: Generator, workspace: Workspace) -> list:
             if off is not None:
                 offsets.add(off)
         offsets = sorted(offsets)
-    obstacles = workspace.obstacle_cells
+    out = []
     for off in offsets:
-        placement = Placement(generator, off)
-        support, trace, _, _ = placement.place(lattice)
-        if not all(workspace.contains(c) for c in support):
-            continue
-        if trace & obstacles:
-            continue
-        out.append(make_action(placement, FORWARD, lattice))
-        out.append(make_action(placement, BACKWARD, lattice))
-    out.sort()
+        act = make_action(generator, off, FORWARD, lattice)
+        if placement_fault(act, workspace) is None:
+            out.append(act)
+            out.append(act.reverse())
     return out
 
 

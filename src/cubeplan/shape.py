@@ -18,18 +18,19 @@ from .errors import ModelError, StateError
 from .model import (
     FORWARD,
     BACKWARD,
-    Placement,
+    REASON_OBSTACLE,
+    REASON_WORKSPACE,
     System,
     apply_action,
     commute,
     make_action,
     pattern_matches,
+    placement_fault,
 )
 from .statecomplex import StateComplex, _build, _corner_states, _leaving
 
+# lift_path also gives the placement rule's reasons, imported from model
 REASON_START = "start-invalid"
-REASON_WORKSPACE = "out-of-workspace"
-REASON_OBSTACLE = "obstacle-trace"
 REASON_PATTERN = "pattern-mismatch"
 REASON_CONSTRAINT = "constraint"
 REASON_STEP = "step-malformed"
@@ -109,9 +110,7 @@ class ShapeFrame:
         shift = _shift(corner)
         return [
             make_action(
-                Placement(a.placement.generator, _shift_offset(a.offset, shift)),
-                a.direction,
-                self.lattice,
+                a.generator, _shift_offset(a.offset, shift), a.direction, self.lattice
             )
             for a in _leaving(actions, mask)
         ]
@@ -158,7 +157,7 @@ def shape_actions(system: System, shape: frozenset) -> list:
                     if off is None or (gen.gid, off, direction) in seen:
                         continue
                     seen.add((gen.gid, off, direction))
-                    act = make_action(Placement(gen, off), direction, lattice)
+                    act = make_action(gen, off, direction, lattice)
                     if not pattern_matches(shape, act):
                         continue
                     if not system.constraint_holds(apply_action(shape, act)):
@@ -241,14 +240,12 @@ def lift_path(shape_path, base_offset: tuple, system: System) -> LiftResult:
     for i, step in enumerate(shape_path.steps):
         placed = []
         for act in sorted(step):
-            placement = Placement(
-                act.placement.generator, _shift_offset(act.offset, t)
+            cact = make_action(
+                act.generator, _shift_offset(act.offset, t), act.direction, lattice
             )
-            cact = make_action(placement, act.direction, lattice)
-            if not all(ws.contains(c) for c in cact.support):
-                return LiftResult(False, None, i, REASON_WORKSPACE)
-            if cact.trace & ws.obstacle_cells:
-                return LiftResult(False, None, i, REASON_OBSTACLE)
+            fault = placement_fault(cact, ws)
+            if fault is not None:
+                return LiftResult(False, None, i, fault)
             if not pattern_matches(state, cact):
                 return LiftResult(False, None, i, REASON_PATTERN)
             placed.append(cact)

@@ -6,6 +6,8 @@ from cubeplan.cli import main
 from cubeplan.fileformat import parse_system_file, serialize
 from cubeplan.systems import agv_grid_fixture, arm_system
 
+from util import NOT_PLACEMENTS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -139,6 +141,19 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert "line 2" in err
     code, out, err = run(capsys, "stats", "--system", str(tmp_path / "missing.txt"))
     assert code == 1
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PLACEMENTS))
+@pytest.mark.parametrize("command", ["optimize", "normalize"])
+def test_scripts_naming_no_placement_exit_one(capsys, tmp_path, name, command):
+    builtin, _, text, _, reason = NOT_PLACEMENTS[name]
+    script = tmp_path / "bad.moves"
+    script.write_text(text)
+    code, out, err = run(capsys, command, *builtin, "--in", str(script))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: input path invalid: ")
+    assert f"not a placement of the system ({reason})" in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -20,6 +20,7 @@ from cubeplan.cubepaths import (
     validate,
 )
 from cubeplan.errors import PathError
+from cubeplan.fileformat import parse_path
 from cubeplan.model import System, Workspace, admissible_actions
 from cubeplan.statecomplex import build_complex
 from cubeplan.systems import (
@@ -31,6 +32,8 @@ from cubeplan.systems import (
     path_graph,
     token_generator,
 )
+
+from util import NOT_PLACEMENTS
 
 
 def grid_fixture():
@@ -206,6 +209,14 @@ def test_validate_reports():
     assert not report.ok and report.index == 1
     clash = CubePath(seed, (frozenset((a, a.reverse())),), system)
     assert not validate(clash).ok
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PLACEMENTS))
+def test_validate_refuses_actions_that_are_not_placements(name):
+    _, make_system, script, step, reason = NOT_PLACEMENTS[name]
+    report = validate(parse_path(script, make_system()))
+    assert (report.ok, report.index) == (False, step)
+    assert f"not a placement of the system ({reason})" in report.reason
 
 
 def test_optimizer_refuses_non_local_systems():

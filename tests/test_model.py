@@ -7,12 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubeplan.lattice as lat
+from cubeplan.cubepaths import CubePath
 from cubeplan.errors import ModelError, NotAdmissibleError, StateError
+from cubeplan.fileformat import parse_path, serialize_path
 from cubeplan.model import (
     BACKWARD,
     FORWARD,
     Generator,
-    Placement,
     System,
     SystemFile,
     Workspace,
@@ -25,7 +26,15 @@ from cubeplan.model import (
     pattern_matches,
     placements,
 )
-from cubeplan.systems import token_generator
+from cubeplan.statecomplex import build_complex, check_link_condition
+from cubeplan.systems import (
+    VARIANT_CHANGING,
+    agv_grid_fixture,
+    arm_system,
+    hex_ball,
+    hex_pivot_system,
+    token_generator,
+)
 
 from util import random_system
 
@@ -135,7 +144,7 @@ def test_placement_requires_finite_workspace():
 
 def test_action_apply_and_reverse():
     lattice = lat.square_lattice()
-    act = make_action(Placement(slide_one(), (0, 0)), FORWARD, lattice)
+    act = make_action(slide_one(), (0, 0), FORWARD, lattice)
     state = frozenset(((0, 0), (5, 5)))
     assert pattern_matches(state, act)
     nxt = apply_action(state, act)
@@ -148,11 +157,45 @@ def test_action_apply_and_reverse():
 
 def test_action_direction_swaps_patterns():
     lattice = lat.square_lattice()
-    fwd = make_action(Placement(slide_one(), (0, 0)), FORWARD, lattice)
-    bwd = make_action(Placement(slide_one(), (0, 0)), BACKWARD, lattice)
+    fwd = make_action(slide_one(), (0, 0), FORWARD, lattice)
+    bwd = make_action(slide_one(), (0, 0), BACKWARD, lattice)
     assert fwd.src_occ == bwd.dst_occ
     assert fwd.dst_occ == bwd.src_occ
     assert fwd.placement_key == bwd.placement_key
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        arm_system(4).system,
+        agv_grid_fixture(2, 2).system,
+        hex_pivot_system(VARIANT_CHANGING, hex_ball(1)),
+    ],
+    ids=["arm", "agv-grid", "hex"],
+)
+def test_parsed_actions_are_the_catalogue_actions(system):
+    for act in system.all_actions:
+        one_move = CubePath(frozenset(), (frozenset((act,)),), system)
+        (parsed,) = parse_path(serialize_path(one_move), system).steps[0]
+        assert parsed == act
+        assert hash(parsed) == hash(act)
+        assert act.reverse().reverse() == act
+        assert act.reverse() != act
+
+
+def test_link_check_never_hashes_a_generator(monkeypatch):
+    sf = arm_system(6)
+    cx = build_complex(sf.system, sf.seeds)
+    hashed = []
+    original = Generator.__hash__
+
+    def counted(self):
+        hashed.append(self.gid)
+        return original(self)
+
+    monkeypatch.setattr(Generator, "__hash__", counted)
+    assert check_link_condition(cx).ok
+    assert hashed == []
 
 
 def test_workspace_state_checks():
@@ -215,9 +258,9 @@ def test_admissibility_with_global_constraint():
 
 def test_commutation_is_about_traces_meeting_supports():
     lattice = lat.square_lattice()
-    a = make_action(Placement(slide_one(), (0, 0)), FORWARD, lattice)
-    far = make_action(Placement(slide_one(), (5, 5)), FORWARD, lattice)
-    near = make_action(Placement(slide_one(), (1, 0)), FORWARD, lattice)
+    a = make_action(slide_one(), (0, 0), FORWARD, lattice)
+    far = make_action(slide_one(), (5, 5), FORWARD, lattice)
+    near = make_action(slide_one(), (1, 0), FORWARD, lattice)
     assert commute_pair(a, far)
     assert not commute_pair(a, near)  # traces overlap supports
     assert commute((a, far))

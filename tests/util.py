@@ -1,4 +1,5 @@
-"""Shared fixtures: synthetic quotient surfaces and randomized systems.
+"""Shared fixtures: synthetic quotient surfaces, randomized systems and
+move scripts that name moves their system does not have.
 
 The surfaces implement the small view protocol the topology functions
 consume, with hand-wired identifications, so orientability is exercised
@@ -11,6 +12,43 @@ import random
 
 import cubeplan.lattice as lat
 from cubeplan.model import Generator, System, SystemFile, Workspace
+from cubeplan.systems import (
+    VARIANT_CHANGING,
+    agv_grid_fixture,
+    hex_ball,
+    hex_pivot_system,
+)
+
+# Move scripts whose actions are not placements of their system:
+# name -> (CLI system arguments, the same system, script, index of the
+# failing step, reason ``validate`` gives).
+NOT_PLACEMENTS = {
+    # pivot4 at (2, 0) moves a module to (3, -1), outside the ball
+    "hex-module-leaves-the-ball": (
+        ("--builtin", "hex", "--radius", "2"),
+        lambda: hex_pivot_system(VARIANT_CHANGING, hex_ball(2)),
+        "start (2,0) (2,-1) (0,0)\nstep 1: (pivot4, 2, 0, fwd)\n",
+        0,
+        "out-of-workspace",
+    ),
+    "token-on-a-missing-edge": (
+        ("--builtin", "agv-grid", "--m", "2", "--n", "2"),
+        lambda: agv_grid_fixture(2, 2).system,
+        "start p0.0 p1.0\nstep 1: (token, p0.0, p1.1, fwd)\n",
+        0,
+        "not-an-embedding",
+    ),
+    # the second move is the catalogue's (token, p0.0, p0.1, bwd) with
+    # its nodes swapped, so it would never cancel the first
+    "token-edge-in-mirrored-order": (
+        ("--builtin", "agv-grid", "--m", "2", "--n", "2"),
+        lambda: agv_grid_fixture(2, 2).system,
+        "start p0.0 p1.0\nstep 1: (token, p0.0, p0.1, fwd)\n"
+        "step 2: (token, p0.1, p0.0, fwd)\n",
+        1,
+        "not-an-embedding",
+    ),
+}
 
 
 class SyntheticSurface:
