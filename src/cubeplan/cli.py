@@ -192,7 +192,7 @@ def _fvec_line(cx) -> str:
 
 
 def _warn_truncated(cx) -> None:
-    if getattr(cx, "truncated", False):
+    if cx.truncated:
         print("warning: build hit the vertex cap; counts are a lower bound", file=sys.stderr)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PathError
+from .errors import PathError, StateError
 from .lattice import GRAPH
 from .model import (
     System,
@@ -80,22 +80,18 @@ class ShrinkStats:
 
 
 def from_edge_path(start, moves, system: System | None = None) -> CubePath:
-    """Wrap a sequence of single moves as a cube path of singleton steps."""
-    cur = frozenset(start)
-    steps = []
-    for i, act in enumerate(moves):
-        ok = (
-            is_admissible(cur, act, system)
-            if system is not None
-            else pattern_matches(cur, act)
-        )
-        if not ok:
-            err = PathError(f"move {i} ({act.gid} at {act.offset}) not admissible")
-            err.index = i
-            raise err
-        cur = apply_action(cur, act)
-        steps.append(frozenset((act,)))
-    return CubePath(frozenset(start), tuple(steps), system)
+    """Wrap a sequence of single moves as a cube path of singleton steps.
+
+    The path must pass ``validate``; otherwise ``PathError`` is raised
+    with the failing move's ``index`` (-1 for the start state).
+    """
+    path = CubePath(start, tuple(frozenset((act,)) for act in moves), system)
+    report = validate(path)
+    if not report.ok:
+        err = PathError(f"move {report.index}: {report.reason}")
+        err.index = report.index
+        raise err
+    return path
 
 
 def commute_sub(step, next_step) -> set:
@@ -254,11 +250,16 @@ def validate(path: CubePath) -> PathReport:
     Every step must be a nonempty, pairwise-commuting set of actions,
     each admissible at the state the step starts from (including the
     global constraint when the path carries a non-local system).  When
-    the path carries a system, every action must also be one of its
-    placements.
+    the path carries a system, its start must fit the workspace (index
+    -1 if not) and every action must be one of its placements.
     """
     cur = path.start
     system = path.system
+    if system is not None:
+        try:
+            system.workspace.check_state(cur)
+        except StateError as err:
+            return PathReport(False, -1, f"start state invalid: {err}")
     embeddings = {}
     for i, step in enumerate(path.steps):
         if not step:

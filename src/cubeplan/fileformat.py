@@ -517,18 +517,12 @@ def export_complex(view) -> str:
     lines = []
     fvec = [view.n_cells(k) for k in range(view.max_dim + 1)]
     lines.append("fvec: " + " ".join(str(n) for n in fvec))
-    prev_index = {}
     for k in range(view.max_dim + 1):
-        keys = view.cell_keys(k)
         lines.append(f"dim {k}")
-        index = {key: i for i, key in enumerate(keys)}
-        for i, key in enumerate(keys):
+        for i, key in enumerate(view.cell_keys(k)):
             if k == 0:
                 lines.append(f"cell {i}: {key!r}")
             else:
-                refs = " ".join(
-                    str(prev_index[fk]) for fk in view.facet_keys(k, key)
-                )
+                refs = " ".join(map(str, view.facets(k, i)))
                 lines.append(f"cell {i}: {key!r} facets {refs}")
-        prev_index = index
     return "\n".join(lines) + "\n"

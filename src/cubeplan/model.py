@@ -342,7 +342,11 @@ def placement_fault(action: Action, workspace: Workspace) -> str | None:
     A placement's support lies inside the workspace and its trace
     avoids every obstacle cell.
     """
-    if not all(map(workspace.contains, action.support)):
+    if workspace.is_finite:
+        inside = action.support <= workspace.cells
+    else:
+        inside = all(map(workspace.contains, action.support))
+    if not inside:
         return REASON_WORKSPACE
     if action.trace & workspace.obstacle_cells:
         return REASON_OBSTACLE

@@ -15,7 +15,6 @@ every state by itself; ``shape`` supplies the translation frame.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -49,7 +48,7 @@ def cube_key(actions, corner_state: frozenset) -> tuple:
     return (placements, tuple(sorted(corner_state - union_sup)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellRecord:
     """One cell of a cube complex.
 
@@ -57,7 +56,8 @@ class CellRecord:
     corners that read the cell's key, the one whose canonical state has
     the least state key) and sorted; ``corners`` lists vertex ids in
     bitmask order, bit i meaning action i has been applied; ``facets``
-    holds 2*dim facet keys as (near_i, far_i) pairs, flattened.
+    holds the positions of the 2*dim facets among the (dim-1)-cells, as
+    (near_i, far_i) pairs, flattened.
     """
 
     dim: int
@@ -69,104 +69,104 @@ class CellRecord:
 
 
 class CubeComplex:
-    """Container of cells per dimension with deterministic iteration."""
+    """Cells numbered per dimension in the order they were stored.
+
+    A cell's number is its position in its dimension: vertex ids are
+    the positions of the 0-cells, and facets are positions one
+    dimension down.  Each dimension also maps cell keys to positions.
+    """
 
     def __init__(self):
-        self._dims: list[dict] = [{}]
-        self._vid_of: dict = {}
-        self._states: list = []
+        self._cells: list[list] = [[]]
+        self._position: list[dict] = [{}]
         self.truncated: bool = False
         self.cap: int | None = None
         # how states and cubes are named; None for a complex assembled
         # by hand, which has no system to move in
         self.frame = None
         # derived views, built on first use and dropped on every change
-        self._incidence: dict | None = None
+        self._incidence: list | None = None
         self._move_adjacency: list | None = None
 
     # -- construction -------------------------------------------------
 
-    def _changed(self) -> None:
-        self._incidence = None
-        self._move_adjacency = None
-
     def add_vertex(self, state: frozenset) -> int:
-        skey = state_key(state)
-        vid = self._vid_of.get(skey)
+        key = ((), state_key(state))
+        vid = self._position[0].get(key)
         if vid is None:
-            vid = len(self._states)
-            self._vid_of[skey] = vid
-            self._states.append(state)
-            key = ((), skey)
-            self._dims[0][key] = CellRecord(0, key, state, (), (vid,), ())
-            self._changed()
+            vid = self.add_cell(CellRecord(0, key, state, (), (self.n_vertices,), ()))
         return vid
 
-    def add_cell(self, rec: CellRecord) -> None:
-        while len(self._dims) <= rec.dim:
-            self._dims.append({})
-        self._dims[rec.dim][rec.key] = rec
-        self._changed()
+    def add_cell(self, rec: CellRecord) -> int:
+        """Store a cell whose key is not stored yet, last in its
+        dimension; returns its position."""
+        while len(self._cells) <= rec.dim:
+            self._cells.append([])
+            self._position.append({})
+        cells = self._cells[rec.dim]
+        pos = self._position[rec.dim][rec.key] = len(cells)
+        cells.append(rec)
+        self._incidence = None
+        self._move_adjacency = None
+        return pos
 
     # -- cell access ---------------------------------------------------
 
     @property
     def max_dim(self) -> int:
-        return len(self._dims) - 1
+        return len(self._cells) - 1
 
     def n_cells(self, k: int) -> int:
-        return len(self._dims[k]) if 0 <= k <= self.max_dim else 0
+        return len(self._cells[k]) if 0 <= k <= self.max_dim else 0
 
     def cell_keys(self, k: int) -> list:
-        if 0 <= k <= self.max_dim:
-            return list(self._dims[k].keys())
-        return []
+        return list(self._position[k]) if 0 <= k <= self.max_dim else []
 
     def cells(self, k: int) -> list:
-        if 0 <= k <= self.max_dim:
-            return list(self._dims[k].values())
-        return []
+        return list(self._cells[k]) if 0 <= k <= self.max_dim else []
 
-    def record(self, k: int, key: tuple) -> CellRecord:
+    def cell(self, k: int, i: int) -> CellRecord:
+        return self._cells[k][i]
+
+    def facets(self, k: int, i: int) -> tuple:
+        return self._cells[k][i].facets
+
+    def position(self, k: int, key: tuple) -> int:
         try:
-            return self._dims[k][key]
+            return self._position[k][key]
         except (IndexError, KeyError):
             raise CubeplanError(f"no {k}-cell with key {key!r}") from None
 
     def has_cell(self, k: int, key: tuple) -> bool:
-        return 0 <= k <= self.max_dim and key in self._dims[k]
-
-    def facet_keys(self, k: int, key: tuple) -> tuple:
-        return self.record(k, key).facets
+        return 0 <= k <= self.max_dim and key in self._position[k]
 
     # -- vertices ------------------------------------------------------
 
     @property
     def n_vertices(self) -> int:
-        return len(self._states)
+        return len(self._cells[0])
 
     def vertex_vid(self, state) -> int:
         skey = state_key(state)
-        vid = self._vid_of.get(skey)
+        vid = self._position[0].get(((), skey))
         if vid is None:
             raise CubeplanError(f"state {skey!r} is not a vertex of the complex")
         return vid
 
     def has_state(self, state) -> bool:
-        return state_key(state) in self._vid_of
+        return ((), state_key(state)) in self._position[0]
 
     def vertex_state(self, vid: int) -> frozenset:
-        return self._states[vid]
+        return self._cells[0][vid].base
 
     # -- derived views -------------------------------------------------
 
-    def edge_endpoints(self, key: tuple) -> tuple:
-        """(base vid, far vid) of an edge, base first."""
-        rec = self.record(1, key)
-        return rec.corners
+    def edge_endpoints(self, i: int) -> tuple:
+        """(base vid, far vid) of edge i, base first."""
+        return self._cells[1][i].corners
 
-    def square_boundary(self, key: tuple) -> list:
-        """The four directed edges around a square, as (edge key, sign).
+    def square_boundary(self, i: int) -> list:
+        """The four directed edges around square i, as (edge, sign).
 
         Read from the square's own record: its facets are stored as
         (a1 at base, a1 at a0, a0 at base, a0 at a1) and its corners in
@@ -174,22 +174,20 @@ class CubeComplex:
         base; the sign is +1 when the step starts at the edge's own base
         corner.
         """
-        rec = self.record(2, key)
+        rec = self._cells[2][i]
         f, c = rec.facets, rec.corners
         walk = ((f[2], c[0]), (f[1], c[1]), (f[3], c[3]), (f[0], c[2]))
-        return [
-            (ekey, 1 if self.record(1, ekey).corners[0] == start else -1)
-            for ekey, start in walk
-        ]
+        edges = self._cells[1]
+        return [(e, 1 if edges[e].corners[0] == start else -1) for e, start in walk]
 
     def incident_cells(self, vid: int) -> list:
-        """All (dim, key) pairs of cells having the vertex as a corner."""
+        """All (dim, position) pairs of cells having the vertex as a corner."""
         if self._incidence is None:
-            cache = {v: [] for v in range(len(self._states))}
+            cache = [[] for _ in range(self.n_vertices)]
             for k in range(1, self.max_dim + 1):
-                for key, rec in self._dims[k].items():
+                for i, rec in enumerate(self._cells[k]):
                     for v in set(rec.corners):
-                        cache[v].append((k, key))
+                        cache[v].append((k, i))
             self._incidence = cache
         return self._incidence[vid]
 
@@ -199,9 +197,9 @@ class CubeComplex:
         A cube move jumps from a corner of a cube to its antipode.
         """
         if self._move_adjacency is None:
-            adj = [set() for _ in range(len(self._states))]
+            adj = [set() for _ in range(self.n_vertices)]
             for k in range(1, self.max_dim + 1):
-                for rec in self._dims[k].values():
+                for rec in self._cells[k]:
                     corners = rec.corners
                     full = len(corners) - 1
                     for m, vid in enumerate(corners):
@@ -292,17 +290,20 @@ def _cell_record(
 
     The base is the corner with the least canonical state key among the
     corners that read the cube's key; actions are re-expressed from the
-    base, in the frame of its canonical state, and sorted.
+    base, in the frame of its canonical state, and sorted.  Facets must
+    already be stored: a missing one raises ``CubeplanError``.
     """
     frame = cx.frame
+    vids = cx._position[0]
     k = len(actions)
     canon = []
     for state in corner_states:
         rep = frame.canonical(state)
         skey = state_key(rep)
-        if skey not in cx._vid_of:
+        vid = vids.get(((), skey))
+        if vid is None:
             return None
-        canon.append((skey, rep))
+        canon.append((skey, rep, vid))
     for base_mask in sorted(range(1 << k), key=lambda m: canon[m][0]):
         base = canon[base_mask][1]
         moved = frame.corner_actions(corner_states[0], actions, base_mask)
@@ -316,12 +317,12 @@ def _cell_record(
         for j in range(k):
             if (mask >> j) & 1:
                 orig ^= 1 << order[j]
-        corners.append(cx._vid_of[canon[orig][0]])
+        corners.append(canon[orig][2])
     facets = []
     for i in range(k):
         sub = acts[:i] + acts[i + 1 :]
-        facets.append(frame.cell_key(sub, base))
-        facets.append(frame.cell_key(sub, apply_action(base, acts[i])))
+        for corner in (base, apply_action(base, acts[i])):
+            facets.append(cx.position(k - 1, frame.cell_key(sub, corner)))
     return CellRecord(k, key, base, acts, tuple(corners), tuple(facets))
 
 
@@ -330,46 +331,35 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
 
     States are named through the complex's frame.  Stops discovering new
     states at ``cap`` vertices and marks the result truncated; cubes are
-    then restricted to fully-visited corner sets so the stored complex
-    is still closed under facets.
+    then restricted to fully-visited corner sets.  Cubes are stored one
+    dimension at a time, so every facet is stored before its cube.
     """
     system, frame = cx.system, cx.frame
     cx.cap = cap
-    seed_states = []
     for s in seeds:
         occ = frame.canonical(system.workspace.check_state(s))
         if not system.constraint_holds(occ):
             raise StateError("seed state violates the system's global constraint")
-        seed_states.append(occ)
-
-    acts_of: list = []
-    queue = deque()
-    for occ in seed_states:
         if not cx.has_state(occ):
-            if cx.n_vertices >= cap:
+            if cx.n_vertices < cap:
+                cx.add_vertex(occ)
+            else:
                 cx.truncated = True
-                break
-            queue.append(cx.add_vertex(occ))
-            acts_of.append(None)
-    while queue:
-        vid = queue.popleft()
-        state = cx.vertex_state(vid)
-        acts = acts_of[vid] = frame.actions_at(state)
+
+    # vertices are expanded in the order they were added; each keeps its
+    # sets of pairwise-commuting actions, grouped by size, until the
+    # cubes of that size are stored
+    cliques_of = []
+    while len(cliques_of) < cx.n_vertices:
+        state = cx.vertex_state(len(cliques_of))
+        acts = frame.actions_at(state)
         for act in acts:
             nxt = frame.canonical(apply_action(state, act))
             if not cx.has_state(nxt):
-                if cx.n_vertices >= cap:
+                if cx.n_vertices < cap:
+                    cx.add_vertex(nxt)
+                else:
                     cx.truncated = True
-                    continue
-                queue.append(cx.add_vertex(nxt))
-                acts_of.append(None)
-
-    check_corners = not system.is_local
-    for vid in range(cx.n_vertices):
-        state = cx.vertex_state(vid)
-        acts = acts_of[vid]
-        if acts is None:  # frontier vertex never expanded (truncated build)
-            acts = frame.actions_at(state)
         n = len(acts)
         adjacency = [0] * n
         for i in range(n):
@@ -377,28 +367,30 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
                 if commute_pair(acts[i], acts[j]):
                     adjacency[i] |= 1 << j
                     adjacency[j] |= 1 << i
+        by_size = []
         for clique in _enumerate_cliques(n, adjacency):
-            chosen = [acts[i] for i in clique]
-            key = frame.cell_key(chosen, state)
-            k = len(clique)
-            if cx.has_cell(k, key):
-                continue
-            corner_states = _corner_states(state, chosen)
-            if check_corners and any(
-                not system.constraint_holds(c) for c in corner_states
-            ):
-                continue
-            rec = _cell_record(cx, key, chosen, corner_states)
-            if rec is not None:
-                cx.add_cell(rec)
+            if len(clique) > len(by_size):
+                by_size.append([])
+            by_size[len(clique) - 1].append(clique)
+        cliques_of.append((acts, by_size))
 
-    for k in range(1, cx.max_dim + 1):
-        for rec in cx._dims[k].values():
-            for fk in rec.facets:
-                if not cx.has_cell(k - 1, fk):
-                    raise CubeplanError(
-                        f"facet {fk!r} of a stored {k}-cell is missing"
-                    )
+    check_corners = not system.is_local
+    for k in range(1, max((len(c) for _, c in cliques_of), default=0) + 1):
+        for vid, (acts, by_size) in enumerate(cliques_of):
+            state = cx.vertex_state(vid)
+            for clique in by_size.pop(0) if by_size else ():
+                chosen = [acts[i] for i in clique]
+                key = frame.cell_key(chosen, state)
+                if cx.has_cell(k, key):
+                    continue
+                corner_states = _corner_states(state, chosen)
+                if check_corners and any(
+                    not system.constraint_holds(c) for c in corner_states
+                ):
+                    continue
+                rec = _cell_record(cx, key, chosen, corner_states)
+                if rec is not None:
+                    cx.add_cell(rec)
     return cx
 
 
@@ -415,7 +407,7 @@ def build_complex(system: System, seeds, max_vertices: int = 1_000_000) -> State
 
 def boundary(complex_: CubeComplex, rec: CellRecord) -> list:
     """The 2*dim facet records of a cell; empty for a vertex."""
-    return [complex_.record(rec.dim - 1, fk) for fk in rec.facets]
+    return [complex_.cell(rec.dim - 1, f) for f in rec.facets]
 
 
 def star(complex_: CubeComplex, rec: CellRecord) -> set:
@@ -425,15 +417,13 @@ def star(complex_: CubeComplex, rec: CellRecord) -> set:
     one of its facets does, so each dimension is reached from the one
     below it.
     """
-    if not complex_.has_cell(rec.dim, rec.key):
-        raise CubeplanError(f"cell {rec.key!r} not in complex")
     out = {rec}
-    level = {rec.key}
+    level = {complex_.position(rec.dim, rec.key)}
     for k in range(rec.dim + 1, complex_.max_dim + 1):
         nxt = set()
-        for other in complex_._dims[k].values():
-            if any(fk in level for fk in other.facets):
-                nxt.add(other.key)
+        for i, other in enumerate(complex_.cells(k)):
+            if any(f in level for f in other.facets):
+                nxt.add(i)
                 out.add(other)
         level = nxt
         if not level:
@@ -467,8 +457,8 @@ def link(complex_: CubeComplex, vertex_state) -> LinkComplex:
     vid = complex_.vertex_vid(state)
     frame = complex_.frame
     simplices: dict = {}
-    for k, key in complex_.incident_cells(vid):
-        rec = complex_.record(k, key)
+    for k, i in complex_.incident_cells(vid):
+        rec = complex_.cell(k, i)
         for mask, corner in enumerate(rec.corners):
             if corner == vid:
                 simplex = frozenset(frame.corner_actions(rec.base, rec.actions, mask))

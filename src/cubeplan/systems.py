@@ -251,6 +251,7 @@ def arm_word_complex(n: int) -> CubeComplex:
             words.append(frozenset(combo))
     for w in sorted(words, key=state_key):
         cx.add_vertex(w)
+    moves_of = []
     for w in words:
         moves = [
             ("swap", i)
@@ -258,8 +259,10 @@ def arm_word_complex(n: int) -> CubeComplex:
             if (i in w) + (i + 1 in w) == 1
         ]
         moves.append(("flip", n))
-        usable = len(moves)
-        for size in range(1, usable + 1):
+        moves_of.append((w, moves))
+    # size by size, so every facet is stored before its cube
+    for size in range(1, n + 1):
+        for w, moves in moves_of:
             for chosen in combinations(moves, size):
                 touched = [_word_touch(m) for m in chosen]
                 union = frozenset()
@@ -298,8 +301,8 @@ def arm_word_complex(n: int) -> CubeComplex:
                 for j in range(size):
                     sub = acts[:j] + acts[j + 1 :]
                     far = base ^ _word_touch(acts[j])
-                    facets.append(word_cube_key(sub, base))
-                    facets.append(word_cube_key(sub, far))
+                    facets.append(cx.position(size - 1, word_cube_key(sub, base)))
+                    facets.append(cx.position(size - 1, word_cube_key(sub, far)))
                 cx.add_cell(
                     CellRecord(size, key, base, acts, tuple(corners), tuple(facets))
                 )

@@ -1,10 +1,14 @@
 """Topological invariants of cube complexes.
 
 Functions here take any complex exposing the small view protocol used by
-``CubeComplex``: ``max_dim``, ``n_cells(k)``, ``cell_keys(k)`` and
-``facet_keys(k, key)`` (facet lists may repeat a key; incidence is
-counted with multiplicity).  The surface checks additionally need
-``n_vertices``, ``edge_endpoints(key)`` and ``square_boundary(key)``.
+``CubeComplex``, in which cells are numbered per dimension from 0:
+``max_dim``, ``n_cells(k)``, ``truncated`` (the build stopped early),
+``facets(k, i)`` (the numbers of cell i's facets among the (k-1)-cells;
+a facet may repeat and incidence counts multiplicity) and
+``cell_keys(k)`` (one sortable key per cell in number order, which
+orders the collapse and names cells in exports).  The surface checks
+also need ``n_vertices``, ``edge_endpoints(i)`` (edge i's vertex
+numbers) and ``square_boundary(i)`` (square i's edges as (number, sign)).
 Ranks are computed over the two-element field with bitset elimination,
 which is enough to decide every invariant used here; orientability is
 decided combinatorially instead of via integral homology.
@@ -21,7 +25,7 @@ MAX_CELLS = 20_000
 
 
 def _require_full(view):
-    if getattr(view, "truncated", False):
+    if view.truncated:
         raise BuildTruncatedError(
             "invariants need the full complex; build hit its vertex cap"
         )
@@ -57,15 +61,14 @@ def _gf2_rank(columns) -> int:
 def boundary_matrix(view, k: int) -> list:
     """Columns of the mod-2 boundary map from k-cells to (k-1)-cells.
 
-    Each column is an int bitset over the (k-1)-cells in ``cell_keys``
-    order; a facet listed an even number of times cancels out.
+    Each column is an int bitset over the (k-1)-cells by number; a
+    facet listed an even number of times cancels out.
     """
-    index = {key: i for i, key in enumerate(view.cell_keys(k - 1))}
     cols = []
-    for key in view.cell_keys(k):
+    for i in range(view.n_cells(k)):
         col = 0
-        for fk in view.facet_keys(k, key):
-            col ^= 1 << index[fk]
+        for f in view.facets(k, i):
+            col ^= 1 << f
         cols.append(col)
     return cols
 
@@ -104,25 +107,25 @@ def surface_report(view) -> SurfaceReport:
     _require_full(view)
     if view.max_dim != 2 or view.n_cells(2) == 0:
         return SurfaceReport(False, "complex is not 2-dimensional")
-    usage: dict = {key: 0 for key in view.cell_keys(1)}
+    usage = [0] * view.n_cells(1)
     corner_pairs: dict = {}
-    for skey in view.cell_keys(2):
-        cycle = view.square_boundary(skey)
-        for i, (ekey, sign) in enumerate(cycle):
-            usage[ekey] += 1
-            nkey, nsign = cycle[(i + 1) % len(cycle)]
-            head_vid = view.edge_endpoints(ekey)[1 if sign > 0 else 0]
-            head_end = (ekey, 1 if sign > 0 else 0)
-            tail_end = (nkey, 0 if nsign > 0 else 1)
+    for s in range(view.n_cells(2)):
+        cycle = view.square_boundary(s)
+        for i, (e, sign) in enumerate(cycle):
+            usage[e] += 1
+            nxt, nsign = cycle[(i + 1) % len(cycle)]
+            head_vid = view.edge_endpoints(e)[1 if sign > 0 else 0]
+            head_end = (e, 1 if sign > 0 else 0)
+            tail_end = (nxt, 0 if nsign > 0 else 1)
             corner_pairs.setdefault(head_vid, []).append((head_end, tail_end))
-    for ekey, count in usage.items():
+    for count in usage:
         if count != 2:
             return SurfaceReport(False, f"an edge lies in {count} squares")
-    ends_at: dict = {v: set() for v in range(view.n_vertices)}
-    for ekey in view.cell_keys(1):
-        v0, v1 = view.edge_endpoints(ekey)
-        ends_at[v0].add((ekey, 0))
-        ends_at[v1].add((ekey, 1))
+    ends_at = [set() for _ in range(view.n_vertices)]
+    for e in range(view.n_cells(1)):
+        v0, v1 = view.edge_endpoints(e)
+        ends_at[v0].add((e, 0))
+        ends_at[v1].add((e, 1))
     for vid in range(view.n_vertices):
         ends = ends_at[vid]
         if not ends:
@@ -165,10 +168,10 @@ def is_orientable_surface(view) -> bool:
     report = surface_report(view)
     if not report.ok:
         raise CubeplanError(f"not a closed surface: {report.reason}")
-    usages: dict = {}
-    for skey in view.cell_keys(2):
-        for ekey, sign in view.square_boundary(skey):
-            usages.setdefault(ekey, []).append((skey, sign))
+    usages = [[] for _ in range(view.n_cells(1))]
+    for s in range(view.n_cells(2)):
+        for e, sign in view.square_boundary(s):
+            usages[e].append((s, sign))
 
     parent: dict = {}
     parity: dict = {}
@@ -191,8 +194,7 @@ def is_orientable_surface(view) -> bool:
         parity[ry] = px ^ py ^ rel
         return True
 
-    for ekey, pair in usages.items():
-        (s1, d1), (s2, d2) = pair
+    for (s1, d1), (s2, d2) in usages:
         same_direction = d1 == d2
         if s1 == s2:
             if same_direction:
@@ -211,37 +213,42 @@ def collapse_subcomplex(view) -> list:
     the remaining cells.  Pairs are removed highest dimension first,
     least key first, so runs are deterministic; free faces wait in a
     heap that takes a face again when its count drops to one.  Returns
-    the set of keys left in each dimension.
+    the set of cell numbers left in each dimension.
     """
     _require_full(view)
-    top = view.max_dim
-    alive = [set(view.cell_keys(k)) for k in range(top + 1)]
-    counts = [dict.fromkeys(cells, 0) for cells in alive]
-    cofaces: list = [{} for _ in alive]
-    for k in range(1, top + 1):
-        for key in alive[k]:
-            for fk in view.facet_keys(k, key):
-                counts[k - 1][fk] += 1
-                cofaces[k - 1].setdefault(fk, []).append(key)
-    free = [(-k, key) for k in range(top) for key, n in counts[k].items() if n == 1]
+    keys = [view.cell_keys(k) for k in range(view.max_dim + 1)]
+    alive = [set(range(len(ks))) for ks in keys]
+    counts = [[0] * len(ks) for ks in keys]
+    cofaces = [[[] for _ in ks] for ks in keys]
+    for k in range(1, len(keys)):
+        for i in range(len(keys[k])):
+            for f in view.facets(k, i):
+                counts[k - 1][f] += 1
+                cofaces[k - 1][f].append(i)
+    free = [
+        (-k, keys[k][i], i)
+        for k, row in enumerate(counts)
+        for i, n in enumerate(row)
+        if n == 1
+    ]
     heapq.heapify(free)
 
-    def drop(k, key):
-        alive[k].remove(key)
+    def drop(k, i):
+        alive[k].remove(i)
         if k:
             below = counts[k - 1]
-            for fk in view.facet_keys(k, key):
-                below[fk] -= 1
-                if below[fk] == 1:
-                    heapq.heappush(free, (1 - k, fk))
+            for f in view.facets(k, i):
+                below[f] -= 1
+                if below[f] == 1:
+                    heapq.heappush(free, (1 - k, keys[k - 1][f], f))
 
     while free:
-        neg, key = heapq.heappop(free)
+        neg, _, i = heapq.heappop(free)
         d = -neg
-        if key not in alive[d] or counts[d][key] != 1:
+        if i not in alive[d] or counts[d][i] != 1:
             continue
-        drop(d + 1, next(c for c in cofaces[d][key] if c in alive[d + 1]))
-        drop(d, key)
+        drop(d + 1, next(c for c in cofaces[d][i] if c in alive[d + 1]))
+        drop(d, i)
     return alive
 
 

@@ -156,6 +156,23 @@ def test_scripts_naming_no_placement_exit_one(capsys, tmp_path, name, command):
     assert f"not a placement of the system ({reason})" in err
 
 
+@pytest.mark.parametrize("command", ["optimize", "normalize"])
+def test_script_starting_outside_the_workspace_exits_one(capsys, tmp_path, command):
+    ball = ("--builtin", "hex", "--radius", "2")
+    code, raw, _ = run(
+        capsys, "random-path", *ball, "--length", "2", "--rng-seed", "1"
+    )
+    assert code == 0
+    start, steps = raw.split("\n", 1)
+    script = tmp_path / "outside.moves"
+    script.write_text(f"{start} (9,9)\n{steps}")
+    code, out, err = run(capsys, command, *ball, "--in", str(script))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: input path invalid: start state invalid: ")
+    assert "(9, 9) outside workspace" in err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stats"])  # no system source

@@ -219,6 +219,28 @@ def test_validate_refuses_actions_that_are_not_placements(name):
     assert f"not a placement of the system ({reason})" in report.reason
 
 
+@pytest.mark.parametrize("name", sorted(NOT_PLACEMENTS))
+def test_from_edge_path_refuses_moves_that_are_not_placements(name):
+    _, make_system, script, step, reason = NOT_PLACEMENTS[name]
+    system = make_system()
+    path = parse_path(script, system)
+    moves = [act for s in path.steps for act in s]
+    with pytest.raises(PathError, match=reason) as err:
+        from_edge_path(path.start, moves, system)
+    assert err.value.index == step
+
+
+def test_start_outside_the_workspace_is_refused_at_index_minus_one():
+    system, seed = grid_fixture()
+    start = seed | {"nowhere"}
+    report = validate(CubePath(start, (), system))
+    assert (report.ok, report.index) == (False, -1)
+    assert "outside workspace" in report.reason
+    with pytest.raises(PathError, match="outside workspace") as err:
+        from_edge_path(start, [first_move(system, seed, "p0.0", "p0.1")], system)
+    assert err.value.index == -1
+
+
 def test_optimizer_refuses_non_local_systems():
     sf = hex_connectivity_trap(constrained=True)
     system, seed = sf.system, sf.seeds[0]

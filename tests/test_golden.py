@@ -37,7 +37,7 @@ def complex_digest(cx) -> str:
         rows = sorted(
             (
                 corners(rec),
-                tuple(sorted(corners(cx.record(k - 1, fk)) for fk in rec.facets)),
+                tuple(sorted(corners(cx.cell(k - 1, f)) for f in rec.facets)),
             )
             for rec in cx.cells(k)
         )

@@ -1,6 +1,10 @@
 """Complex construction, canonical cube identity, stars, links."""
 
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cubeplan.lattice as lat
 from cubeplan.cubepaths import oracle_shortest
@@ -31,6 +35,9 @@ from cubeplan.systems import (
     token_generator,
 )
 from cubeplan.topology import f_vector
+
+from test_golden import cell_counts, complex_digest
+from util import random_system
 
 
 def build_fixture(sf, cap=1_000_000):
@@ -85,8 +92,9 @@ def test_records_are_structurally_consistent():
             assert len(rec.facets) == 2 * k
             assert rec.corners[0] == cx.vertex_vid(rec.base)
             # every facet is stored, with the right dimension
-            for fk in rec.facets:
-                assert cx.has_cell(k - 1, fk)
+            for f in rec.facets:
+                assert 0 <= f < cx.n_cells(k - 1)
+                assert cx.cell(k - 1, f).dim == k - 1
             # corner bitmask order: bit i applies action i
             for i, act in enumerate(rec.actions):
                 expect = cx.vertex_vid(apply_action(rec.base, act))
@@ -116,13 +124,13 @@ SQUARE_COMPLEXES = {
 def test_square_boundary_is_a_closed_cycle(name):
     cx = SQUARE_COMPLEXES[name]()
     assert cx.n_cells(2) > 0
-    for key in cx.cell_keys(2):
-        cycle = cx.square_boundary(key)
+    for i in range(cx.n_cells(2)):
+        cycle = cx.square_boundary(i)
         assert len(cycle) == 4
         # walk the directed edges; each step must start where the last ended
         walk = []
-        for ekey, sign in cycle:
-            v0, v1 = cx.edge_endpoints(ekey)
+        for e, sign in cycle:
+            v0, v1 = cx.edge_endpoints(e)
             walk.append((v0, v1) if sign > 0 else (v1, v0))
         for (_, head), (tail, _) in zip(walk, walk[1:] + walk[:1]):
             assert head == tail
@@ -138,7 +146,7 @@ def test_edges_connect_adjacent_states():
 def test_star_of_vertex_and_edge():
     cx = build_fixture(agv_grid_fixture(2, 2))
     center = frozenset(("p0.1", "p1.1"))
-    vrec = cx.record(0, ((), state_key(center)))
+    vrec = cx.cell(0, cx.vertex_vid(center))
     st_ = star(cx, vrec)
     dims = sorted(r.dim for r in st_)
     assert dims == [0, 1, 1, 1, 1, 2, 2, 2, 2]
@@ -230,8 +238,8 @@ def test_truncated_build_is_marked_and_refuses_invariants():
     # stored cells still closed under facets
     for k in range(1, cx.max_dim + 1):
         for rec in cx.cells(k):
-            for fk in rec.facets:
-                assert cx.has_cell(k - 1, fk)
+            for f in rec.facets:
+                assert 0 <= f < cx.n_cells(k - 1)
 
 
 def test_build_is_deterministic():
@@ -258,8 +266,33 @@ def test_derived_views_follow_cells_added_after_first_use():
     a, b = cx.vertex_vid(u), cx.vertex_vid(v)
     before = len(cx.incident_cells(a))
     assert oracle_shortest(cx, u, v) == 2
-    facets = (((), state_key(u)), ((), state_key(v)))
-    cx.add_cell(CellRecord(1, ("shortcut",), u, (), (a, b), facets))
+    shortcut = cx.add_cell(CellRecord(1, ("shortcut",), u, (), (a, b), (a, b)))
     assert len(cx.incident_cells(a)) == before + 1
-    assert (1, ("shortcut",)) in cx.incident_cells(b)
+    assert (1, shortcut) in cx.incident_cells(b)
     assert oracle_shortest(cx, u, v) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_facets_are_opposite_faces_one_dimension_down(seed):
+    """On random local systems with finite workspaces: a k-cell has 2k
+    facets, each a (k-1)-cell on the cell's corners, the two facets of
+    a pair share no corner, and the complex does not depend on the
+    order of the seeds."""
+    sf = random_system(random.Random(seed))
+    system = sf.system
+    assume(system.workspace.is_finite and system.is_local and sf.seeds)
+    cx = build_complex(system, sf.seeds, max_vertices=64)
+    assume(not cx.truncated)
+    for k in range(1, cx.max_dim + 1):
+        for rec in cx.cells(k):
+            assert len(rec.facets) == 2 * k
+            faces = [cx.cell(k - 1, f) for f in rec.facets]
+            for face in faces:
+                assert face.dim == k - 1
+                assert set(face.corners) <= set(rec.corners)
+            for near, far in zip(faces[::2], faces[1::2]):
+                assert not set(near.corners) & set(far.corners)
+    other = build_complex(system, sf.seeds[::-1], max_vertices=64)
+    assert cell_counts(other) == cell_counts(cx)
+    assert complex_digest(other) == complex_digest(cx)

@@ -84,11 +84,10 @@ def test_boundary_matrix_shape_and_composition():
     d2 = boundary_matrix(cx, 2)
     assert len(d1) == cx.n_cells(1)
     assert len(d2) == cx.n_cells(2)
-    edge_index = {key: i for i, key in enumerate(cx.cell_keys(1))}
-    for key in cx.cell_keys(2):
+    for i in range(cx.n_cells(2)):
         total = 0
-        for ekey in cx.facet_keys(2, key):
-            total ^= d1[edge_index[ekey]]
+        for e in cx.facets(2, i):
+            total ^= d1[e]
         assert total == 0
 
 

@@ -56,37 +56,39 @@ class SyntheticSurface:
 
     ``edges`` maps an edge key to its (v0, v1) endpoint vids; ``squares``
     maps a square key to its boundary cycle, a list of (edge key, sign)
-    in traversal order, sign +1 when the step runs v0 -> v1.
+    in traversal order, sign +1 when the step runs v0 -> v1.  Cells are
+    numbered in key order, and the view speaks in those numbers.
     """
 
     truncated = False
 
     def __init__(self, n_vertices, edges, squares):
         self.n_vertices = n_vertices
-        self._edges = dict(edges)
-        self._squares = dict(squares)
         self.max_dim = 2
+        self._keys = (list(range(n_vertices)), sorted(edges), sorted(squares))
+        edge_number = {key: i for i, key in enumerate(self._keys[1])}
+        self._edges = [edges[key] for key in self._keys[1]]
+        self._squares = [
+            [(edge_number[e], sign) for e, sign in squares[key]]
+            for key in self._keys[2]
+        ]
 
     def n_cells(self, k):
-        return (self.n_vertices, len(self._edges), len(self._squares))[k]
+        return len(self._keys[k])
 
     def cell_keys(self, k):
-        if k == 0:
-            return list(range(self.n_vertices))
+        return list(self._keys[k])
+
+    def facets(self, k, i):
         if k == 1:
-            return sorted(self._edges)
-        return sorted(self._squares)
+            return self._edges[i]
+        return tuple(e for e, _ in self._squares[i])
 
-    def facet_keys(self, k, key):
-        if k == 1:
-            return self._edges[key]
-        return tuple(e for e, _ in self._squares[key])
+    def edge_endpoints(self, i):
+        return self._edges[i]
 
-    def edge_endpoints(self, key):
-        return self._edges[key]
-
-    def square_boundary(self, key):
-        return list(self._squares[key])
+    def square_boundary(self, i):
+        return list(self._squares[i])
 
 
 def torus_view(n: int = 3) -> SyntheticSurface:
