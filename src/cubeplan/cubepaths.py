@@ -250,8 +250,9 @@ def validate(path: CubePath) -> PathReport:
     Every step must be a nonempty, pairwise-commuting set of actions,
     each admissible at the state the step starts from (including the
     global constraint when the path carries a non-local system).  When
-    the path carries a system, its start must fit the workspace (index
-    -1 if not) and every action must be one of its placements.
+    the path carries a system, its start must fit the workspace and
+    satisfy the global constraint (index -1 if not), and every action
+    must be one of its placements.
     """
     cur = path.start
     system = path.system
@@ -260,6 +261,8 @@ def validate(path: CubePath) -> PathReport:
             system.workspace.check_state(cur)
         except StateError as err:
             return PathReport(False, -1, f"start state invalid: {err}")
+        if not system.constraint_holds(cur):
+            return PathReport(False, -1, "start state violates the global constraint")
     embeddings = {}
     for i, step in enumerate(path.steps):
         if not step:

@@ -27,7 +27,7 @@ from .model import (
     pattern_matches,
     placement_fault,
 )
-from .statecomplex import StateComplex, _build, _corner_states, _leaving
+from .statecomplex import StateComplex, _build, _leaving
 
 # lift_path also gives the placement rule's reasons, imported from model
 REASON_START = "start-invalid"
@@ -61,27 +61,15 @@ def _shift_offset(offset: tuple, shift: tuple) -> tuple:
     return (offset[0] + shift[0], offset[1] + shift[1])
 
 
-def _cube_rep(actions, corner_state: frozenset, shift: tuple, lattice) -> tuple:
-    """The cube read from one corner, translated by that corner's shift."""
-    union_sup = frozenset()
-    for a in actions:
-        union_sup |= a.support
-    placements = tuple(sorted((a.gid, _shift_offset(a.offset, shift)) for a in actions))
-    off = tuple(sorted(lattice.translate(c, shift) for c in corner_state - union_sup))
-    return (placements, off)
+def shape_cube_key(actions, corner_state: frozenset) -> tuple:
+    """Translation-invariant names of a cube's placements.
 
-
-def shape_cube_key(actions, corner_state: frozenset, lattice: lat.Lattice) -> tuple:
-    """Translation-invariant identity of the cube at a corner.
-
-    Takes the least representation over all corners of the cube, each
-    re-expressed with that corner canonicalized.  The corners agree off
-    the union of supports, so a representation depends only on the
-    corner's shift.
+    ``corner_state`` is the cube's all-forward corner, in the frame the
+    actions are expressed in; each placement is named by its generator
+    and its offset in the frame of that corner's canonical shape.
     """
-    actions = list(actions)
-    shifts = {_shift(corner) for corner in _corner_states(corner_state, actions)}
-    return min(_cube_rep(actions, corner_state, s, lattice) for s in shifts)
+    shift = _shift(corner_state)
+    return tuple(sorted((a.gid, _shift_offset(a.offset, shift)) for a in actions))
 
 
 class ShapeFrame:
@@ -98,7 +86,7 @@ class ShapeFrame:
         return canonicalize(state, self.lattice)[0]
 
     def cell_key(self, actions, corner_state: frozenset) -> tuple:
-        return shape_cube_key(actions, corner_state, self.lattice)
+        return shape_cube_key(actions, corner_state)
 
     def corner_actions(self, base: frozenset, actions, mask: int) -> list:
         """The cube's actions leaving corner ``mask``, translated into the

@@ -2,15 +2,19 @@
 
 The builder closes a set of seed states under admissible actions, then
 enumerates one k-cube for every set of k pairwise-commuting actions
-admissible at a reached state.  A cube is identified by a canonical key
-(its placement set plus the state restricted off the union of supports),
-so the same cube found from different corners is stored once.
+admissible at a reached state.  A cube is a set of commuting placements
+plus the state off their supports, so it has exactly one *all-forward
+corner*, where every placement sits in its forward source pattern.  The
+cube's key is that corner's vertex id plus the sorted names of its
+placements read in that corner's frame; every corner reaches the same
+key, so a cube found from different corners is stored once.
 
 One builder serves plain and quotient complexes alike.  A *frame* tells
 it how states are named: which actions leave a state, which canonical
-representative stands for a state, how a cube is keyed, and how a
-cube's actions read from each of its corners.  The plain frame names
-every state by itself; ``shape`` supplies the translation frame.
+representative stands for a state, how a cube's placements are named,
+and how a cube's actions read from each of its corners.  The plain
+frame names every state by itself; ``shape`` supplies the translation
+frame.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .errors import (
     StateError,
 )
 from .model import (
+    BACKWARD,
     System,
     admissible_actions,
     apply_action,
@@ -36,10 +41,10 @@ def state_key(occupied) -> tuple:
 
 
 def cube_key(actions, corner_state: frozenset) -> tuple:
-    """Canonical identity of the cube spanned by actions at a corner.
+    """Printed name of the cube spanned by actions at a corner.
 
-    Two corners of one cube give equal keys: the placement list ignores
-    direction, and the corners agree off the union of supports.
+    The placement list ignores direction and the corners agree off the
+    union of supports, so two corners of one plain cube give equal names.
     """
     placements = tuple(sorted(a.placement_key for a in actions))
     union_sup = frozenset()
@@ -52,12 +57,15 @@ def cube_key(actions, corner_state: frozenset) -> tuple:
 class CellRecord:
     """One cell of a cube complex.
 
-    ``actions`` are expressed from the canonical base corner (of the
-    corners that read the cell's key, the one whose canonical state has
-    the least state key) and sorted; ``corners`` lists vertex ids in
-    bitmask order, bit i meaning action i has been applied; ``facets``
-    holds the positions of the 2*dim facets among the (dim-1)-cells, as
-    (near_i, far_i) pairs, flattened.
+    A vertex's ``key`` is ``((), state key)``; a cube's is (vertex id of
+    its all-forward corner, sorted placement names read in that corner's
+    frame).  ``base`` is the corner whose canonical state has the least
+    state key; only a quotient can give two corners the same one, and
+    then the one reading the least sorted actions wins.  ``actions`` are
+    expressed from the base, in its frame, and sorted; ``corners`` lists
+    vertex ids in bitmask order, bit i meaning action i has been applied;
+    ``facets`` holds the positions of the 2*dim facets among the
+    (dim-1)-cells, as (near_i, far_i) pairs, flattened.
     """
 
     dim: int
@@ -213,6 +221,9 @@ class PlainFrame:
 
     def __init__(self, system: System):
         self.system = system
+        # the catalogue lists each placement forward, then backward
+        catalogue = system.all_actions
+        self.number = {a.placement_key: i // 2 for i, a in enumerate(catalogue)}
 
     def actions_at(self, state: frozenset) -> list:
         return admissible_actions(state, self.system)
@@ -221,7 +232,8 @@ class PlainFrame:
         return state
 
     def cell_key(self, actions, corner_state: frozenset) -> tuple:
-        return cube_key(actions, corner_state)
+        """A cube's placements named by their numbers in the catalogue."""
+        return tuple(sorted(self.number[a.placement_key] for a in actions))
 
     def corner_actions(self, base: frozenset, actions, mask: int) -> list:
         """The cube's actions leaving corner ``mask``, in the frame of
@@ -238,6 +250,24 @@ class StateComplex(CubeComplex):
         super().__init__()
         self.system = system
         self.frame = self.frame_type(system)
+
+    def cell_keys(self, k: int) -> list:
+        """Printed names in number order: ``cube_key`` read at each
+        cell's base corner."""
+        return [cube_key(rec.actions, rec.base) for rec in self.cells(k)]
+
+    def key_at(self, state: frozenset, actions) -> tuple | None:
+        """Key of the cube spanned by commuting actions leaving a vertex
+        state, in that state's frame; None when the cube's all-forward
+        corner, reached by running its backward actions, is not a vertex."""
+        corner = state
+        for act in actions:
+            if act.direction == BACKWARD:
+                corner = apply_action(corner, act)
+        vid = self._position[0].get(((), state_key(self.frame.canonical(corner))))
+        if vid is None:
+            return None
+        return (vid, self.frame.cell_key(actions, corner))
 
 
 def _enumerate_cliques(n: int, adjacency: list):
@@ -262,18 +292,6 @@ def _enumerate_cliques(n: int, adjacency: list):
     return out
 
 
-def _corner_states(base: frozenset, actions) -> list:
-    """States of all 2^k corners, indexed by action bitmask."""
-    k = len(actions)
-    states = [None] * (1 << k)
-    states[0] = base
-    for mask in range(1, 1 << k):
-        low = mask & (-mask)
-        i = low.bit_length() - 1
-        states[mask] = apply_action(states[mask ^ low], actions[i])
-    return states
-
-
 def _leaving(actions, mask: int) -> list:
     """The actions of a cube as they leave its corner ``mask``: those
     already applied there (bit set) run in reverse."""
@@ -284,46 +302,56 @@ def _leaving(actions, mask: int) -> list:
 
 
 def _cell_record(
-    cx: StateComplex, key: tuple, actions: list, corner_states: list
+    cx: StateComplex, key: tuple, state: frozenset, actions: list
 ) -> CellRecord | None:
-    """Make the canonical record for a new cube; None if a corner is absent.
+    """Make the record of a new cube spanned by actions leaving a vertex
+    state; None if a corner is not a vertex.
 
-    The base is the corner with the least canonical state key among the
-    corners that read the cube's key; actions are re-expressed from the
-    base, in the frame of its canonical state, and sorted.  Facets must
-    already be stored: a missing one raises ``CubeplanError``.
+    The base is the corner with the least canonical state key, ties
+    going to the least sorted actions; actions are re-expressed from the
+    base, in the frame of its canonical state, and sorted.  Each facet
+    is keyed at its own all-forward corner, read off the cube's corners,
+    and must already be stored: a missing one raises ``CubeplanError``.
     """
     frame = cx.frame
-    vids = cx._position[0]
     k = len(actions)
-    canon = []
-    for state in corner_states:
-        rep = frame.canonical(state)
-        skey = state_key(rep)
-        vid = vids.get(((), skey))
-        if vid is None:
-            return None
-        canon.append((skey, rep, vid))
-    for base_mask in sorted(range(1 << k), key=lambda m: canon[m][0]):
-        base = canon[base_mask][1]
-        moved = frame.corner_actions(corner_states[0], actions, base_mask)
-        if cube_key(moved, base) == key:
-            break
+    # corner states in bitmask order, bit i meaning action i has run
+    corner_states = [state]
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        prev = corner_states[mask ^ low]
+        corner_states.append(apply_action(prev, actions[low.bit_length() - 1]))
+    skeys = [state_key(frame.canonical(corner)) for corner in corner_states]
+    vids = [cx._position[0].get(((), skey)) for skey in skeys]
+    if None in vids:
+        return None
+    least = min(skeys)
+    ties = [m for m in range(1 << k) if skeys[m] == least]
+    readings = {m: frame.corner_actions(state, actions, m) for m in ties}
+    base_mask = min(readings, key=lambda m: sorted(readings[m]))
+    moved = readings[base_mask]
     order = sorted(range(k), key=lambda i: moved[i].sort_key)
     acts = tuple(moved[i] for i in order)
-    corners = []
-    for mask in range(1 << k):
-        orig = base_mask
-        for j in range(k):
-            if (mask >> j) & 1:
-                orig ^= 1 << order[j]
-        corners.append(canon[orig][2])
+    # each corner's mask over ``actions``, in bitmask order of ``acts``
+    orig = [base_mask]
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        orig.append(orig[mask ^ low] ^ 1 << order[low.bit_length() - 1])
+    corners = tuple(vids[m] for m in orig)
+    all_forward = sum(1 << i for i, a in enumerate(actions) if a.direction == BACKWARD)
     facets = []
-    for i in range(k):
-        sub = acts[:i] + acts[i + 1 :]
-        for corner in (base, apply_action(base, acts[i])):
-            facets.append(cx.position(k - 1, frame.cell_key(sub, corner)))
-    return CellRecord(k, key, base, acts, tuple(corners), tuple(facets))
+    for j in order:
+        bit = 1 << j
+        sub = actions[:j] + actions[j + 1 :]
+        for side in (base_mask & bit, ~base_mask & bit):
+            corner = all_forward & ~bit | side
+            vid = vids[corner]
+            if k > 1:
+                names = frame.cell_key(sub, corner_states[corner])
+                vid = cx.position(k - 1, (vid, names))
+            facets.append(vid)
+    base = cx.vertex_state(vids[base_mask])
+    return CellRecord(k, key, base, acts, corners, tuple(facets))
 
 
 def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
@@ -336,15 +364,18 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     """
     system, frame = cx.system, cx.frame
     cx.cap = cap
+
+    def reach(state):
+        if cx.n_vertices < cap:
+            cx.add_vertex(state)
+        elif not cx.has_state(state):
+            cx.truncated = True
+
     for s in seeds:
         occ = frame.canonical(system.workspace.check_state(s))
         if not system.constraint_holds(occ):
             raise StateError("seed state violates the system's global constraint")
-        if not cx.has_state(occ):
-            if cx.n_vertices < cap:
-                cx.add_vertex(occ)
-            else:
-                cx.truncated = True
+        reach(occ)
 
     # vertices are expanded in the order they were added; each keeps its
     # sets of pairwise-commuting actions, grouped by size, until the
@@ -354,12 +385,7 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
         state = cx.vertex_state(len(cliques_of))
         acts = frame.actions_at(state)
         for act in acts:
-            nxt = frame.canonical(apply_action(state, act))
-            if not cx.has_state(nxt):
-                if cx.n_vertices < cap:
-                    cx.add_vertex(nxt)
-                else:
-                    cx.truncated = True
+            reach(frame.canonical(apply_action(state, act)))
         n = len(acts)
         adjacency = [0] * n
         for i in range(n):
@@ -374,21 +400,18 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
             by_size[len(clique) - 1].append(clique)
         cliques_of.append((acts, by_size))
 
-    check_corners = not system.is_local
+    # every vertex satisfies a global constraint (seeds are checked and
+    # successors admissible), so a cube whose corners are all vertices
+    # satisfies it at every corner
     for k in range(1, max((len(c) for _, c in cliques_of), default=0) + 1):
         for vid, (acts, by_size) in enumerate(cliques_of):
             state = cx.vertex_state(vid)
             for clique in by_size.pop(0) if by_size else ():
                 chosen = [acts[i] for i in clique]
-                key = frame.cell_key(chosen, state)
-                if cx.has_cell(k, key):
+                key = cx.key_at(state, chosen)
+                if key is None or cx.has_cell(k, key):
                     continue
-                corner_states = _corner_states(state, chosen)
-                if check_corners and any(
-                    not system.constraint_holds(c) for c in corner_states
-                ):
-                    continue
-                rec = _cell_record(cx, key, chosen, corner_states)
+                rec = _cell_record(cx, key, state, chosen)
                 if rec is not None:
                     cx.add_cell(rec)
     return cx

@@ -225,6 +225,15 @@ def _word_touch(move) -> frozenset:
     return frozenset((move[1],))
 
 
+def _flipped(word: frozenset, flips, mask: int) -> frozenset:
+    """The word with the positions of the masked moves toggled: a move
+    flips exactly the positions it touches."""
+    for j, touched in enumerate(flips):
+        if (mask >> j) & 1:
+            word = word ^ touched
+    return word
+
+
 def word_cube_key(moves, corner: frozenset) -> tuple:
     touched = frozenset()
     for m in moves:
@@ -265,47 +274,22 @@ def arm_word_complex(n: int) -> CubeComplex:
         for w, moves in moves_of:
             for chosen in combinations(moves, size):
                 touched = [_word_touch(m) for m in chosen]
-                union = frozenset()
-                ok = True
-                for t in touched:
-                    if union & t:
-                        ok = False
-                        break
-                    union |= t
-                if not ok:
+                if len(frozenset().union(*touched)) < sum(map(len, touched)):
                     continue
                 key = word_cube_key(chosen, w)
                 if cx.has_cell(size, key):
                     continue
-                corners_by_mask = []
-                for mask in range(1 << size):
-                    s = w
-                    for j in range(size):
-                        if (mask >> j) & 1:
-                            s = s ^ touched[j]
-                    corners_by_mask.append(s)
-                base_mask = min(
-                    range(1 << size), key=lambda m: state_key(corners_by_mask[m])
-                )
-                base = corners_by_mask[base_mask]
+                masks = range(1 << size)
+                base = min((_flipped(w, touched, m) for m in masks), key=state_key)
                 acts = tuple(sorted(chosen))
-                perm = sorted(range(size), key=lambda j: chosen[j])
-                corners = []
-                for mask in range(1 << size):
-                    orig = base_mask
-                    for j in range(size):
-                        if (mask >> j) & 1:
-                            orig ^= 1 << perm[j]
-                    corners.append(cx.vertex_vid(corners_by_mask[orig]))
+                flips = [_word_touch(m) for m in acts]
+                corners = tuple(cx.vertex_vid(_flipped(base, flips, m)) for m in masks)
                 facets = []
                 for j in range(size):
                     sub = acts[:j] + acts[j + 1 :]
-                    far = base ^ _word_touch(acts[j])
-                    facets.append(cx.position(size - 1, word_cube_key(sub, base)))
-                    facets.append(cx.position(size - 1, word_cube_key(sub, far)))
-                cx.add_cell(
-                    CellRecord(size, key, base, acts, tuple(corners), tuple(facets))
-                )
+                    for corner in (base, base ^ flips[j]):
+                        facets.append(cx.position(size - 1, word_cube_key(sub, corner)))
+                cx.add_cell(CellRecord(size, key, base, acts, corners, tuple(facets)))
     return cx
 
 

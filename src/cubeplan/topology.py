@@ -5,9 +5,9 @@ Functions here take any complex exposing the small view protocol used by
 ``max_dim``, ``n_cells(k)``, ``truncated`` (the build stopped early),
 ``facets(k, i)`` (the numbers of cell i's facets among the (k-1)-cells;
 a facet may repeat and incidence counts multiplicity) and
-``cell_keys(k)`` (one sortable key per cell in number order, which
-orders the collapse and names cells in exports).  The surface checks
-also need ``n_vertices``, ``edge_endpoints(i)`` (edge i's vertex
+``cell_keys(k)`` (one sortable printed name per cell in number order,
+which orders the collapse and names cells in exports).  The surface
+checks also need ``n_vertices``, ``edge_endpoints(i)`` (edge i's vertex
 numbers) and ``square_boundary(i)`` (square i's edges as (number, sign)).
 Ranks are computed over the two-element field with bitset elimination,
 which is enough to decide every invariant used here; orientability is
@@ -211,7 +211,7 @@ def collapse_subcomplex(view) -> list:
 
     A face is free when it appears exactly once in the facet lists of
     the remaining cells.  Pairs are removed highest dimension first,
-    least key first, so runs are deterministic; free faces wait in a
+    least name first, so runs are deterministic; free faces wait in a
     heap that takes a face again when its count drops to one.  Returns
     the set of cell numbers left in each dimension.
     """

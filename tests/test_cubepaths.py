@@ -241,6 +241,17 @@ def test_start_outside_the_workspace_is_refused_at_index_minus_one():
     assert err.value.index == -1
 
 
+def test_start_breaking_the_constraint_is_refused_at_index_minus_one():
+    sf = hex_connectivity_trap(constrained=True)
+    system = sf.system
+    start = sf.seeds[0] - {(1, 1), (2, -2)} | {(-1, -1), (-1, 2)}
+    assert len(start) == 13
+    system.workspace.check_state(start)
+    report = validate(CubePath(start, (), system))
+    assert (report.ok, report.index) == (False, -1)
+    assert report.reason == "start state violates the global constraint"
+
+
 def test_optimizer_refuses_non_local_systems():
     sf = hex_connectivity_trap(constrained=True)
     system, seed = sf.system, sf.seeds[0]

@@ -2,10 +2,11 @@
 
 A digest does not depend on how cells are keyed: it covers the
 f-vector, the truncation flag, each cell's corner states and each
-cell's facets, every facet given by its own corner states.  Plain
-complexes also pin the sha256 of their ``export_complex`` text, which
-does print keys, so that listing stays byte-stable.  Any change to the
-builder that alters one of these values changes the complex.
+cell's facets, every facet given by its own corner states.  Every
+complex also pins the sha256 of its ``export_complex`` text, which
+prints each cell's name as read at its base corner, so that listing
+stays byte-stable.  Any change to the builder that alters one of these
+values changes the complex.
 """
 
 import hashlib
@@ -142,31 +143,36 @@ def shape_fixture(name):
     )
 
 
-# fixture -> (f-vector, truncated, complex digest)
+# fixture -> (f-vector, truncated, complex digest, export digest)
 SHAPES = {
     "domino": (
         (2,), False,
         "76765e46349e3d5d892f1154039e6148d42bd60e33ace0416e5467815c659184",
+        "e1002b6c23f989bf837bf92fca92632d7a7e6a335dda97bd9d8d3a65e97a18d8",
     ),
     "five-modules": (
         (186, 414, 231, 12), False,
         "13c5cb93f5fade8235f03313201e0283cd4f5c30bcb979ff8004f7956851f2c2",
+        "7b69c81c635be207b5c8d0c7d6055ddc38337b42eba821285b3255be76f18cd7",
     ),
     "triangle": (
         (11, 24, 9), False,
         "f2d65b1ca22eb13613cbf0bdc4975be3b846fcafdb09015d8435f0353c7d2f04",
+        "c8654909f39308555acbad9885b0c9c2a5961a9aee9adbc7f80b89448d294609",
     ),
     "truncated": (
         (15, 38, 9), True,
         "927c5fdd486f8bcdecc7f15747b93896632c9c51a7e97df4d42583da1b17eed0",
+        "17e89006e698684efd63b04335233470f8caed1761ab7786f837077268e64bda",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_shape_complexes_match_their_golden_digests(name):
-    fvec, truncated, digest = SHAPES[name]
+    fvec, truncated, digest, export = SHAPES[name]
     cx = shape_fixture(name)
     assert cell_counts(cx) == fvec
     assert cx.truncated is truncated
     assert complex_digest(cx) == digest
+    assert sha(export_complex(cx)) == export

@@ -83,13 +83,10 @@ def test_shape_cube_key_is_translation_invariant():
     match = [
         b
         for b in twins
-        if shape_cube_key([b], shifted_state, latt)
-        == shape_cube_key([act], TRIANGLE, latt)
+        if shape_cube_key([b], shifted_state) == shape_cube_key([act], TRIANGLE)
     ]
     assert match
-    assert shape_cube_key([], shifted_state, latt) == shape_cube_key(
-        [], TRIANGLE, latt
-    )
+    assert shape_cube_key([], shifted_state) == shape_cube_key([], TRIANGLE)
 
 
 def test_shape_complex_requires_homogeneous_workspace():
@@ -183,29 +180,55 @@ def test_shape_seeds_are_checked_against_the_workspace():
         build_shape_complex(plane, [frozenset({"x"})])
 
 
+def stacked_bars():
+    """Two 3-cell bars, one on the other, each sliding a step along the
+    cells the other holds still.  Both sliding together translates the
+    shape, so the square they span has two corners on one vertex."""
+
+    def slide(gid, side):
+        held = [(1, side), (2, side)]
+        return Generator(
+            gid,
+            tuple([(0, 0), (1, 0), (2, 0), (3, 0)] + held),
+            frozenset([(0, 0), (3, 0)]),
+            frozenset([(0, 0), (1, 0), (2, 0)] + held),
+            frozenset([(1, 0), (2, 0), (3, 0)] + held),
+        )
+
+    plane = Workspace(square_lattice(), None)
+    system = System(plane, (slide("low", 1), slide("high", -1)))
+    return system, frozenset((x, y) for x in range(3) for y in range(2))
+
+
 def test_shape_records_do_not_depend_on_the_seed():
     """Each cell's base corner, actions and facet order follow from the
-    cell alone, not from which corner the closure reached first."""
-    plane = preserving()
+    cell alone, not from which corner the closure reached first, even
+    when two corners of a cell tie for the base."""
 
     def records(cx):
-        # cells are numbered in build order, which follows the seed, so
-        # facets are compared by key
+        # cells are numbered in build order and keys hold vertex ids,
+        # both of which follow the seed, so cells and facets are
+        # compared by printed name
+        names = [cx.cell_keys(k) for k in range(cx.max_dim + 1)]
         return {
-            (k, rec.key): (
+            (k, names[k][i]): (
                 rec.base,
                 rec.actions,
-                tuple(cx.cell(k - 1, f).key for f in rec.facets),
+                tuple(names[k - 1][f] for f in rec.facets),
             )
             for k in range(cx.max_dim + 1)
-            for rec in cx.cells(k)
+            for i, rec in enumerate(cx.cells(k))
         }
 
-    cx = build_shape_complex(plane, [TRIANGLE])
-    expected = records(cx)
-    for vid in range(cx.n_vertices):
-        other = build_shape_complex(plane, [cx.vertex_state(vid)])
-        assert records(other) == expected
+    for plane, seed in ((preserving(), TRIANGLE), stacked_bars()):
+        cx = build_shape_complex(plane, [seed])
+        expected = records(cx)
+        for vid in range(cx.n_vertices):
+            other = build_shape_complex(plane, [cx.vertex_state(vid)])
+            assert records(other) == expected
+    # the bars' square has its base shape at two corners
+    (square,) = cx.cells(2)
+    assert square.corners.count(square.corners[0]) == 2
 
 
 def test_sliding_domino_shapes_are_rigid():

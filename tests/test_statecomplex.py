@@ -10,7 +10,7 @@ import cubeplan.lattice as lat
 from cubeplan.cubepaths import oracle_shortest
 from cubeplan.errors import BuildTruncatedError, CubeplanError
 from cubeplan.model import System, Workspace, apply_action
-from cubeplan.shape import build_shape_complex
+from cubeplan.shape import ShapeComplex, build_shape_complex
 from cubeplan.statecomplex import (
     CellRecord,
     boundary,
@@ -24,11 +24,13 @@ from cubeplan.statecomplex import (
 from cubeplan.systems import (
     HEX_TRAP_MOVERS,
     HEX_TRAP_STATE,
+    VARIANT_CHANGING,
     VARIANT_PRESERVING,
     agv_grid_fixture,
     arm_word_complex,
     complete_graph,
     graph_agv_system,
+    hex_ball,
     hex_connectivity_trap,
     hex_pivot_system,
     path_graph,
@@ -74,16 +76,6 @@ def test_k5_complex_counts():
     assert f_vector(cx) == (10, 30, 15)
 
 
-def test_cube_key_is_corner_independent():
-    cx = build_fixture(agv_grid_fixture(2, 2))
-    for rec in cx.cells(2):
-        base = rec.base
-        a0, a1 = rec.actions
-        far = apply_action(apply_action(base, a0), a1)
-        key_from_far = cube_key((a0.reverse(), a1.reverse()), far)
-        assert key_from_far == rec.key
-
-
 def test_records_are_structurally_consistent():
     cx = build_fixture(agv_grid_fixture(3, 4))
     for k in range(1, cx.max_dim + 1):
@@ -118,6 +110,39 @@ SQUARE_COMPLEXES = {
     # assembled by hand, with no frame
     "arm-words": lambda: arm_word_complex(4),
 }
+
+
+def assert_every_corner_reads_the_key(cx):
+    """From each corner's vertex, the cube's actions leaving it give
+    back the cube's key."""
+    for k in range(1, cx.max_dim + 1):
+        for rec in cx.cells(k):
+            for mask, vid in enumerate(rec.corners):
+                leaving = cx.frame.corner_actions(rec.base, rec.actions, mask)
+                assert cx.key_at(cx.vertex_state(vid), leaving) == rec.key
+
+
+CORNER_COMPLEXES = {
+    "agv-grid": SQUARE_COMPLEXES["agv-grid"],
+    "hex-trap": lambda: build_fixture(hex_connectivity_trap(constrained=True)),
+    "triangle-shapes": SQUARE_COMPLEXES["triangle-shapes"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_COMPLEXES))
+def test_cube_key_is_corner_independent(name):
+    cx = CORNER_COMPLEXES[name]()
+    assert cx.n_cells(2) > 0
+    assert_every_corner_reads_the_key(cx)
+    if isinstance(cx, ShapeComplex):
+        return
+    # a plain cube's printed name reads the same from its far corner
+    for rec in cx.cells(2):
+        base = rec.base
+        a0, a1 = rec.actions
+        far = apply_action(apply_action(base, a0), a1)
+        key_from_far = cube_key((a0.reverse(), a1.reverse()), far)
+        assert key_from_far == cube_key(rec.actions, rec.base)
 
 
 @pytest.mark.parametrize("name", sorted(SQUARE_COMPLEXES))
@@ -194,6 +219,8 @@ def test_connectivity_trap_violates_link_condition():
     cx = build_fixture(hex_connectivity_trap(constrained=True))
     report = check_link_condition(cx)
     assert not report.ok
+    assert len(report.violations) == 64
+    assert len({state for state, _, _ in report.violations}) == 18
     hits = [
         (state, acts, count)
         for state, acts, count in report.violations
@@ -209,9 +236,23 @@ def test_connectivity_trap_violates_link_condition():
     assert vacated == HEX_TRAP_MOVERS
 
 
-def test_non_local_cubes_require_all_corners():
+NON_LOCAL_COMPLEXES = {
+    "hex-trap": lambda: build_fixture(hex_connectivity_trap(constrained=True)),
+    "hex-trap-cap-30": lambda: build_fixture(
+        hex_connectivity_trap(constrained=True), cap=30
+    ),
+    "hex-connected-r2": lambda: build_complex(
+        hex_pivot_system(VARIANT_CHANGING, hex_ball(2), constraint_name="connected"),
+        [frozenset([(0, 0), (1, 0), (0, 1), (1, 1)])],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_LOCAL_COMPLEXES))
+def test_non_local_cubes_require_all_corners(name):
     """Stored cubes of a constrained system never have a bad corner."""
-    cx = build_fixture(hex_connectivity_trap(constrained=True))
+    cx = NON_LOCAL_COMPLEXES[name]()
+    assert cx.max_dim >= 3
     system = cx.system
     for k in range(1, cx.max_dim + 1):
         for rec in cx.cells(k):
@@ -277,8 +318,8 @@ def test_derived_views_follow_cells_added_after_first_use():
 def test_facets_are_opposite_faces_one_dimension_down(seed):
     """On random local systems with finite workspaces: a k-cell has 2k
     facets, each a (k-1)-cell on the cell's corners, the two facets of
-    a pair share no corner, and the complex does not depend on the
-    order of the seeds."""
+    a pair share no corner, every corner reads the cell's key, and the
+    complex does not depend on the order of the seeds."""
     sf = random_system(random.Random(seed))
     system = sf.system
     assume(system.workspace.is_finite and system.is_local and sf.seeds)
@@ -293,6 +334,7 @@ def test_facets_are_opposite_faces_one_dimension_down(seed):
                 assert set(face.corners) <= set(rec.corners)
             for near, far in zip(faces[::2], faces[1::2]):
                 assert not set(near.corners) & set(far.corners)
+    assert_every_corner_reads_the_key(cx)
     other = build_complex(system, sf.seeds[::-1], max_vertices=64)
     assert cell_counts(other) == cell_counts(cx)
     assert complex_digest(other) == complex_digest(cx)
