@@ -78,9 +78,16 @@ class ShapeFrame:
     def __init__(self, system: System):
         self.system = system
         self.lattice = system.workspace.lattice
+        # one object per distinct action: the cell records and the build's
+        # link record keep the actions of every shape, and most recur at
+        # many shapes
+        self._actions: dict = {}
+
+    def _interned(self, actions) -> list:
+        return [self._actions.setdefault(a, a) for a in actions]
 
     def actions_at(self, shape: frozenset) -> list:
-        return shape_actions(self.system, shape)
+        return self._interned(shape_actions(self.system, shape))
 
     def canonical(self, state: frozenset) -> frozenset:
         return canonicalize(state, self.lattice)[0]
@@ -96,12 +103,12 @@ class ShapeFrame:
             if (mask >> i) & 1:
                 corner = apply_action(corner, act)
         shift = _shift(corner)
-        return [
+        return self._interned(
             make_action(
                 a.generator, _shift_offset(a.offset, shift), a.direction, self.lattice
             )
             for a in _leaving(actions, mask)
-        ]
+        )
 
 
 class ShapeComplex(StateComplex):

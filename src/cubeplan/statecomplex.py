@@ -19,7 +19,10 @@ frame.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     BuildTruncatedError,
@@ -92,9 +95,13 @@ class CubeComplex:
         # how states and cubes are named; None for a complex assembled
         # by hand, which has no system to move in
         self.frame = None
-        # derived views, built on first use and dropped on every change
-        self._incidence: list | None = None
+        # derived views, built on first use and dropped on every change;
+        # the builder leaves its clique record in ``_links``: per vertex,
+        # its leaving actions and their commute bitmasks, and the cliques
+        # of vertices that have any whose cube count is not 1
+        self._links: tuple | None = None
         self._move_adjacency: list | None = None
+        self._names: list | None = None
 
     # -- construction -------------------------------------------------
 
@@ -114,8 +121,9 @@ class CubeComplex:
         cells = self._cells[rec.dim]
         pos = self._position[rec.dim][rec.key] = len(cells)
         cells.append(rec)
-        self._incidence = None
+        self._links = None
         self._move_adjacency = None
+        self._names = None
         return pos
 
     # -- cell access ---------------------------------------------------
@@ -188,17 +196,6 @@ class CubeComplex:
         edges = self._cells[1]
         return [(e, 1 if edges[e].corners[0] == start else -1) for e, start in walk]
 
-    def incident_cells(self, vid: int) -> list:
-        """All (dim, position) pairs of cells having the vertex as a corner."""
-        if self._incidence is None:
-            cache = [[] for _ in range(self.n_vertices)]
-            for k in range(1, self.max_dim + 1):
-                for i, rec in enumerate(self._cells[k]):
-                    for v in set(rec.corners):
-                        cache[v].append((k, i))
-            self._incidence = cache
-        return self._incidence[vid]
-
     def cube_move_adjacency(self) -> list:
         """Per vertex, the set of vertices one cube move away.
 
@@ -253,8 +250,13 @@ class StateComplex(CubeComplex):
 
     def cell_keys(self, k: int) -> list:
         """Printed names in number order: ``cube_key`` read at each
-        cell's base corner."""
-        return [cube_key(rec.actions, rec.base) for rec in self.cells(k)]
+        cell's base corner, rendered once per dimension."""
+        if self._names is None:
+            self._names = [
+                [cube_key(rec.actions, rec.base) for rec in cells]
+                for cells in self._cells
+            ]
+        return list(self._names[k]) if 0 <= k <= self.max_dim else []
 
     def key_at(self, state: frozenset, actions) -> tuple | None:
         """Key of the cube spanned by commuting actions leaving a vertex
@@ -290,6 +292,10 @@ def _enumerate_cliques(n: int, adjacency: list):
 
     extend((), (1 << n) - 1)
     return out
+
+
+def _mask(clique) -> int:
+    return sum(1 << i for i in clique)
 
 
 def _leaving(actions, mask: int) -> list:
@@ -354,6 +360,24 @@ def _cell_record(
     return CellRecord(k, key, base, acts, corners, tuple(facets))
 
 
+# the clique counts of a vertex whose every clique spans exactly one cube
+_SPANS_ONE = MappingProxyType({})
+
+
+def _count_repeated_corners(cx: StateComplex, rec: CellRecord, commute, counts) -> None:
+    """Record the cliques a new cube spans at two or more of its corners
+    on one vertex, which only a quotient allows."""
+    seen = Counter(
+        (vid, frozenset(cx.frame.corner_actions(rec.base, rec.actions, mask)))
+        for mask, vid in enumerate(rec.corners)
+        if rec.corners.count(vid) > 1
+    )
+    for (vid, leaving), n in seen.items():
+        if n > 1:
+            acts = commute[vid][0]
+            counts.setdefault(vid, {})[_mask(acts.index(a) for a in leaving)] = n
+
+
 def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     """Breadth-first closure of the seeds, then cube enumeration.
 
@@ -361,6 +385,11 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     states at ``cap`` vertices and marks the result truncated; cubes are
     then restricted to fully-visited corner sets.  Cubes are stored one
     dimension at a time, so every facet is stored before its cube.
+
+    Each clique of commuting actions at a vertex either becomes a cube or
+    is refused, so the build leaves its verdicts behind as the complex's
+    link record: per vertex, its leaving actions, their commute bitmasks
+    and the cliques whose cube count is not 1.
     """
     system, frame = cx.system, cx.frame
     cx.cap = cap
@@ -378,9 +407,10 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
         reach(occ)
 
     # vertices are expanded in the order they were added; each keeps its
-    # sets of pairwise-commuting actions, grouped by size, until the
-    # cubes of that size are stored
-    cliques_of = []
+    # leaving actions and their commute bitmasks in ``commute``, and its
+    # sets of pairwise-commuting actions, grouped by size, in
+    # ``cliques_of`` until the cubes of that size are stored
+    commute, cliques_of = [], []
     while len(cliques_of) < cx.n_vertices:
         state = cx.vertex_state(len(cliques_of))
         acts = frame.actions_at(state)
@@ -398,22 +428,32 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
             if len(clique) > len(by_size):
                 by_size.append([])
             by_size[len(clique) - 1].append(clique)
-        cliques_of.append((acts, by_size))
+        commute.append((tuple(acts), tuple(adjacency)))
+        cliques_of.append(by_size)
 
     # every vertex satisfies a global constraint (seeds are checked and
     # successors admissible), so a cube whose corners are all vertices
-    # satisfies it at every corner
-    for k in range(1, max((len(c) for _, c in cliques_of), default=0) + 1):
-        for vid, (acts, by_size) in enumerate(cliques_of):
+    # satisfies it at every corner.  ``counts`` keeps, per vertex, the
+    # cliques not spanned by exactly one cube: those with no cube, and
+    # those a quotient cube spans at two of its corners on the vertex
+    counts: dict = {}
+    for k in range(1, max(map(len, cliques_of), default=0) + 1):
+        for vid, by_size in enumerate(cliques_of):
+            acts = commute[vid][0]
             state = cx.vertex_state(vid)
             for clique in by_size.pop(0) if by_size else ():
                 chosen = [acts[i] for i in clique]
                 key = cx.key_at(state, chosen)
-                if key is None or cx.has_cell(k, key):
+                if key is not None and cx.has_cell(k, key):
                     continue
-                rec = _cell_record(cx, key, state, chosen)
-                if rec is not None:
-                    cx.add_cell(rec)
+                rec = None if key is None else _cell_record(cx, key, state, chosen)
+                if rec is None:
+                    counts.setdefault(vid, {})[_mask(clique)] = 0
+                    continue
+                cx.add_cell(rec)
+                if len(set(rec.corners)) < len(rec.corners):
+                    _count_repeated_corners(cx, rec, commute, counts)
+    cx._links = (commute, counts)
     return cx
 
 
@@ -456,38 +496,78 @@ def star(complex_: CubeComplex, rec: CellRecord) -> set:
 
 @dataclass(frozen=True)
 class LinkComplex:
-    """The simplicial link of a vertex.
+    """The simplicial link of a vertex, read from the build's record.
 
-    Vertices are the actions leaving the state, in the state's own frame
-    and sorted; each incident k-cube contributes, at each corner lying on
-    the state, the (k-1)-simplex of its actions leaving that corner.
-    ``simplices`` counts how often each action set is contributed.
+    ``actions`` are the actions leaving the state, in the state's own
+    frame and in the order the frame lists them; ``adjacency`` holds
+    their commute graph as one bitmask per action.  Every incident
+    k-cube contributes, at each of its corners lying on the state, the
+    (k-1)-simplex of its actions leaving that corner, and each such set
+    is a clique of the commute graph.  ``counts`` maps a clique, as a
+    bitmask over ``actions``, to how often it is contributed wherever
+    that is not exactly once: 0 where the clique spans no cube, 2 or
+    more where a quotient cube spans it at several corners.
+    ``vertices``, ``simplices`` and ``skeleton_edges`` are derived on
+    demand.
     """
 
     state: frozenset
-    vertices: tuple
-    simplices: dict
+    actions: tuple
+    adjacency: tuple
+    counts: Mapping
+
+    def count(self, mask: int) -> int:
+        """How often the clique ``mask`` over ``actions`` is contributed."""
+        return self.counts.get(mask, 1)
+
+    @property
+    def vertices(self) -> tuple:
+        """The leaving actions that span an edge, sorted."""
+        return tuple(sorted(a for i, a in enumerate(self.actions) if self.count(1 << i)))
+
+    @property
+    def simplices(self) -> dict:
+        """Every contributed action set, as a frozenset, with its count."""
+        out = {}
+        for clique in _enumerate_cliques(len(self.actions), self.adjacency):
+            n = self.count(_mask(clique))
+            if n:
+                out[frozenset(self.actions[i] for i in clique)] = n
+        return out
+
+    def edge_indices(self) -> list:
+        """The 1-simplices as index pairs (i, j), i < j, into ``actions``."""
+        n = len(self.actions)
+        return [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if (self.adjacency[i] >> j) & 1 and self.count(1 << i | 1 << j)
+        ]
 
     def skeleton_edges(self) -> list:
-        return sorted(
-            tuple(sorted(s)) for s in self.simplices if len(s) == 2
-        )
+        """The 1-simplices, each as a sorted pair of actions, sorted."""
+        acts = self.actions
+        return sorted(tuple(sorted((acts[i], acts[j]))) for i, j in self.edge_indices())
 
 
 def link(complex_: CubeComplex, vertex_state) -> LinkComplex:
-    """Link of a vertex: one simplex per incident cube of dimension >= 1."""
+    """Link of a vertex: one simplex per incident cube of dimension >= 1,
+    at each corner the cube has on the vertex.
+
+    Read from the per-vertex clique record the builder leaves behind.  A
+    complex without one, assembled by hand or changed after its build,
+    is refused with ``CubeplanError``.
+    """
+    if complex_._links is None:
+        raise CubeplanError(
+            "links are read from a build's record; this complex was "
+            "assembled by hand or changed after its build"
+        )
+    commute, counts = complex_._links
     state = frozenset(vertex_state)
     vid = complex_.vertex_vid(state)
-    frame = complex_.frame
-    simplices: dict = {}
-    for k, i in complex_.incident_cells(vid):
-        rec = complex_.cell(k, i)
-        for mask, corner in enumerate(rec.corners):
-            if corner == vid:
-                simplex = frozenset(frame.corner_actions(rec.base, rec.actions, mask))
-                simplices[simplex] = simplices.get(simplex, 0) + 1
-    vertices = tuple(sorted({a for s in simplices for a in s}))
-    return LinkComplex(state, vertices, simplices)
+    return LinkComplex(state, *commute[vid], counts.get(vid, _SPANS_ONE))
 
 
 @dataclass(frozen=True)
@@ -499,9 +579,13 @@ class LinkConditionReport:
 def check_link_condition(complex_: CubeComplex) -> LinkConditionReport:
     """Check that every clique of every vertex link spans exactly one simplex.
 
-    A missing spanning simplex is a set of pairwise-compatible actions
-    that cannot run simultaneously; a duplicate would be two distinct
-    cubes on the same actions.  Either is reported as a violation.
+    A clique is a set of two or more link vertices whose pairs are all
+    1-simplices.  A missing spanning simplex is a set of
+    pairwise-compatible actions that cannot run simultaneously; a
+    duplicate would be one action set spanned twice.  Either is reported
+    as a violation: by vertex id, then in lexicographic order of the
+    sorted actions.  The link of every vertex comes from ``link``; a
+    vertex whose link records no count other than 1 has no violation.
     """
     if complex_.truncated:
         raise BuildTruncatedError(
@@ -511,19 +595,21 @@ def check_link_condition(complex_: CubeComplex) -> LinkConditionReport:
     for vid in range(complex_.n_vertices):
         state = complex_.vertex_state(vid)
         lnk = link(complex_, state)
-        verts = list(lnk.vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        n = len(verts)
-        adjacency = [0] * n
-        for a, b in lnk.skeleton_edges():
-            i, j = index[a], index[b]
-            adjacency[i] |= 1 << j
-            adjacency[j] |= 1 << i
-        for clique in _enumerate_cliques(n, adjacency):
+        if not lnk.counts:
+            continue
+        acts = lnk.actions
+        # the link's vertices in sorted order, and its 1-skeleton over them
+        verts = sorted((i for i in range(len(acts)) if lnk.count(1 << i)), key=acts.__getitem__)
+        position = {i: p for p, i in enumerate(verts)}
+        adjacency = [0] * len(verts)
+        for i, j in lnk.edge_indices():
+            p, q = position[i], position[j]
+            adjacency[p] |= 1 << q
+            adjacency[q] |= 1 << p
+        for clique in _enumerate_cliques(len(verts), adjacency):
             if len(clique) < 2:
                 continue
-            simplex = frozenset(verts[i] for i in clique)
-            count = lnk.simplices.get(simplex, 0)
+            count = lnk.count(_mask(verts[p] for p in clique))
             if count != 1:
-                violations.append((state, tuple(sorted(simplex)), count))
+                violations.append((state, tuple(acts[verts[p]] for p in clique), count))
     return LinkConditionReport(not violations, tuple(violations))

@@ -7,7 +7,15 @@ import pytest
 from cubeplan.cubepaths import CubePath, validate
 from cubeplan.errors import ModelError, StateError
 from cubeplan.lattice import graph_lattice, hex_lattice, square_lattice
-from cubeplan.model import Generator, System, Workspace, apply_action, pattern_matches
+from cubeplan.model import (
+    BACKWARD,
+    Generator,
+    System,
+    Workspace,
+    apply_action,
+    commute_pair,
+    pattern_matches,
+)
 from cubeplan.shape import (
     REASON_CONSTRAINT,
     REASON_OBSTACLE,
@@ -86,7 +94,26 @@ def test_shape_cube_key_is_translation_invariant():
         if shape_cube_key([b], shifted_state) == shape_cube_key([act], TRIANGLE)
     ]
     assert match
-    assert shape_cube_key([], shifted_state) == shape_cube_key([], TRIANGLE)
+    # a square: the twins of two commuting actions, keyed at the shifted
+    # all-forward corner, read the same names
+    pair = [acts[0], acts[3]]
+    assert commute_pair(*pair)
+    twin_pair = [
+        next(
+            b
+            for b in shifted_acts
+            if (b.gid, b.direction) == (a.gid, a.direction)
+            and b.offset == (a.offset[0] + 4, a.offset[1] - 2)
+        )
+        for a in pair
+    ]
+    corner, shifted_corner = TRIANGLE, shifted_state
+    for a, b in zip(pair, twin_pair):
+        if a.direction == BACKWARD:
+            corner = apply_action(corner, a)
+            shifted_corner = apply_action(shifted_corner, b)
+    assert corner != TRIANGLE
+    assert shape_cube_key(twin_pair, shifted_corner) == shape_cube_key(pair, corner)
 
 
 def test_shape_complex_requires_homogeneous_workspace():

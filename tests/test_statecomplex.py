@@ -38,8 +38,9 @@ from cubeplan.systems import (
 )
 from cubeplan.topology import f_vector
 
-from test_golden import cell_counts, complex_digest
-from util import random_system
+from test_golden import BUILTINS, build_builtin, cell_counts, complex_digest, shape_fixture
+from test_shape import stacked_bars
+from util import oracle_link, oracle_violations, random_system
 
 
 def build_fixture(sf, cap=1_000_000):
@@ -221,6 +222,8 @@ def test_connectivity_trap_violates_link_condition():
     assert not report.ok
     assert len(report.violations) == 64
     assert len({state for state, _, _ in report.violations}) == 18
+    # every violation is a clique whose cube the build refused
+    assert {count for _, _, count in report.violations} == {0}
     hits = [
         (state, acts, count)
         for state, acts, count in report.violations
@@ -305,12 +308,74 @@ def test_derived_views_follow_cells_added_after_first_use():
     cx = build_fixture(agv_grid_fixture(2, 2))
     u, v = frozenset(("p0.0", "p1.0")), frozenset(("p0.2", "p1.2"))
     a, b = cx.vertex_vid(u), cx.vertex_vid(v)
-    before = len(cx.incident_cells(a))
     assert oracle_shortest(cx, u, v) == 2
-    shortcut = cx.add_cell(CellRecord(1, ("shortcut",), u, (), (a, b), (a, b)))
-    assert len(cx.incident_cells(a)) == before + 1
-    assert (1, shortcut) in cx.incident_cells(b)
+    names = cx.cell_keys(1)
+    cx.add_cell(CellRecord(1, ("shortcut",), u, (), (a, b), (a, b)))
     assert oracle_shortest(cx, u, v) == 1
+    assert cx.cell_keys(1) == names + [cube_key((), u)]
+
+
+def stacked_bars_complex():
+    system, seed = stacked_bars()
+    return build_shape_complex(system, [seed])
+
+
+LINK_COMPLEXES = {
+    **{" ".join(argv): (lambda argv=argv: build_builtin(argv)) for argv in BUILTINS},
+    **{
+        f"shape-{name}": (lambda name=name: shape_fixture(name))
+        for name in ("triangle", "five-modules", "truncated")
+    },
+    "shape-stacked-bars": stacked_bars_complex,
+}
+
+
+def assert_links_match_the_oracle(cx):
+    for vid in range(cx.n_vertices):
+        state = cx.vertex_state(vid)
+        lnk = link(cx, state)
+        assert (lnk.vertices, lnk.simplices) == oracle_link(cx, state)
+        assert lnk.skeleton_edges() == sorted(
+            tuple(sorted(s)) for s in lnk.simplices if len(s) == 2
+        )
+    if not cx.truncated:
+        assert check_link_condition(cx).violations == oracle_violations(cx)
+
+
+@pytest.mark.parametrize("name", sorted(LINK_COMPLEXES))
+def test_links_read_from_the_build_match_the_incident_cells(name):
+    """The builder's clique record gives, at every vertex, the link the
+    stored cells give, counts included, and the same violations."""
+    assert_links_match_the_oracle(LINK_COMPLEXES[name]())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_links_match_the_oracle_on_random_systems(seed):
+    sf = random_system(random.Random(seed))
+    system = sf.system
+    assume(system.workspace.is_finite and system.is_local and sf.seeds)
+    cx = build_complex(system, sf.seeds, max_vertices=64)
+    assert_links_match_the_oracle(cx)
+    if not cx.truncated:
+        assert check_link_condition(cx).ok
+
+
+def test_links_need_the_build_record():
+    """A complex changed after its build, or assembled by hand, has no
+    record to read its links from."""
+    cx = build_fixture(agv_grid_fixture(2, 2))
+    u = frozenset(("p0.0", "p1.0"))
+    assert link(cx, u).vertices
+    a = cx.vertex_vid(u)
+    cx.add_cell(CellRecord(1, ("shortcut",), u, (), (a, a), (a, a)))
+    with pytest.raises(CubeplanError, match="record"):
+        link(cx, u)
+    with pytest.raises(CubeplanError, match="record"):
+        check_link_condition(cx)
+    words = arm_word_complex(3)
+    with pytest.raises(CubeplanError, match="record"):
+        link(words, words.vertex_state(0))
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
-"""Shared fixtures: synthetic quotient surfaces, randomized systems and
-move scripts that name moves their system does not have.
+"""Shared fixtures: synthetic quotient surfaces, randomized systems,
+move scripts that name moves their system does not have, and the
+incident-cell link oracle.
 
 The surfaces implement the small view protocol the topology functions
 consume, with hand-wired identifications, so orientability is exercised
@@ -12,6 +13,7 @@ import random
 
 import cubeplan.lattice as lat
 from cubeplan.model import Generator, System, SystemFile, Workspace
+from cubeplan.statecomplex import _enumerate_cliques
 from cubeplan.systems import (
     VARIANT_CHANGING,
     agv_grid_fixture,
@@ -264,3 +266,50 @@ def random_system(rng: random.Random) -> SystemFile:
     system = System(workspace, gens, constraint)
     seeds = tuple(_random_seed(rng, workspace) for _ in range(rng.randrange(0, 3)))
     return SystemFile(system, seeds)
+
+
+# -- the link read off the stored cells ---------------------------------------
+
+
+def oracle_link(cx, vertex_state) -> tuple:
+    """(vertices, simplices) of a vertex link, walking the stored cells.
+
+    Every cube with a corner on the vertex contributes, at each such
+    corner, the set of its actions leaving there; ``simplices`` counts
+    the contributions of each set and ``vertices`` lists the actions in
+    any of them, sorted.
+    """
+    vid = cx.vertex_vid(frozenset(vertex_state))
+    simplices: dict = {}
+    for k in range(1, cx.max_dim + 1):
+        for rec in cx.cells(k):
+            for mask, corner in enumerate(rec.corners):
+                if corner == vid:
+                    simplex = frozenset(cx.frame.corner_actions(rec.base, rec.actions, mask))
+                    simplices[simplex] = simplices.get(simplex, 0) + 1
+    vertices = tuple(sorted({a for s in simplices for a in s}))
+    return vertices, simplices
+
+
+def oracle_violations(cx) -> tuple:
+    """The link condition's violations from ``oracle_link``: every clique
+    of two or more vertices of a link's 1-skeleton not spanned exactly
+    once, by vertex id, then by the sorted actions."""
+    violations = []
+    for vid in range(cx.n_vertices):
+        state = cx.vertex_state(vid)
+        verts, simplices = oracle_link(cx, state)
+        index = {v: i for i, v in enumerate(verts)}
+        adjacency = [0] * len(verts)
+        for s in simplices:
+            if len(s) == 2:
+                i, j = (index[a] for a in s)
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+        for clique in _enumerate_cliques(len(verts), adjacency):
+            if len(clique) > 1:
+                simplex = frozenset(verts[i] for i in clique)
+                count = simplices.get(simplex, 0)
+                if count != 1:
+                    violations.append((state, tuple(sorted(simplex)), count))
+    return tuple(violations)
