@@ -137,10 +137,7 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
         default=None,
         help="override the system's global constraint",
     )
-    p.add_argument("--seed", metavar="STATEFILE", help="start state file")
-    p.add_argument("--cap", type=int, default=1_000_000, help="vertex cap")
     p.add_argument("--out", metavar="FILE", help="write output here, not stdout")
-    p.add_argument("--shapes", action="store_true", help="build the translation quotient instead")
 
 
 def _load_system(args) -> SystemFile:
@@ -199,10 +196,7 @@ def _warn_truncated(cx) -> None:
 def cmd_build(args) -> int:
     _, cx = _build(args)
     _warn_truncated(cx)
-    if args.format == "counts":
-        _emit(args, _fvec_line(cx) + "\n")
-    else:
-        _emit(args, export_complex(cx))
+    _emit(args, export_complex(cx))
     return 0
 
 
@@ -247,12 +241,9 @@ def cmd_homology(args) -> int:
 
 
 def cmd_export(args) -> int:
-    sf, cx = _build(args)
-    _warn_truncated(cx)
-    if args.what == "system":
-        _emit(args, serialize(sf))
-    else:
-        _emit(args, export_complex(cx))
+    if args.what == "complex":
+        return cmd_build(args)
+    _emit(args, serialize(_load_system(args)))
     return 0
 
 
@@ -312,6 +303,10 @@ def cmd_random_path(args) -> int:
     return 0
 
 
+# the subcommands that build a complex, and so read --seed, --shapes and --cap
+_BUILDS = ("build", "stats", "check-npc", "homology", "export")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cubeplan",
@@ -334,10 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         _add_system_args(p)
         p.set_defaults(fn=fn)
-        if name in ("build",):
+        if name in _BUILDS or name == "random-path":
+            p.add_argument("--seed", metavar="STATEFILE", help="start state file")
             p.add_argument(
-                "--format", choices=("text", "counts"), default="text"
+                "--shapes", action="store_true", help="work in the translation quotient"
             )
+        if name in _BUILDS:
+            p.add_argument("--cap", type=int, default=1_000_000, help="vertex cap")
         if name in ("optimize", "normalize", "lift"):
             p.add_argument(
                 "--in", dest="infile", required=True, metavar="SCRIPT",

@@ -52,8 +52,9 @@ def canonicalize(state, lattice: lat.Lattice) -> tuple:
 
 
 def _shift(state) -> tuple:
-    """The translation that puts the state's least cell at the origin."""
-    x, y = min(state)
+    """The translation that puts the state's least cell at the origin;
+    a squareEdge2d cell ``(x, y, o)`` keeps its orientation."""
+    x, y = min(state)[:2]
     return (-x, -y)
 
 

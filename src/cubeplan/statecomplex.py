@@ -19,10 +19,7 @@ frame.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .errors import (
     BuildTruncatedError,
@@ -98,7 +95,7 @@ class CubeComplex:
         # derived views, built on first use and dropped on every change;
         # the builder leaves its clique record in ``_links``: per vertex,
         # its leaving actions and their commute bitmasks, and the cliques
-        # of vertices that have any whose cube count is not 1
+        # of vertices that have any that span no cube
         self._links: tuple | None = None
         self._move_adjacency: list | None = None
         self._names: list | None = None
@@ -360,22 +357,8 @@ def _cell_record(
     return CellRecord(k, key, base, acts, corners, tuple(facets))
 
 
-# the clique counts of a vertex whose every clique spans exactly one cube
-_SPANS_ONE = MappingProxyType({})
-
-
-def _count_repeated_corners(cx: StateComplex, rec: CellRecord, commute, counts) -> None:
-    """Record the cliques a new cube spans at two or more of its corners
-    on one vertex, which only a quotient allows."""
-    seen = Counter(
-        (vid, frozenset(cx.frame.corner_actions(rec.base, rec.actions, mask)))
-        for mask, vid in enumerate(rec.corners)
-        if rec.corners.count(vid) > 1
-    )
-    for (vid, leaving), n in seen.items():
-        if n > 1:
-            acts = commute[vid][0]
-            counts.setdefault(vid, {})[_mask(acts.index(a) for a in leaving)] = n
+# the refused cliques of a vertex whose every clique spans a cube
+_NONE_REFUSED = frozenset()
 
 
 def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
@@ -386,10 +369,16 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     then restricted to fully-visited corner sets.  Cubes are stored one
     dimension at a time, so every facet is stored before its cube.
 
-    Each clique of commuting actions at a vertex either becomes a cube or
-    is refused, so the build leaves its verdicts behind as the complex's
+    Each clique of commuting actions at a vertex either spans a cube or
+    is refused, so the build leaves its refusals behind as the complex's
     link record: per vertex, its leaving actions, their commute bitmasks
-    and the cliques whose cube count is not 1.
+    and the cliques that span no cube.  No clique spans two cubes.  A
+    cube is fixed by one corner and the actions leaving it, so two cubes
+    spanning one clique at one vertex are one cube read at two of its
+    corners.  Distinct corners hold distinct states, so only a quotient
+    lets them name one vertex, and then the nonzero lattice translation
+    between them maps the cube's finite corner set onto itself, which no
+    nonzero translation of Z^2 does.
     """
     system, frame = cx.system, cx.frame
     cx.cap = cap
@@ -433,10 +422,9 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
 
     # every vertex satisfies a global constraint (seeds are checked and
     # successors admissible), so a cube whose corners are all vertices
-    # satisfies it at every corner.  ``counts`` keeps, per vertex, the
-    # cliques not spanned by exactly one cube: those with no cube, and
-    # those a quotient cube spans at two of its corners on the vertex
-    counts: dict = {}
+    # satisfies it at every corner.  ``refused`` keeps, per vertex, the
+    # cliques that span no cube
+    refused: dict = {}
     for k in range(1, max(map(len, cliques_of), default=0) + 1):
         for vid, by_size in enumerate(cliques_of):
             acts = commute[vid][0]
@@ -448,12 +436,10 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
                     continue
                 rec = None if key is None else _cell_record(cx, key, state, chosen)
                 if rec is None:
-                    counts.setdefault(vid, {})[_mask(clique)] = 0
-                    continue
-                cx.add_cell(rec)
-                if len(set(rec.corners)) < len(rec.corners):
-                    _count_repeated_corners(cx, rec, commute, counts)
-    cx._links = (commute, counts)
+                    refused.setdefault(vid, set()).add(_mask(clique))
+                else:
+                    cx.add_cell(rec)
+    cx._links = (commute, {vid: frozenset(masks) for vid, masks in refused.items()})
     return cx
 
 
@@ -502,53 +488,43 @@ class LinkComplex:
     frame and in the order the frame lists them; ``adjacency`` holds
     their commute graph as one bitmask per action.  Every incident
     k-cube contributes, at each of its corners lying on the state, the
-    (k-1)-simplex of its actions leaving that corner, and each such set
-    is a clique of the commute graph.  ``counts`` maps a clique, as a
-    bitmask over ``actions``, to how often it is contributed wherever
-    that is not exactly once: 0 where the clique spans no cube, 2 or
-    more where a quotient cube spans it at several corners.
-    ``vertices``, ``simplices`` and ``skeleton_edges`` are derived on
-    demand.
+    (k-1)-simplex of its actions leaving that corner.  Each such set is
+    a clique of the commute graph, and every clique the build did not
+    refuse is contributed exactly once.  ``refused`` holds the cliques
+    that span no cube, as bitmasks over ``actions``.  ``vertices``,
+    ``simplices`` and ``skeleton_edges`` are derived on demand.
     """
 
     state: frozenset
     actions: tuple
     adjacency: tuple
-    counts: Mapping
-
-    def count(self, mask: int) -> int:
-        """How often the clique ``mask`` over ``actions`` is contributed."""
-        return self.counts.get(mask, 1)
+    refused: frozenset
 
     @property
     def vertices(self) -> tuple:
         """The leaving actions that span an edge, sorted."""
-        return tuple(sorted(a for i, a in enumerate(self.actions) if self.count(1 << i)))
+        return tuple(
+            sorted(a for i, a in enumerate(self.actions) if 1 << i not in self.refused)
+        )
 
     @property
     def simplices(self) -> dict:
-        """Every contributed action set, as a frozenset, with its count."""
-        out = {}
-        for clique in _enumerate_cliques(len(self.actions), self.adjacency):
-            n = self.count(_mask(clique))
-            if n:
-                out[frozenset(self.actions[i] for i in clique)] = n
-        return out
-
-    def edge_indices(self) -> list:
-        """The 1-simplices as index pairs (i, j), i < j, into ``actions``."""
-        n = len(self.actions)
-        return [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (self.adjacency[i] >> j) & 1 and self.count(1 << i | 1 << j)
-        ]
+        """Every contributed action set, as a frozenset, with its count, 1."""
+        return {
+            frozenset(self.actions[i] for i in clique): 1
+            for clique in _enumerate_cliques(len(self.actions), self.adjacency)
+            if _mask(clique) not in self.refused
+        }
 
     def skeleton_edges(self) -> list:
         """The 1-simplices, each as a sorted pair of actions, sorted."""
-        acts = self.actions
-        return sorted(tuple(sorted((acts[i], acts[j]))) for i, j in self.edge_indices())
+        acts, n = self.actions, len(self.actions)
+        return sorted(
+            tuple(sorted((acts[i], acts[j])))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if (self.adjacency[i] >> j) & 1 and 1 << i | 1 << j not in self.refused
+        )
 
 
 def link(complex_: CubeComplex, vertex_state) -> LinkComplex:
@@ -564,10 +540,10 @@ def link(complex_: CubeComplex, vertex_state) -> LinkComplex:
             "links are read from a build's record; this complex was "
             "assembled by hand or changed after its build"
         )
-    commute, counts = complex_._links
+    commute, refused = complex_._links
     state = frozenset(vertex_state)
     vid = complex_.vertex_vid(state)
-    return LinkComplex(state, *commute[vid], counts.get(vid, _SPANS_ONE))
+    return LinkComplex(state, *commute[vid], refused.get(vid, _NONE_REFUSED))
 
 
 @dataclass(frozen=True)
@@ -577,15 +553,16 @@ class LinkConditionReport:
 
 
 def check_link_condition(complex_: CubeComplex) -> LinkConditionReport:
-    """Check that every clique of every vertex link spans exactly one simplex.
+    """Check that every clique of every vertex link spans a simplex.
 
     A clique is a set of two or more link vertices whose pairs are all
-    1-simplices.  A missing spanning simplex is a set of
-    pairwise-compatible actions that cannot run simultaneously; a
-    duplicate would be one action set spanned twice.  Either is reported
-    as a violation: by vertex id, then in lexicographic order of the
-    sorted actions.  The link of every vertex comes from ``link``; a
-    vertex whose link records no count other than 1 has no violation.
+    1-simplices.  The build spans every clique of commuting actions once
+    or refuses it, so a violation is a refused clique of two or more
+    actions none of whose single actions or pairs is refused: a set of
+    pairwise-compatible actions that cannot run simultaneously.  Each is
+    reported with count 0, by vertex id, then in lexicographic order of
+    the sorted actions.  The link of every vertex comes from ``link``;
+    a vertex with no refused clique has no violation.
     """
     if complex_.truncated:
         raise BuildTruncatedError(
@@ -595,21 +572,16 @@ def check_link_condition(complex_: CubeComplex) -> LinkConditionReport:
     for vid in range(complex_.n_vertices):
         state = complex_.vertex_state(vid)
         lnk = link(complex_, state)
-        if not lnk.counts:
+        refused = lnk.refused
+        if not refused:
             continue
-        acts = lnk.actions
-        # the link's vertices in sorted order, and its 1-skeleton over them
-        verts = sorted((i for i in range(len(acts)) if lnk.count(1 << i)), key=acts.__getitem__)
-        position = {i: p for p, i in enumerate(verts)}
-        adjacency = [0] * len(verts)
-        for i, j in lnk.edge_indices():
-            p, q = position[i], position[j]
-            adjacency[p] |= 1 << q
-            adjacency[q] |= 1 << p
-        for clique in _enumerate_cliques(len(verts), adjacency):
-            if len(clique) < 2:
+        found = []
+        for mask in refused:
+            idx = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+            # with a refused single action (i == j) or pair, it is no link clique
+            pairs = (1 << i | 1 << j for p, i in enumerate(idx) for j in idx[p:])
+            if len(idx) < 2 or any(m in refused for m in pairs):
                 continue
-            count = lnk.count(_mask(verts[p] for p in clique))
-            if count != 1:
-                violations.append((state, tuple(acts[verts[p]] for p in clique), count))
+            found.append(sorted(lnk.actions[i] for i in idx))
+        violations.extend((state, tuple(acts), 0) for acts in sorted(found))
     return LinkConditionReport(not violations, tuple(violations))

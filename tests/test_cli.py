@@ -42,9 +42,6 @@ def test_check_npc_reports_the_trap_and_still_exits_zero(capsys):
 
 
 def test_build_text_and_counts(capsys, tmp_path):
-    code, out, _ = run(capsys, "build", "--builtin", "agv-grid", "--m", "1", "--n", "1", "--format", "counts")
-    assert code == 0
-    assert out.strip() == "fvec: 4 4 1"
     target = tmp_path / "complex.txt"
     code, out, _ = run(
         capsys, "build", "--builtin", "agv-grid", "--m", "1", "--n", "1",
@@ -62,6 +59,16 @@ def test_export_system_round_trips(capsys):
     assert parse_system_file(out) == arm_system(3)
 
 
+def test_export_system_builds_no_complex(capsys, tmp_path):
+    """Writing the system text reads neither the seed file nor the cap."""
+    code, out, err = run(
+        capsys, "export", "--builtin", "arm", "--n", "3", "--what", "system",
+        "--seed", str(tmp_path / "missing.state"), "--cap", "2",
+    )
+    assert (code, err) == (0, "")
+    assert parse_system_file(out) == arm_system(3)
+
+
 def test_shapes_flag_builds_the_quotient(capsys):
     code, out, _ = run(
         capsys, "stats", "--builtin", "hex", "--variant", "preserving",
@@ -69,6 +76,27 @@ def test_shapes_flag_builds_the_quotient(capsys):
     )
     assert code == 0
     assert "fvec: 11 24 9" in out
+
+
+def test_shapes_on_the_square_edge_lattice(capsys, tmp_path):
+    """A quotient on squareEdge2d, whose cells are (x, y, orientation),
+    translates by the least cell's first two coordinates."""
+    system = tmp_path / "elbow.txt"
+    system.write_text(
+        "lattice squareEdge2d\n"
+        "workspace all\n"
+        "generator corner\n"
+        "  support (0,0,h) (0,0,v) (0,1,h) (1,0,v)\n"
+        "  trace (0,0,h) (0,0,v) (0,1,h) (1,0,v)\n"
+        "  occ0 (0,0,h) (1,0,v)\n"
+        "  occ1 (0,0,v) (0,1,h)\n"
+        "end\n"
+        "seed (0,0,h) (1,0,v)\n"
+    )
+    code, out, _ = run(capsys, "stats", "--system", str(system), "--shapes", "--cap", "50")
+    assert (code, out) == (0, "fvec: 2 1\n")
+    code, out, _ = run(capsys, "check-npc", "--system", str(system), "--shapes")
+    assert (code, out) == (0, "OK\n")
 
 
 def test_random_path_optimize_normalize_pipeline(capsys, tmp_path):
@@ -185,6 +213,26 @@ def test_usage_errors_exit_two(capsys):
 def test_threads_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stats", "--builtin", "hex", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command in ("optimize", "normalize", "lift")
+        for flag in ("--seed start.state", "--cap 1", "--shapes")
+    ]
+    + [("random-path", "--cap 1")],
+)
+def test_flags_a_subcommand_never_reads_are_usage_errors(capsys, command, flag):
+    argv = [command, "--builtin", "arm", "--n", "4", *flag.split()]
+    if command != "random-path":
+        argv += ["--in", "walk.moves"]
+    if command == "lift":
+        argv += ["--base", "(0,0)"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cubeplan.lattice as lat
@@ -40,7 +40,7 @@ from cubeplan.topology import f_vector
 
 from test_golden import BUILTINS, build_builtin, cell_counts, complex_digest, shape_fixture
 from test_shape import stacked_bars
-from util import oracle_link, oracle_violations, random_system
+from util import _random_generator, oracle_link, oracle_violations, random_system
 
 
 def build_fixture(sf, cap=1_000_000):
@@ -350,15 +350,40 @@ def test_links_read_from_the_build_match_the_incident_cells(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6))
-def test_links_match_the_oracle_on_random_systems(seed):
+@given(st.integers(0, 10**6), st.booleans())
+@example(2023, True)
+@example(2911, True)
+def test_links_match_the_oracle_on_random_systems(seed, connected):
+    """Random finite systems, local or under the connected constraint
+    from the seeds that satisfy it: the links and violations read from
+    the build's refusals are those of the incident cells.  Local systems
+    pass; the pinned seeds are two whose constrained builds break the
+    condition once each."""
     sf = random_system(random.Random(seed))
-    system = sf.system
-    assume(system.workspace.is_finite and system.is_local and sf.seeds)
-    cx = build_complex(system, sf.seeds, max_vertices=64)
+    workspace = sf.system.workspace
+    system = System(workspace, sf.system.catalogue, "connected" if connected else None)
+    seeds = [s for s in sf.seeds if system.constraint_holds(s)]
+    assume(workspace.is_finite and seeds)
+    cx = build_complex(system, seeds, max_vertices=64)
     assert_links_match_the_oracle(cx)
-    if not cx.truncated:
+    if not cx.truncated and not connected:
         assert check_link_condition(cx).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from((lat.SQUARE, lat.HEX, lat.SQUARE_EDGE)))
+def test_random_shape_quotients_span_each_clique_once(seed, kind):
+    """On random homogeneous quotients of every translation lattice, the
+    links read from the build equal the incident cells' links.  ``link``
+    counts each simplex once, so the incident cells contribute no action
+    set twice: a cube with two corners on one shape never reads the same
+    actions at both, so no clique spans two cubes."""
+    rng = random.Random(seed)
+    gens = [_random_generator(rng, f"g{i}", kind) for i in range(rng.randrange(1, 4))]
+    gens = tuple(g for g in gens if g.occ0 and g.occ1)
+    assume(gens)
+    system = System(Workspace(lat.Lattice(kind), None), gens)
+    assert_links_match_the_oracle(build_shape_complex(system, [gens[0].occ0], cap=20))
 
 
 def test_links_need_the_build_record():
