@@ -171,7 +171,7 @@ def _build(args):
         cx = build_shape_complex(sf.system, seeds, cap=args.cap)
     else:
         cx = build_complex(sf.system, seeds, max_vertices=args.cap)
-    return sf, cx
+    return cx
 
 
 def _emit(args, text: str) -> None:
@@ -194,42 +194,42 @@ def _warn_truncated(cx) -> None:
 
 
 def cmd_build(args) -> int:
-    _, cx = _build(args)
+    cx = _build(args)
     _warn_truncated(cx)
     _emit(args, export_complex(cx))
     return 0
 
 
 def cmd_stats(args) -> int:
-    _, cx = _build(args)
+    cx = _build(args)
     _warn_truncated(cx)
     _emit(args, _fvec_line(cx) + "\n")
     return 0
 
 
 def cmd_check_npc(args) -> int:
-    _, cx = _build(args)
+    cx = _build(args)
     _warn_truncated(cx)
     report = check_link_condition(cx)
     if report.ok:
         _emit(args, "OK\n")
         return 0
     lines = []
-    for state, acts, count in report.violations:
+    for state, acts in report.violations:
         cells = " ".join(repr(c) for c in sorted(state))
         moves = "; ".join(
             f"{a.gid}@{a.offset}:{'fwd' if a.direction == 0 else 'bwd'}"
             for a in sorted(acts)
         )
         lines.append(
-            f"violation at [{cells}] actions [{moves}] spanned {count} times"
+            f"violation at [{cells}] actions [{moves}] spanned 0 times"
         )
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_homology(args) -> int:
-    _, cx = _build(args)
+    cx = _build(args)
     _warn_truncated(cx)
     betti = betti_mod2(cx)
     chi = euler_characteristic(cx)

@@ -8,7 +8,6 @@ are translation-symmetric with rank 2; a finite graph has no translations.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,8 +26,6 @@ VERTICAL = 1
 
 # axial-coordinate displacements of the six hex neighbours
 HEX_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
-SQUARE_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def rot60(cell):
@@ -108,12 +105,20 @@ class Lattice:
         return {n: tuple(sorted(s)) for n, s in adj.items()}
 
     def neighbors(self, cell) -> tuple:
+        # literal tuples build faster than ones generated from a table
         if self.kind == SQUARE:
             x, y = cell
-            return tuple((x + dx, y + dy) for dx, dy in SQUARE_DIRS)
+            return ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))
         if self.kind == HEX:
-            q, r = cell
-            return tuple((q + dq, r + dr) for dq, dr in HEX_DIRS)
+            q, r = cell  # in HEX_DIRS order
+            return (
+                (q + 1, r),
+                (q, r + 1),
+                (q - 1, r + 1),
+                (q - 1, r),
+                (q, r - 1),
+                (q + 1, r - 1),
+            )
         if self.kind == SQUARE_EDGE:
             return _square_edge_neighbors(cell)
         return self._graph_adj[cell]
@@ -180,21 +185,17 @@ def _square_edge_neighbors(cell):
 def is_connected(cells, lattice: Lattice) -> bool:
     """True if the cells form one component under lattice adjacency.
 
-    Empty and singleton sets count as connected.
+    Empty and singleton sets count as connected.  The flood fill stops
+    as soon as it has reached every cell.
     """
-    cells = set(cells)
-    if len(cells) <= 1:
-        return True
-    start = next(iter(cells))
-    seen = {start}
-    queue = deque((start,))
-    while queue:
-        cur = queue.popleft()
-        for nb in lattice.neighbors(cur):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return len(seen) == len(cells)
+    unvisited = set(cells)
+    frontier = [unvisited.pop()] if unvisited else []
+    while frontier and unvisited:
+        for nb in lattice.neighbors(frontier.pop()):
+            if nb in unvisited:
+                unvisited.remove(nb)
+                frontier.append(nb)
+    return not unvisited
 
 
 def square_lattice() -> Lattice:

@@ -217,6 +217,9 @@ def _connected_constraint(occupied, workspace: Workspace) -> bool:
 
 CONSTRAINTS = {"connected": _connected_constraint}
 
+# the key of actions with an empty source pattern in ``System.actions_by_cell``
+NO_SOURCE = object()
+
 
 @dataclass(frozen=True)
 class System:
@@ -272,6 +275,19 @@ class System:
             out.extend(placements(gen, self.workspace))
         out.sort()
         return tuple(out)
+
+    @cached_property
+    def actions_by_cell(self) -> dict:
+        """Positions in ``all_actions`` keyed by the least cell of each
+        action's source pattern; actions with an empty source pattern sit
+        under ``NO_SOURCE``.  An action matches only a state holding its
+        whole source pattern, so the positions under a state's cells and
+        ``NO_SOURCE`` include every action admissible there."""
+        out: dict = {}
+        for i, act in enumerate(self.all_actions):
+            key = min(act.src_occ) if act.src_occ else NO_SOURCE
+            out.setdefault(key, []).append(i)
+        return out
 
 
 @dataclass(frozen=True)
@@ -414,8 +430,19 @@ def is_admissible(state: frozenset, action: Action, system: System) -> bool:
 
 
 def admissible_actions(state: frozenset, system: System) -> list:
-    """All admissible actions at a state, sorted and duplicate-free."""
-    return [a for a in system.all_actions if is_admissible(state, a, system)]
+    """All admissible actions at a state, sorted and duplicate-free.
+
+    Only the actions whose source pattern's least cell the state holds,
+    and those with an empty source pattern, are tested.
+    """
+    catalogue, by_cell = system.all_actions, system.actions_by_cell
+    candidates = list(by_cell.get(NO_SOURCE, ()))
+    for cell in state:
+        candidates.extend(by_cell.get(cell, ()))
+    candidates.sort()
+    return [
+        catalogue[i] for i in candidates if is_admissible(state, catalogue[i], system)
+    ]
 
 
 def commute_pair(a: Action, b: Action) -> bool:

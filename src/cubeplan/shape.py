@@ -27,7 +27,7 @@ from .model import (
     pattern_matches,
     placement_fault,
 )
-from .statecomplex import StateComplex, _build, _leaving
+from .statecomplex import StateComplex, _build
 
 # lift_path also gives the placement rule's reasons, imported from model
 REASON_START = "start-invalid"
@@ -98,7 +98,8 @@ class ShapeFrame:
 
     def corner_actions(self, base: frozenset, actions, mask: int) -> list:
         """The cube's actions leaving corner ``mask``, translated into the
-        frame of that corner's canonical shape."""
+        frame of that corner's canonical shape; those already applied
+        there (bit set) run in reverse."""
         corner = base
         for i, act in enumerate(actions):
             if (mask >> i) & 1:
@@ -106,9 +107,12 @@ class ShapeFrame:
         shift = _shift(corner)
         return self._interned(
             make_action(
-                a.generator, _shift_offset(a.offset, shift), a.direction, self.lattice
+                a.generator,
+                _shift_offset(a.offset, shift),
+                a.direction ^ ((mask >> i) & 1),
+                self.lattice,
             )
-            for a in _leaving(actions, mask)
+            for i, a in enumerate(actions)
         )
 
 

@@ -215,9 +215,9 @@ class PlainFrame:
 
     def __init__(self, system: System):
         self.system = system
-        # the catalogue lists each placement forward, then backward
-        catalogue = system.all_actions
-        self.number = {a.placement_key: i // 2 for i, a in enumerate(catalogue)}
+        # the catalogue lists placement i forward at position 2i, then
+        # backward at 2i + 1
+        self.position = {a: i for i, a in enumerate(system.all_actions)}
 
     def actions_at(self, state: frozenset) -> list:
         return admissible_actions(state, self.system)
@@ -227,12 +227,18 @@ class PlainFrame:
 
     def cell_key(self, actions, corner_state: frozenset) -> tuple:
         """A cube's placements named by their numbers in the catalogue."""
-        return tuple(sorted(self.number[a.placement_key] for a in actions))
+        return tuple(sorted(self.position[a] >> 1 for a in actions))
 
     def corner_actions(self, base: frozenset, actions, mask: int) -> list:
         """The cube's actions leaving corner ``mask``, in the frame of
-        that corner's vertex; every plain state is its own frame."""
-        return _leaving(actions, mask)
+        that corner's vertex; every plain state is its own frame.  Those
+        already applied there (bit set) run in reverse, each read from its
+        twin position in the catalogue."""
+        catalogue = self.system.all_actions
+        return [
+            catalogue[self.position[a] ^ 1] if (mask >> i) & 1 else a
+            for i, a in enumerate(actions)
+        ]
 
 
 class StateComplex(CubeComplex):
@@ -293,15 +299,6 @@ def _enumerate_cliques(n: int, adjacency: list):
 
 def _mask(clique) -> int:
     return sum(1 << i for i in clique)
-
-
-def _leaving(actions, mask: int) -> list:
-    """The actions of a cube as they leave its corner ``mask``: those
-    already applied there (bit set) run in reverse."""
-    return [
-        act.reverse() if (mask >> i) & 1 else act
-        for i, act in enumerate(actions)
-    ]
 
 
 def _cell_record(
@@ -549,7 +546,7 @@ def link(complex_: CubeComplex, vertex_state) -> LinkComplex:
 @dataclass(frozen=True)
 class LinkConditionReport:
     ok: bool
-    violations: tuple  # (vertex state, actions tuple, count found)
+    violations: tuple  # (vertex state, actions tuple), each spanning no cube
 
 
 def check_link_condition(complex_: CubeComplex) -> LinkConditionReport:
@@ -560,9 +557,9 @@ def check_link_condition(complex_: CubeComplex) -> LinkConditionReport:
     or refuses it, so a violation is a refused clique of two or more
     actions none of whose single actions or pairs is refused: a set of
     pairwise-compatible actions that cannot run simultaneously.  Each is
-    reported with count 0, by vertex id, then in lexicographic order of
-    the sorted actions.  The link of every vertex comes from ``link``;
-    a vertex with no refused clique has no violation.
+    reported as (vertex state, sorted actions), by vertex id, then in
+    lexicographic order of the sorted actions.  The link of every vertex
+    comes from ``link``; a vertex with no refused clique has no violation.
     """
     if complex_.truncated:
         raise BuildTruncatedError(
@@ -583,5 +580,5 @@ def check_link_condition(complex_: CubeComplex) -> LinkConditionReport:
             if len(idx) < 2 or any(m in refused for m in pairs):
                 continue
             found.append(sorted(lnk.actions[i] for i in idx))
-        violations.extend((state, tuple(acts), 0) for acts in sorted(found))
+        violations.extend((state, tuple(acts)) for acts in sorted(found))
     return LinkConditionReport(not violations, tuple(violations))

@@ -157,7 +157,7 @@ def test_check_03_link_condition_separates_local_from_trapped_systems():
         report = check_link_condition(cx)
         assert not report.ok
         assert len(report.violations) >= 1
-        assert any(state == HEX_TRAP_STATE for state, _, _ in report.violations)
+        assert any(state == HEX_TRAP_STATE for state, _ in report.violations)
         elapsed = time.monotonic() - t0
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 

@@ -111,8 +111,7 @@ BUILTINS = {
 
 
 def build_builtin(argv):
-    _, cx = _build(build_parser().parse_args(["stats", "--builtin", *argv]))
-    return cx
+    return _build(build_parser().parse_args(["stats", "--builtin", *argv]))
 
 
 @pytest.mark.parametrize("argv", sorted(BUILTINS), ids=" ".join)

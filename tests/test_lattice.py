@@ -1,11 +1,15 @@
 """Adjacency structures and coordinate helpers."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cubeplan.lattice as lat
 from cubeplan.errors import ModelError
+
+from util import oracle_connected
 
 coord = st.integers(-50, 50)
 int_pair = st.tuples(coord, coord)
@@ -23,6 +27,14 @@ def test_hex_neighbors_count_and_mutuality():
     assert len(nbrs) == 6
     for nb in nbrs:
         assert (0, 0) in hexl.neighbors(nb)
+
+
+@given(int_pair)
+def test_hex_neighbors_follow_the_direction_table(cell):
+    q, r = cell
+    assert lat.hex_lattice().neighbors(cell) == tuple(
+        (q + dq, r + dr) for dq, dr in lat.HEX_DIRS
+    )
 
 
 def test_hex_rotation_permutes_neighbors():
@@ -131,3 +143,33 @@ def test_hex_directions_are_the_six_units():
     assert len(set(lat.HEX_DIRS)) == 6
     for d in lat.HEX_DIRS:
         assert (-d[0], -d[1]) in lat.HEX_DIRS
+
+
+def _random_cells(rng, kind, n):
+    """``n`` cells drawn from a small patch of the kind, so that some
+    draws connect and some do not; on a finite graph, a random graph on
+    eight nodes and a subset of its nodes."""
+    if kind == lat.GRAPH:
+        nodes = tuple(range(8))
+        edges = [(a, b) for a in nodes for b in nodes[a + 1 :] if rng.random() < 0.3]
+        lattice = lat.graph_lattice(nodes, edges)
+        return lattice, set(rng.sample(nodes, min(n, len(nodes))))
+    cells = set()
+    for _ in range(n):
+        cell = (rng.randrange(4), rng.randrange(4))
+        if kind == lat.SQUARE_EDGE:
+            cell += (rng.choice((lat.HORIZONTAL, lat.VERTICAL)),)
+        cells.add(cell)
+    return lat.Lattice(kind), cells
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**6), st.sampled_from(lat.KINDS), st.integers(0, 9))
+@example(0, lat.SQUARE, 0)
+@example(0, lat.HEX, 1)
+def test_is_connected_matches_a_breadth_first_search(seed, kind, n):
+    """The early-exit flood fill agrees with a full breadth-first search
+    on every lattice kind, on empty, singleton, connected and
+    disconnected sets."""
+    lattice, cells = _random_cells(random.Random(seed), kind, n)
+    assert lat.is_connected(frozenset(cells), lattice) == oracle_connected(cells, lattice)

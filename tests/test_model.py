@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cubeplan.lattice as lat
@@ -36,7 +36,7 @@ from cubeplan.systems import (
     token_generator,
 )
 
-from util import random_system
+from util import oracle_admissible, random_system
 
 
 def slide_one():
@@ -254,6 +254,52 @@ def test_admissibility_with_global_constraint():
     assert not is_admissible(state, hop, non_local)
     assert hop in admissible_actions(state, local)
     assert hop not in admissible_actions(state, non_local)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_admissible_actions_match_a_full_catalogue_scan(seed, connected):
+    """At every state a random finite system reaches, local or under the
+    connected constraint, the indexed candidates give exactly the
+    catalogue's admissible actions, in catalogue order."""
+    sf = random_system(random.Random(seed))
+    workspace = sf.system.workspace
+    system = System(workspace, sf.system.catalogue, "connected" if connected else None)
+    seeds = [s for s in sf.seeds if system.constraint_holds(s)]
+    assume(workspace.is_finite and seeds)
+    cx = build_complex(system, seeds, max_vertices=64)
+    for vid in range(cx.n_vertices):
+        state = cx.vertex_state(vid)
+        assert admissible_actions(state, system) == oracle_admissible(state, system)
+
+
+def test_admissible_actions_with_an_empty_source_pattern():
+    """A generator whose forward pattern is empty places modules into an
+    empty support; its forward actions match every state that leaves
+    the support empty, whichever cells that state holds."""
+    appear = Generator(
+        "appear",
+        ((0, 0), (1, 0)),
+        frozenset(((0, 0), (1, 0))),
+        frozenset(),
+        frozenset(((0, 0),)),
+    )
+    system = System(Workspace(lat.square_lattice(), box(3, 2)), (appear, slide_one()))
+    assert any(not a.src_occ for a in system.all_actions)
+    for state in (frozenset(), frozenset(((2, 1),)), frozenset(((0, 0), (2, 0)))):
+        found = admissible_actions(state, system)
+        assert found == oracle_admissible(state, system)
+        assert any(not a.src_occ for a in found)
+
+
+def test_admissible_actions_at_a_state_outside_the_workspace():
+    """Cells outside the workspace index no action; the actions the rest
+    of the state admits are still found."""
+    system = System(Workspace(lat.square_lattice(), box(3, 1)), (slide_one(),))
+    state = frozenset(((0, 0), (7, 7)))
+    found = admissible_actions(state, system)
+    assert found == oracle_admissible(state, system)
+    assert [(a.offset, a.direction) for a in found] == [((0, 0), FORWARD)]
 
 
 def test_commutation_is_about_traces_meeting_supports():

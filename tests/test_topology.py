@@ -2,7 +2,8 @@
 
 import pytest
 
-from cubeplan import statecomplex, topology
+import cubeplan
+from cubeplan import model, statecomplex, topology
 from cubeplan.errors import CubeplanError, TooLargeError
 from cubeplan.shape import build_shape_complex
 from cubeplan.statecomplex import build_complex
@@ -30,6 +31,7 @@ from cubeplan.topology import (
     surface_report,
 )
 
+from test_golden import BUILTINS, build_builtin
 from util import klein_view, torus_view
 
 
@@ -179,6 +181,47 @@ def test_certificate_and_collapse_reach_their_module_globals(monkeypatch):
     assert statecomplex.check_link_condition(cx).ok
     assert topology.greedy_collapse(cx) == (1, 0, 0)
     assert calls == {"link": cx.n_vertices, "collapse": 1}
+
+
+def test_build_reaches_the_admissibility_module_globals(monkeypatch):
+    """The benchmark's tracer wraps ``model.admissible_actions`` and
+    ``model.is_admissible`` at every module attribute bound to them; a
+    build must reach both there, and tests fewer actions than a scan of
+    the whole catalogue at every state would."""
+    calls = {"admissible_actions": 0, "is_admissible": 0}
+    for name in calls:
+        original = getattr(model, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for mod in (cubeplan, model, statecomplex):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    system = hex_pivot_system(VARIANT_CHANGING, hex_ball(2), constraint_name="connected")
+    cx = build_complex(system, [frozenset([(0, 0), (1, 0), (0, 1), (1, 1)])])
+    assert calls["admissible_actions"] == cx.n_vertices
+    assert 0 < calls["is_admissible"] < cx.n_vertices * len(system.all_actions)
+
+
+@pytest.mark.parametrize("argv", sorted(BUILTINS), ids=" ".join)
+def test_plain_complexes_hold_the_catalogue_actions(argv):
+    """The catalogue lists placement i forward at 2i and backward at
+    2i + 1, and every action a plain complex keeps, in its cell records
+    and its link record, is the catalogue's own object."""
+    cx = build_builtin(argv)
+    catalogue = cx.system.all_actions
+    assert len(catalogue) % 2 == 0
+    for fwd, bwd in zip(catalogue[::2], catalogue[1::2]):
+        assert fwd.direction == 0 and fwd.reverse() == bwd
+    ids = {id(a) for a in catalogue}
+    for k in range(1, cx.max_dim + 1):
+        for rec in cx.cells(k):
+            assert all(id(a) in ids for a in rec.actions)
+    for vid in range(cx.n_vertices):
+        lnk = statecomplex.link(cx, cx.vertex_state(vid))
+        assert all(id(a) in ids for a in lnk.actions)
 
 
 def test_betti_refuses_oversized_complexes():

@@ -1,6 +1,7 @@
 """Shared fixtures: synthetic quotient surfaces, randomized systems,
-move scripts that name moves their system does not have, and the
-incident-cell link oracle.
+move scripts that name moves their system does not have, and oracles:
+the incident-cell link, the full-catalogue admissibility scan and the
+breadth-first connectivity search.
 
 The surfaces implement the small view protocol the topology functions
 consume, with hand-wired identifications, so orientability is exercised
@@ -10,9 +11,10 @@ against known answers without trusting the complex builder.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import cubeplan.lattice as lat
-from cubeplan.model import Generator, System, SystemFile, Workspace
+from cubeplan.model import Generator, System, SystemFile, Workspace, is_admissible
 from cubeplan.statecomplex import _enumerate_cliques
 from cubeplan.systems import (
     VARIANT_CHANGING,
@@ -313,3 +315,28 @@ def oracle_violations(cx) -> tuple:
                 if count != 1:
                     violations.append((state, tuple(sorted(simplex)), count))
     return tuple(violations)
+
+
+# -- admissibility and connectivity by exhaustive search -----------------------
+
+
+def oracle_admissible(state, system) -> list:
+    """The admissible actions at a state, scanning the whole catalogue."""
+    return [a for a in system.all_actions if is_admissible(state, a, system)]
+
+
+def oracle_connected(cells, lattice) -> bool:
+    """Connectivity by a breadth-first search over every reachable cell."""
+    cells = set(cells)
+    if len(cells) <= 1:
+        return True
+    start = next(iter(cells))
+    seen = {start}
+    queue = deque((start,))
+    while queue:
+        cur = queue.popleft()
+        for nb in lattice.neighbors(cur):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return len(seen) == len(cells)
