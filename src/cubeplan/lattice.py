@@ -120,7 +120,12 @@ class Lattice:
                 (q + 1, r - 1),
             )
         if self.kind == SQUARE_EDGE:
-            return _square_edge_neighbors(cell)
+            out = set()
+            for px, py in self.endpoints(cell):
+                out.update(((px, py, HORIZONTAL), (px - 1, py, HORIZONTAL)))
+                out.update(((px, py, VERTICAL), (px, py - 1, VERTICAL)))
+            out.discard(cell)
+            return tuple(sorted(out))
         return self._graph_adj[cell]
 
     def endpoints(self, cell):
@@ -160,26 +165,6 @@ class Lattice:
                 return None
             return (dst[0] - src[0], dst[1] - src[1])
         return (dst[0] - src[0], dst[1] - src[1])
-
-
-def _square_edge_neighbors(cell):
-    x, y, o = cell
-    if o == HORIZONTAL:
-        pts = ((x, y), (x + 1, y))
-    else:
-        pts = ((x, y), (x, y + 1))
-    out = set()
-    for px, py in pts:
-        out.update(
-            (
-                (px, py, HORIZONTAL),
-                (px - 1, py, HORIZONTAL),
-                (px, py, VERTICAL),
-                (px, py - 1, VERTICAL),
-            )
-        )
-    out.discard(cell)
-    return tuple(sorted(out))
 
 
 def is_connected(cells, lattice: Lattice) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lattice as lat
+from .cubepaths import CubePath
 from .errors import ModelError, StateError
 from .model import (
     FORWARD,
@@ -140,28 +141,30 @@ def _require_homogeneous(system: System) -> None:
 
 
 def shape_actions(system: System, shape: frozenset) -> list:
-    """Admissible actions at a canonical shape, in the shape's own frame.
+    """Admissible actions at a canonical shape, in the shape's own frame,
+    sorted.
 
-    Placements are found by aligning each occupied cell of a pattern
-    with each occupied cell of the shape, which is exhaustive because
-    patterns with no occupied cells are rejected up front.
+    Placements are found by aligning the least occupied cell of each
+    source pattern with each occupied cell of the shape, the rule
+    ``System.actions_by_cell`` uses: a matching placement puts that cell
+    on the shape, so each is tried exactly once.  Patterns with no
+    occupied cells are rejected up front.
     """
     lattice = system.workspace.lattice
     out = []
-    seen = set()
     for gen in system.catalogue:
         for direction, src in ((FORWARD, gen.occ0), (BACKWARD, gen.occ1)):
-            for local in src:
-                for w in shape:
-                    off = lattice.offset_between(local, w)
-                    if off is None or (gen.gid, off, direction) in seen:
-                        continue
-                    seen.add((gen.gid, off, direction))
-                    act = make_action(gen, off, direction, lattice)
-                    if not pattern_matches(shape, act):
-                        continue
-                    if not system.constraint_holds(apply_action(shape, act)):
-                        continue
+            if not src:
+                continue  # an empty source pattern has no cell to align
+            local = min(src)
+            for w in shape:
+                off = lattice.offset_between(local, w)
+                if off is None:
+                    continue
+                act = make_action(gen, off, direction, lattice)
+                if pattern_matches(shape, act) and system.constraint_holds(
+                    apply_action(shape, act)
+                ):
                     out.append(act)
     out.sort()
     return out
@@ -181,8 +184,6 @@ def random_shape_path(system: System, shape, length: int, rng):
     The returned path carries no system: its raw vertices are not
     meaningful, only the per-step frames are.
     """
-    from .cubepaths import CubePath
-
     _require_homogeneous(system)
     lattice = system.workspace.lattice
     cur, _ = canonicalize(frozenset(shape), lattice)
@@ -218,15 +219,15 @@ def lift_path(shape_path, base_offset: tuple, system: System) -> LiftResult:
     The path's start shape goes in at ``base_offset``; each step is then
     translated along, checking workspace containment, obstacle traces,
     pattern match against the real state (occupied obstacles included),
-    and the global constraint, in that order.
+    and the global constraint, in that order.  A step is read in the
+    frame of the canonical shape of the modules it acts on: traces never
+    touch obstacle cells, so the modules are the state minus its
+    occupied obstacles.
     """
-    from .cubepaths import CubePath
-
     ws = system.workspace
     lattice = ws.lattice
-    shape_state = frozenset(shape_path.start)
     t = tuple(base_offset)
-    modules = frozenset(lattice.translate(c, t) for c in shape_state)
+    modules = frozenset(lattice.translate(c, t) for c in shape_path.start)
     if any(not ws.contains(c) for c in modules):
         return LiftResult(False, None, -1, REASON_WORKSPACE)
     if modules & ws.obstacle_cells:
@@ -256,10 +257,6 @@ def lift_path(shape_path, base_offset: tuple, system: System) -> LiftResult:
         if not system.constraint_holds(state):
             return LiftResult(False, None, i, REASON_CONSTRAINT)
         steps.append(frozenset(placed))
-        # advance the shape frame alongside the concrete one
-        raw = shape_state
-        for act in sorted(step):
-            raw = apply_action(raw, act)
-        shape_state, shift = canonicalize(raw, lattice)
-        t = (t[0] - shift[0], t[1] - shift[1])
+        _, shift = canonicalize(state - occupied_obstacles, lattice)
+        t = (-shift[0], -shift[1])
     return LiftResult(True, CubePath(start, tuple(steps), system), None, None)

@@ -4,10 +4,11 @@ The builder closes a set of seed states under admissible actions, then
 enumerates one k-cube for every set of k pairwise-commuting actions
 admissible at a reached state.  A cube is a set of commuting placements
 plus the state off their supports, so it has exactly one *all-forward
-corner*, where every placement sits in its forward source pattern.  The
-cube's key is that corner's vertex id plus the sorted names of its
-placements read in that corner's frame; every corner reaches the same
-key, so a cube found from different corners is stored once.
+corner*, where every placement sits in its forward source pattern.  A
+vertex's key is its state; a cube's key is that corner's vertex id
+followed by the names of its placements read in that corner's frame.
+Every corner reaches the same key, so a cube found from different
+corners is stored once.
 
 One builder serves plain and quotient complexes alike.  A *frame* tells
 it how states are named: which actions leave a state, which canonical
@@ -37,6 +38,7 @@ from .model import (
 
 
 def state_key(occupied) -> tuple:
+    """A state's cells in sort order: orders states and prints them."""
     return tuple(sorted(occupied))
 
 
@@ -57,15 +59,16 @@ def cube_key(actions, corner_state: frozenset) -> tuple:
 class CellRecord:
     """One cell of a cube complex.
 
-    A vertex's ``key`` is ``((), state key)``; a cube's is (vertex id of
-    its all-forward corner, sorted placement names read in that corner's
-    frame).  ``base`` is the corner whose canonical state has the least
-    state key; only a quotient can give two corners the same one, and
-    then the one reading the least sorted actions wins.  ``actions`` are
-    expressed from the base, in its frame, and sorted; ``corners`` lists
-    vertex ids in bitmask order, bit i meaning action i has been applied;
-    ``facets`` holds the positions of the 2*dim facets among the
-    (dim-1)-cells, as (near_i, far_i) pairs, flattened.
+    A vertex's ``key`` is its state; a cube's is the flat tuple (vertex
+    id of its all-forward corner, *sorted names of its placements read in
+    that corner's frame).  ``base`` is the corner whose canonical state
+    has the least state key; only a quotient can give two corners the
+    same one, and then the one reading the least actions wins.
+    ``actions`` are expressed from the base, in its frame; they are born
+    sorted (see ``_cell_record``).  ``corners`` lists vertex ids in
+    bitmask order, bit i meaning action i has been applied; ``facets``
+    holds the positions of the 2*dim facets among the (dim-1)-cells, as
+    (near_i, far_i) pairs, flattened.
     """
 
     dim: int
@@ -81,7 +84,8 @@ class CubeComplex:
 
     A cell's number is its position in its dimension: vertex ids are
     the positions of the 0-cells, and facets are positions one
-    dimension down.  Each dimension also maps cell keys to positions.
+    dimension down.  Each dimension also maps cell keys to positions; a
+    vertex's key is its state.
     """
 
     def __init__(self):
@@ -103,10 +107,9 @@ class CubeComplex:
     # -- construction -------------------------------------------------
 
     def add_vertex(self, state: frozenset) -> int:
-        key = ((), state_key(state))
-        vid = self._position[0].get(key)
+        vid = self._position[0].get(state)
         if vid is None:
-            vid = self.add_cell(CellRecord(0, key, state, (), (self.n_vertices,), ()))
+            vid = self.add_cell(CellRecord(0, state, state, (), (self.n_vertices,), ()))
         return vid
 
     def add_cell(self, rec: CellRecord) -> int:
@@ -133,7 +136,11 @@ class CubeComplex:
         return len(self._cells[k]) if 0 <= k <= self.max_dim else 0
 
     def cell_keys(self, k: int) -> list:
-        return list(self._position[k]) if 0 <= k <= self.max_dim else []
+        """Printed names in number order: a vertex's sorted cells after
+        an empty placement list, a cube's key."""
+        if k == 0:
+            return [((), state_key(state)) for state in self._position[0]]
+        return list(self._position[k]) if 0 < k <= self.max_dim else []
 
     def cells(self, k: int) -> list:
         return list(self._cells[k]) if 0 <= k <= self.max_dim else []
@@ -160,14 +167,16 @@ class CubeComplex:
         return len(self._cells[0])
 
     def vertex_vid(self, state) -> int:
-        skey = state_key(state)
-        vid = self._position[0].get(((), skey))
+        state = frozenset(state)
+        vid = self._position[0].get(state)
         if vid is None:
-            raise CubeplanError(f"state {skey!r} is not a vertex of the complex")
+            raise CubeplanError(
+                f"state {state_key(state)!r} is not a vertex of the complex"
+            )
         return vid
 
     def has_state(self, state) -> bool:
-        return ((), state_key(state)) in self._position[0]
+        return frozenset(state) in self._position[0]
 
     def vertex_state(self, vid: int) -> frozenset:
         return self._cells[0][vid].base
@@ -226,8 +235,9 @@ class PlainFrame:
         return state
 
     def cell_key(self, actions, corner_state: frozenset) -> tuple:
-        """A cube's placements named by their numbers in the catalogue."""
-        return tuple(sorted(self.position[a] >> 1 for a in actions))
+        """A cube's placements named by their numbers in the catalogue;
+        sorted actions give sorted numbers."""
+        return tuple(self.position[a] >> 1 for a in actions)
 
     def corner_actions(self, base: frozenset, actions, mask: int) -> list:
         """The cube's actions leaving corner ``mask``, in the frame of
@@ -262,17 +272,18 @@ class StateComplex(CubeComplex):
         return list(self._names[k]) if 0 <= k <= self.max_dim else []
 
     def key_at(self, state: frozenset, actions) -> tuple | None:
-        """Key of the cube spanned by commuting actions leaving a vertex
-        state, in that state's frame; None when the cube's all-forward
-        corner, reached by running its backward actions, is not a vertex."""
+        """Key of the cube spanned by sorted commuting actions leaving a
+        vertex state, in that state's frame; None when the cube's
+        all-forward corner, reached by running its backward actions, is
+        not a vertex."""
         corner = state
         for act in actions:
             if act.direction == BACKWARD:
                 corner = apply_action(corner, act)
-        vid = self._position[0].get(((), state_key(self.frame.canonical(corner))))
+        vid = self._position[0].get(self.frame.canonical(corner))
         if vid is None:
             return None
-        return (vid, self.frame.cell_key(actions, corner))
+        return (vid, *self.frame.cell_key(actions, corner))
 
 
 def _enumerate_cliques(n: int, adjacency: list):
@@ -304,14 +315,19 @@ def _mask(clique) -> int:
 def _cell_record(
     cx: StateComplex, key: tuple, state: frozenset, actions: list
 ) -> CellRecord | None:
-    """Make the record of a new cube spanned by actions leaving a vertex
-    state; None if a corner is not a vertex.
+    """Make the record of a new cube spanned by sorted actions leaving a
+    vertex state; None if a corner is not a vertex.
 
     The base is the corner with the least canonical state key, ties
-    going to the least sorted actions; actions are re-expressed from the
-    base, in the frame of its canonical state, and sorted.  Each facet
-    is keyed at its own all-forward corner, read off the cube's corners,
-    and must already be stored: a missing one raises ``CubeplanError``.
+    going to the least actions read there; actions are re-expressed from
+    the base, in the frame of its canonical state.  They stay sorted: no
+    two share a placement, as its two directions never commute, and a
+    plain frame only flips directions while a quotient shifts every
+    offset by one vector.  So bit i names one placement at every corner,
+    and the base's corner m is the state's corner ``base ^ m``.  Each
+    facet is keyed at its own all-forward corner, read off the cube's
+    corners, and must already be stored: a missing one raises
+    ``CubeplanError``.
     """
     frame = cx.frame
     k = len(actions)
@@ -321,26 +337,19 @@ def _cell_record(
         low = mask & -mask
         prev = corner_states[mask ^ low]
         corner_states.append(apply_action(prev, actions[low.bit_length() - 1]))
-    skeys = [state_key(frame.canonical(corner)) for corner in corner_states]
-    vids = [cx._position[0].get(((), skey)) for skey in skeys]
+    canonical = [frame.canonical(corner) for corner in corner_states]
+    vids = [cx._position[0].get(shape) for shape in canonical]
     if None in vids:
         return None
+    skeys = [state_key(shape) for shape in canonical]
     least = min(skeys)
     ties = [m for m in range(1 << k) if skeys[m] == least]
-    readings = {m: frame.corner_actions(state, actions, m) for m in ties}
-    base_mask = min(readings, key=lambda m: sorted(readings[m]))
-    moved = readings[base_mask]
-    order = sorted(range(k), key=lambda i: moved[i].sort_key)
-    acts = tuple(moved[i] for i in order)
-    # each corner's mask over ``actions``, in bitmask order of ``acts``
-    orig = [base_mask]
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        orig.append(orig[mask ^ low] ^ 1 << order[low.bit_length() - 1])
-    corners = tuple(vids[m] for m in orig)
+    moved, base_mask = min((frame.corner_actions(state, actions, m), m) for m in ties)
+    acts = tuple(moved)
+    corners = tuple(vids[base_mask ^ m] for m in range(1 << k))
     all_forward = sum(1 << i for i, a in enumerate(actions) if a.direction == BACKWARD)
     facets = []
-    for j in order:
+    for j in range(k):
         bit = 1 << j
         sub = actions[:j] + actions[j + 1 :]
         for side in (base_mask & bit, ~base_mask & bit):
@@ -348,7 +357,7 @@ def _cell_record(
             vid = vids[corner]
             if k > 1:
                 names = frame.cell_key(sub, corner_states[corner])
-                vid = cx.position(k - 1, (vid, names))
+                vid = cx.position(k - 1, (vid, *names))
             facets.append(vid)
     base = cx.vertex_state(vids[base_mask])
     return CellRecord(k, key, base, acts, corners, tuple(facets))
@@ -482,7 +491,7 @@ class LinkComplex:
     """The simplicial link of a vertex, read from the build's record.
 
     ``actions`` are the actions leaving the state, in the state's own
-    frame and in the order the frame lists them; ``adjacency`` holds
+    frame and in the order the frame lists them, sorted; ``adjacency`` holds
     their commute graph as one bitmask per action.  Every incident
     k-cube contributes, at each of its corners lying on the state, the
     (k-1)-simplex of its actions leaving that corner.  Each such set is
@@ -500,9 +509,7 @@ class LinkComplex:
     @property
     def vertices(self) -> tuple:
         """The leaving actions that span an edge, sorted."""
-        return tuple(
-            sorted(a for i, a in enumerate(self.actions) if 1 << i not in self.refused)
-        )
+        return tuple(a for i, a in enumerate(self.actions) if 1 << i not in self.refused)
 
     @property
     def simplices(self) -> dict:
@@ -516,12 +523,12 @@ class LinkComplex:
     def skeleton_edges(self) -> list:
         """The 1-simplices, each as a sorted pair of actions, sorted."""
         acts, n = self.actions, len(self.actions)
-        return sorted(
-            tuple(sorted((acts[i], acts[j])))
+        return [
+            (acts[i], acts[j])
             for i in range(n)
             for j in range(i + 1, n)
             if (self.adjacency[i] >> j) & 1 and 1 << i | 1 << j not in self.refused
-        )
+        ]
 
 
 def link(complex_: CubeComplex, vertex_state) -> LinkComplex:
@@ -579,6 +586,6 @@ def check_link_condition(complex_: CubeComplex) -> LinkConditionReport:
             pairs = (1 << i | 1 << j for p, i in enumerate(idx) for j in idx[p:])
             if len(idx) < 2 or any(m in refused for m in pairs):
                 continue
-            found.append(sorted(lnk.actions[i] for i in idx))
-        violations.extend((state, tuple(acts)) for acts in sorted(found))
+            found.append(tuple(lnk.actions[i] for i in idx))
+        violations.extend((state, acts) for acts in sorted(found))
     return LinkConditionReport(not violations, tuple(violations))

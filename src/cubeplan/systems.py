@@ -20,17 +20,6 @@ VARIANT_PRESERVING = "topologyPreserving"
 
 # -- pivoting hexagons ---------------------------------------------------
 
-def _rot60_times(cell, times):
-    q, r = cell
-    for _ in range(times % 6):
-        q, r = -r, q + r
-    return (q, r)
-
-
-def _hex_nbrs(cell):
-    return [(cell[0] + dq, cell[1] + dr) for dq, dr in lat.HEX_DIRS]
-
-
 def hex_pivot_generators(variant: str) -> tuple:
     """Six rotated copies of the single-module pivot.
 
@@ -45,14 +34,15 @@ def hex_pivot_generators(variant: str) -> tuple:
     a, b, c = (0, 0), (1, 0), (0, 1)
     base = {a, b, c}
     if variant == VARIANT_PRESERVING:
-        guard = set(_hex_nbrs(a)) | set(_hex_nbrs(c))
-        guard -= set(_hex_nbrs(b))
+        nbrs = lat.hex_lattice().neighbors
+        guard = set(nbrs(a)) | set(nbrs(c))
+        guard -= set(nbrs(b))
         guard -= {a, b, c}
         base |= guard
     cells = tuple(sorted(base))
     gens = []
+    img = {p: p for p in cells}
     for k in range(6):
-        img = {p: _rot60_times(p, k) for p in cells}
         gens.append(
             Generator(
                 f"pivot{k}",
@@ -62,6 +52,7 @@ def hex_pivot_generators(variant: str) -> tuple:
                 frozenset((img[b], img[c])),
             )
         )
+        img = {p: lat.rot60(q) for p, q in img.items()}
     return tuple(gens)
 
 
@@ -288,7 +279,10 @@ def arm_word_complex(n: int) -> CubeComplex:
                 for j in range(size):
                     sub = acts[:j] + acts[j + 1 :]
                     for corner in (base, base ^ flips[j]):
-                        facets.append(cx.position(size - 1, word_cube_key(sub, corner)))
+                        if size == 1:
+                            facets.append(cx.vertex_vid(corner))
+                        else:
+                            facets.append(cx.position(size - 1, word_cube_key(sub, corner)))
                 cx.add_cell(CellRecord(size, key, base, acts, corners, tuple(facets)))
     return cx
 

@@ -256,3 +256,27 @@ def test_truncation_warns_on_stderr(capsys):
     )
     assert code == 0
     assert "vertex cap" in err
+
+
+def test_constraint_flag_overrides_the_systems_rule(capsys):
+    """``--constraint none`` frees the trap, and ``--constraint
+    connected`` traps the free fixture: it then reports exactly the
+    trap's 64 violations."""
+    code, out, _ = run(capsys, "check-npc", "--builtin", "hex-trap", "--constraint", "none")
+    assert (code, out) == (0, "OK\n")
+    code, out, _ = run(capsys, "stats", "--builtin", "hex-trap", "--constraint", "none")
+    assert (code, out) == (0, "fvec: 64 288 432 216\n")
+    _, trapped, _ = run(capsys, "check-npc", "--builtin", "hex-trap")
+    assert len(trapped.splitlines()) == 64
+    code, out, _ = run(
+        capsys, "check-npc", "--builtin", "hex-trap-free", "--constraint", "connected"
+    )
+    assert (code, out) == (0, trapped)
+
+
+def test_export_writes_the_complex_by_default(capsys):
+    _, built, _ = run(capsys, "build", "--builtin", "arm", "--n", "3")
+    code, out, _ = run(capsys, "export", "--builtin", "arm", "--n", "3")
+    assert code == 0
+    assert out.startswith("fvec: ")
+    assert out == built

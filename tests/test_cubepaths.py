@@ -33,7 +33,7 @@ from cubeplan.systems import (
     token_generator,
 )
 
-from util import NOT_PLACEMENTS
+from util import NOT_PLACEMENTS, trap_step
 
 
 def grid_fixture():
@@ -250,6 +250,19 @@ def test_start_breaking_the_constraint_is_refused_at_index_minus_one():
     report = validate(CubePath(start, (), system))
     assert (report.ok, report.index) == (False, -1)
     assert report.reason == "start state violates the global constraint"
+
+
+def test_step_breaking_the_constraint_is_refused_after_it_runs():
+    """Each of the trap's three pivots is admissible at its start, so
+    only the check after the whole step refuses it."""
+    sf = hex_connectivity_trap(constrained=True)
+    step = trap_step(sf.system)
+    report = validate(CubePath(sf.seeds[0], (step,), sf.system))
+    assert (report.ok, report.index, report.reason) == (
+        False,
+        0,
+        "state violates the global constraint",
+    )
 
 
 def test_optimizer_refuses_non_local_systems():

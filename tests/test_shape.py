@@ -32,14 +32,18 @@ from cubeplan.shape import (
 )
 from cubeplan.statecomplex import check_link_condition, link
 from cubeplan.systems import (
+    HEX_TRAP_STATE,
     VARIANT_CHANGING,
     VARIANT_PRESERVING,
     hex_ball,
+    hex_connectivity_trap,
     hex_pivot_system,
     sliding_squares_system,
     token_generator,
 )
 from cubeplan.topology import betti_mod2, euler_characteristic, f_vector
+
+from util import trap_step
 
 TRIANGLE = frozenset([(0, 0), (1, 0), (0, 1)])
 
@@ -340,6 +344,27 @@ def test_lift_failure_reasons_and_steps():
     hollow = CubePath(TRIANGLE, (frozenset((act,)), frozenset()), None)
     res = lift_path(hollow, (0, 0), hex_pivot_system(VARIANT_PRESERVING, cells=board))
     assert (res.ok, res.fail_step, res.reason) == (False, 1, REASON_STEP)
+
+
+def test_lift_refuses_a_step_breaking_the_constraint_after_it_runs():
+    """The trap's three pivots each match and fit the trap's workspace,
+    so only the check after the step refuses the lift."""
+    sf = hex_connectivity_trap(constrained=True)
+    path = CubePath(HEX_TRAP_STATE, (trap_step(sf.system),), None)
+    res = lift_path(path, (0, 0), sf.system)
+    assert (res.ok, res.fail_step, res.reason) == (False, 0, REASON_CONSTRAINT)
+
+
+def test_lift_refuses_to_empty_the_shape():
+    """A step that removes the last module leaves no shape to read the
+    next step's frame from."""
+    origin = frozenset([(0, 0)])
+    vanish = Generator("vanish", ((0, 0),), origin, origin, frozenset())
+    system = System(Workspace(hex_lattice(), None), (vanish,))
+    (act,) = shape_actions(system, origin)
+    path = CubePath(origin, (frozenset((act,)),), None)
+    with pytest.raises(StateError, match="empty"):
+        lift_path(path, (2, 3), system)
 
 
 def test_lift_walks_along_with_the_canonical_frame():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import cubeplan.lattice as lat
 from cubeplan.cubepaths import oracle_shortest
 from cubeplan.errors import BuildTruncatedError, CubeplanError
-from cubeplan.model import System, Workspace, apply_action
+from cubeplan.fileformat import export_complex
+from cubeplan.model import BACKWARD, System, Workspace, apply_action
 from cubeplan.shape import ShapeComplex, build_shape_complex
 from cubeplan.statecomplex import (
     CellRecord,
@@ -38,7 +39,7 @@ from cubeplan.systems import (
 )
 from cubeplan.topology import f_vector
 
-from test_golden import BUILTINS, build_builtin, cell_counts, complex_digest, shape_fixture
+from test_golden import BUILTINS, build_builtin, cell_counts, complex_digest, sha, shape_fixture
 from test_shape import stacked_bars
 from util import _random_generator, oracle_link, oracle_violations, random_system
 
@@ -348,6 +349,28 @@ def test_links_read_from_the_build_match_the_incident_cells(name):
     assert_links_match_the_oracle(LINK_COMPLEXES[name]())
 
 
+def random_build(seed, connected):
+    """The complex of a random finite system, local or under the
+    connected constraint, from the seeds that satisfy it."""
+    sf = random_system(random.Random(seed))
+    workspace = sf.system.workspace
+    system = System(workspace, sf.system.catalogue, "connected" if connected else None)
+    seeds = [s for s in sf.seeds if system.constraint_holds(s)]
+    assume(workspace.is_finite and seeds)
+    return build_complex(system, seeds, max_vertices=64)
+
+
+def random_quotient(seed, kind):
+    """The shape complex of random generators on a translation lattice,
+    from the first one's source pattern."""
+    rng = random.Random(seed)
+    gens = [_random_generator(rng, f"g{i}", kind) for i in range(rng.randrange(1, 4))]
+    gens = tuple(g for g in gens if g.occ0 and g.occ1)
+    assume(gens)
+    system = System(Workspace(lat.Lattice(kind), None), gens)
+    return build_shape_complex(system, [gens[0].occ0], cap=20)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.booleans())
 @example(2023, True)
@@ -358,12 +381,7 @@ def test_links_match_the_oracle_on_random_systems(seed, connected):
     the build's refusals are those of the incident cells.  Local systems
     pass; the pinned seeds are two whose constrained builds break the
     condition once each."""
-    sf = random_system(random.Random(seed))
-    workspace = sf.system.workspace
-    system = System(workspace, sf.system.catalogue, "connected" if connected else None)
-    seeds = [s for s in sf.seeds if system.constraint_holds(s)]
-    assume(workspace.is_finite and seeds)
-    cx = build_complex(system, seeds, max_vertices=64)
+    cx = random_build(seed, connected)
     assert_links_match_the_oracle(cx)
     if not cx.truncated and not connected:
         assert check_link_condition(cx).ok
@@ -377,12 +395,7 @@ def test_random_shape_quotients_span_each_clique_once(seed, kind):
     counts each simplex once, so the incident cells contribute no action
     set twice: a cube with two corners on one shape never reads the same
     actions at both, so no clique spans two cubes."""
-    rng = random.Random(seed)
-    gens = [_random_generator(rng, f"g{i}", kind) for i in range(rng.randrange(1, 4))]
-    gens = tuple(g for g in gens if g.occ0 and g.occ1)
-    assume(gens)
-    system = System(Workspace(lat.Lattice(kind), None), gens)
-    assert_links_match_the_oracle(build_shape_complex(system, [gens[0].occ0], cap=20))
+    assert_links_match_the_oracle(random_quotient(seed, kind))
 
 
 def test_links_need_the_build_record():
@@ -427,3 +440,72 @@ def test_facets_are_opposite_faces_one_dimension_down(seed):
     other = build_complex(system, sf.seeds[::-1], max_vertices=64)
     assert cell_counts(other) == cell_counts(cx)
     assert complex_digest(other) == complex_digest(cx)
+
+
+def assert_records_are_born_sorted(cx):
+    """A vertex is keyed by its state, and the frame lists its leaving
+    actions sorted.  A cube's actions are sorted with no placement
+    twice, corner m is the vertex the actions of m reach from the base,
+    its key is flat, led by its all-forward corner, and every corner
+    reads that key."""
+    frame = cx.frame
+    for vid in range(cx.n_vertices):
+        state = cx.vertex_state(vid)
+        assert cx.cell(0, vid).key == state
+        acts = frame.actions_at(state)
+        assert acts == sorted(acts)
+    for k in range(1, cx.max_dim + 1):
+        for rec in cx.cells(k):
+            names = [a.placement_key for a in rec.actions]
+            assert names == sorted(set(names))
+            assert list(rec.actions) == sorted(rec.actions)
+            for mask, vid in enumerate(rec.corners):
+                corner = rec.base
+                for i, act in enumerate(rec.actions):
+                    if (mask >> i) & 1:
+                        corner = apply_action(corner, act)
+                assert cx.vertex_state(vid) == frame.canonical(corner)
+            forward = sum(1 << i for i, a in enumerate(rec.actions) if a.direction == BACKWARD)
+            assert len(rec.key) == k + 1
+            assert rec.key[0] == rec.corners[forward]
+    assert_every_corner_reads_the_key(cx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_plain_records_are_born_sorted(seed, connected):
+    """Random finite systems, local or under the connected constraint."""
+    assert_records_are_born_sorted(random_build(seed, connected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from((lat.SQUARE, lat.HEX, lat.SQUARE_EDGE)))
+def test_shape_records_are_born_sorted(seed, kind):
+    """Random homogeneous quotients of every translation lattice."""
+    assert_records_are_born_sorted(random_quotient(seed, kind))
+
+
+def test_hand_built_complexes_print_vertices_by_their_cells():
+    """A complex assembled by hand names a vertex ``((), sorted cells)``
+    in its listing, as before vertices were keyed by their states."""
+    words = arm_word_complex(3)
+    assert sha(export_complex(words)) == (
+        "81c4d84830daac859a1c7876cc533ab045e77b5bc7d33b50a7925b44385d8bac"
+    )
+    assert words.cell_keys(0) == [
+        ((), state_key(words.vertex_state(vid))) for vid in range(words.n_vertices)
+    ]
+
+
+def test_vertex_lookups_accept_any_iterable_of_cells():
+    cx = build_fixture(agv_grid_fixture(2, 2))
+    state = frozenset(("p0.1", "p1.1"))
+    vid = cx.vertex_vid(state)
+    assert cx.position(0, state) == vid
+    for cells in (sorted(state), tuple(sorted(state))):
+        assert cx.vertex_vid(cells) == vid
+        assert cx.has_state(cells)
+        assert link(cx, cells) == link(cx, state)
+    assert not cx.has_state(["p0.1"])
+    with pytest.raises(CubeplanError, match="not a vertex"):
+        cx.vertex_vid(["p0.1"])

@@ -21,6 +21,7 @@ from cubeplan.systems import (
     sliding_ring_fixture,
 )
 from cubeplan.topology import (
+    SurfaceReport,
     betti_mod2,
     boundary_matrix,
     euler_characteristic,
@@ -32,7 +33,7 @@ from cubeplan.topology import (
 )
 
 from test_golden import BUILTINS, build_builtin
-from util import klein_view, torus_view
+from util import SyntheticSurface, klein_view, torus_view
 
 
 def build_fixture(sf):
@@ -115,6 +116,17 @@ def test_surface_report_rejects_non_surfaces():
     assert not surface_report(square).ok  # one square with boundary
     ring = build_fixture(sliding_ring_fixture(1, 1))
     assert not surface_report(ring).ok  # 1-dimensional
+
+
+def test_surface_report_names_bad_vertices():
+    """One square glued a b a b around one vertex: every edge lies in
+    two squares, but the vertex's corners close up into two cycles.  A
+    torus with a vertex on no edge has an isolated vertex."""
+    pinched = SyntheticSurface(
+        1, {"a": (0, 0), "b": (0, 0)}, {"s": [("a", 1), ("b", 1), ("a", 1), ("b", 1)]}
+    )
+    assert surface_report(pinched) == SurfaceReport(False, "vertex link has several cycles")
+    assert surface_report(torus_view(3, isolated=1)) == SurfaceReport(False, "isolated vertex")
 
 
 def test_collapse_is_deterministic_and_facet_closed():

@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic quotient surfaces, randomized systems,
-move scripts that name moves their system does not have, and oracles:
+move scripts that name moves their system does not have, the step that
+springs the connectivity trap, and oracles:
 the incident-cell link, the full-catalogue admissibility scan and the
 breadth-first connectivity search.
 
@@ -14,7 +15,15 @@ import random
 from collections import deque
 
 import cubeplan.lattice as lat
-from cubeplan.model import Generator, System, SystemFile, Workspace, is_admissible
+from cubeplan.model import (
+    FORWARD,
+    Generator,
+    System,
+    SystemFile,
+    Workspace,
+    is_admissible,
+    make_action,
+)
 from cubeplan.statecomplex import _enumerate_cliques
 from cubeplan.systems import (
     VARIANT_CHANGING,
@@ -95,8 +104,9 @@ class SyntheticSurface:
         return list(self._squares[i])
 
 
-def torus_view(n: int = 3) -> SyntheticSurface:
-    """An n-by-n grid of squares with both directions wrapped around."""
+def torus_view(n: int = 3, isolated: int = 0) -> SyntheticSurface:
+    """An n-by-n grid of squares with both directions wrapped around,
+    plus ``isolated`` vertices on no edge, numbered last."""
 
     def vid(i, j):
         return (i % n) * n + (j % n)
@@ -115,7 +125,7 @@ def torus_view(n: int = 3) -> SyntheticSurface:
                 (("h", i, (j + 1) % n), -1),
                 (("v", i, j), -1),
             ]
-    return SyntheticSurface(n * n, edges, squares)
+    return SyntheticSurface(n * n + isolated, edges, squares)
 
 
 def klein_view(n: int = 3) -> SyntheticSurface:
@@ -268,6 +278,18 @@ def random_system(rng: random.Random) -> SystemFile:
     system = System(workspace, gens, constraint)
     seeds = tuple(_random_seed(rng, workspace) for _ in range(rng.randrange(0, 3)))
     return SystemFile(system, seeds)
+
+
+def trap_step(system) -> frozenset:
+    """The connectivity trap's three pivots, all forward, as one step from
+    ``HEX_TRAP_STATE``: any two keep the modules connected, all three
+    disconnect them."""
+    gens = {g.gid: g for g in system.catalogue}
+    lattice = system.workspace.lattice
+    return frozenset(
+        make_action(gens[gid], offset, FORWARD, lattice)
+        for gid, offset in (("pivot1", (0, 1)), ("pivot3", (-1, 0)), ("pivot5", (1, -1)))
+    )
 
 
 # -- the link read off the stored cells ---------------------------------------
