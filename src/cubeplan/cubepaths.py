@@ -119,8 +119,7 @@ def common_edge(prev_step, cur_step) -> tuple:
     deleting both keeps the endpoints and shortens the path.
     """
     prev_keys = {a.placement_key for a in prev_step}
-    cur_keys = {a.placement_key for a in cur_step}
-    shared = prev_keys & cur_keys
+    shared = prev_keys.intersection(a.placement_key for a in cur_step)
     if not shared:
         return set(prev_step), set(cur_step)
     return (

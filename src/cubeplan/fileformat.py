@@ -419,7 +419,6 @@ def _fmt_action(action, kind: str) -> str:
 
 
 def _parse_action(part: str, system: System, gens_by_gid: dict, ln: int):
-    part = part.strip()
     if not (part.startswith("(") and part.endswith(")")):
         raise _err(ln, f"bad action {part!r}, expected (gid, ..., fwd|bwd)")
     items = [p.strip() for p in part[1:-1].split(",")]
@@ -452,9 +451,14 @@ def _parse_action(part: str, system: System, gens_by_gid: dict, ln: int):
 
 
 def parse_path(text: str, system: System) -> CubePath:
-    """Read a move script; actions are resolved against the system."""
+    """Read a move script; actions are resolved against the system.
+
+    One ``Action`` is made per distinct action text of the script and
+    shared by every step that names it; the memo lives for this call.
+    """
     kind = system.workspace.lattice.kind
     gens_by_gid = {g.gid: g for g in system.catalogue}
+    parsed = {}  # stripped action text -> Action
     start = None
     steps = []
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -476,13 +480,13 @@ def parse_path(text: str, system: System) -> CubePath:
         if index != len(steps) + 1:
             raise _err(ln, f"expected step {len(steps) + 1}, got step {index}")
         body = m.group(2).strip()
-        if body:
-            acts = [
-                _parse_action(p, system, gens_by_gid, ln)
-                for p in body.split(";")
-            ]
-        else:
-            acts = []
+        acts = []
+        for part in body.split(";") if body else ():
+            part = part.strip()
+            act = parsed.get(part)
+            if act is None:
+                act = parsed[part] = _parse_action(part, system, gens_by_gid, ln)
+            acts.append(act)
         step = frozenset(acts)
         if len(step) != len(acts):
             raise _err(ln, f"step {index} repeats an action")

@@ -80,9 +80,11 @@ class Action:
 
     ``offset`` is a translation vector for lattice kinds.  On a finite
     graph it is the tuple of host nodes the local support maps to, in
-    local support order.  The placed cell sets are filled in by
-    ``make_action``; equality ignores them, and the hash reads only the
-    generator id, so hashing never walks the generator.
+    local support order.  The placed cell sets and the placement key
+    ``(gid, offset)``, which both directions of a placement share, are
+    stored by ``make_action``; equality and the repr ignore them, and the
+    hash reads only the generator id, so hashing never walks the
+    generator.
     """
 
     generator: Generator
@@ -92,6 +94,7 @@ class Action:
     trace: frozenset = field(compare=False, repr=False)
     src_occ: frozenset = field(compare=False, repr=False)
     dst_occ: frozenset = field(compare=False, repr=False)
+    placement_key: tuple = field(compare=False, repr=False)
 
     def __hash__(self):
         return hash((self.generator.gid, self.offset, self.direction))
@@ -99,10 +102,6 @@ class Action:
     @property
     def gid(self) -> str:
         return self.generator.gid
-
-    @property
-    def placement_key(self):
-        return (self.generator.gid, self.offset)
 
     @property
     def sort_key(self):
@@ -117,6 +116,7 @@ class Action:
             self.trace,
             self.dst_occ,
             self.src_occ,
+            self.placement_key,
         )
 
     def __lt__(self, other):
@@ -140,7 +140,16 @@ def make_action(
     trace = frozenset(mapping[c] for c in generator.trace)
     src_occ = frozenset(mapping[c] for c in src)
     dst_occ = frozenset(mapping[c] for c in dst)
-    return Action(generator, offset, direction, support, trace, src_occ, dst_occ)
+    return Action(
+        generator,
+        offset,
+        direction,
+        support,
+        trace,
+        src_occ,
+        dst_occ,
+        (generator.gid, offset),
+    )
 
 
 @dataclass(frozen=True)

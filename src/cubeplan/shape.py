@@ -222,10 +222,13 @@ def lift_path(shape_path, base_offset: tuple, system: System) -> LiftResult:
     and the global constraint, in that order.  A step is read in the
     frame of the canonical shape of the modules it acts on: traces never
     touch obstacle cells, so the modules are the state minus its
-    occupied obstacles.
+    occupied obstacles.  A finite graph has no translations to carry
+    the frame along, so it raises ``ModelError``.
     """
     ws = system.workspace
     lattice = ws.lattice
+    if lattice.kind == lat.GRAPH:
+        raise ModelError("shape paths lift only on a translation-symmetric lattice")
     t = tuple(base_offset)
     modules = frozenset(lattice.translate(c, t) for c in shape_path.start)
     if any(not ws.contains(c) for c in modules):

@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from util import random_system
+from util import random_system, two_token_l_path
 
 from cubeplan.cubepaths import (
     NORMALIZE,
@@ -28,7 +28,6 @@ from cubeplan.fileformat import (
     serialize,
     serialize_path,
 )
-from cubeplan.model import admissible_actions
 from cubeplan.shape import (
     REASON_OBSTACLE,
     build_shape_complex,
@@ -282,32 +281,13 @@ def test_check_06_potential_strictly_decreases_and_shrinking_is_idempotent():
 # ---------------------------------------------------------------- check 7
 
 
-def _two_token_l_path(n):
-    """First token walks n//2 hops, then the second walks n//2 hops."""
-    sf = agv_grid_fixture(n // 2, n // 2)
-    cur = sf.seeds[0]
-    moves = []
-    for tok in ("p0", "p1"):
-        for i in range(n // 2):
-            acts = admissible_actions(cur, sf.system)
-            step = next(
-                a
-                for a in acts
-                if a.src_occ == frozenset((f"{tok}.{i}",))
-                and a.dst_occ == frozenset((f"{tok}.{i + 1}",))
-            )
-            moves.append(step)
-            cur = cur - step.src_occ | step.dst_occ
-    return from_edge_path(sf.seeds[0], moves, sf.system)
-
-
 def test_check_07_sweep_work_on_the_l_path_grows_quadratically():
     with verdict(7, "L-path sweep iterations track c*N^2 within 2x for N up to 320"):
         sizes = (40, 80, 160, 320)
         iterations = {}
         seconds = {}
         for n in sizes:
-            path = _two_token_l_path(n)
+            path = two_token_l_path(n)
             stats = ShrinkStats()
             t0 = time.monotonic()
             out = time_geodesic(path, NORMALIZE, stats)

@@ -161,6 +161,23 @@ def test_lift_success_and_failure_exit_codes(capsys, tmp_path):
     assert "lift failed at step" in err
 
 
+def test_lift_on_a_finite_graph_is_a_domain_error(capsys, tmp_path):
+    script = tmp_path / "walk.txt"
+    code, out, _ = run(
+        capsys, "random-path", "--builtin", "agv-grid", "--m", "2", "--n", "2",
+        "--length", "5", "--rng-seed", "1",
+    )
+    assert code == 0
+    script.write_text(out)
+    code, out, err = run(
+        capsys, "lift", "--builtin", "agv-grid", "--m", "2", "--n", "2",
+        "--in", str(script), "--base", "(0,0)",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "translation-symmetric" in err
+
+
 def test_domain_errors_exit_one(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("lattice square2d\nworkspace (0,0\n")

@@ -1,5 +1,6 @@
 """Cube paths, the shrink sweep, normal forms, and the length oracle."""
 
+import hashlib
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from cubeplan.cubepaths import (
     validate,
 )
 from cubeplan.errors import PathError
-from cubeplan.fileformat import parse_path
+from cubeplan.fileformat import parse_path, serialize_path
 from cubeplan.model import System, Workspace, admissible_actions
 from cubeplan.statecomplex import build_complex
 from cubeplan.systems import (
@@ -33,7 +34,7 @@ from cubeplan.systems import (
     token_generator,
 )
 
-from util import NOT_PLACEMENTS, trap_step
+from util import NOT_PLACEMENTS, trap_step, two_token_l_path
 
 
 def grid_fixture():
@@ -313,3 +314,66 @@ def test_shrink_stats_count_work():
     time_geodesic(path, NORMALIZE, stats)
     assert stats.shrink_calls >= 2
     assert stats.iterations >= path.length
+
+
+# The optimizer's outputs, pinned: the sha256 of the serialized result and
+# the exact sweep iterations for seeded random scripts, read back through
+# the parser.  The sweep's rewrite order is the reproduced algorithm, so a
+# change that keeps the results but reorders the work still fails here.
+PINNED_SCRIPTS = {
+    ("arm", 60, STOP_ON_LENGTH): (
+        5, 85, "9614b56d351b1602966465db359e7eda1fca196d7038ecd8c2e651f1efc18a32"
+    ),
+    ("arm", 60, NORMALIZE): (
+        5, 85, "9614b56d351b1602966465db359e7eda1fca196d7038ecd8c2e651f1efc18a32"
+    ),
+    ("arm", 150, STOP_ON_LENGTH): (
+        9, 259, "18a45852a6ba0c3e1a876d90b7ec28f91bdb75023ca5971c7f09a49765e7bc8a"
+    ),
+    ("arm", 150, NORMALIZE): (
+        9, 259, "18a45852a6ba0c3e1a876d90b7ec28f91bdb75023ca5971c7f09a49765e7bc8a"
+    ),
+    ("grid", 60, STOP_ON_LENGTH): (
+        6, 86, "0200bdb6120ffd9bb5168a032326dd05de1666c8aac5dc0c83ba7ef0815c8519"
+    ),
+    ("grid", 60, NORMALIZE): (
+        6, 106, "4388687d8ace29ea69f17a1cf23c4f6f200b63a70509889c6f9764bde4d44418"
+    ),
+    ("grid", 150, STOP_ON_LENGTH): (
+        2, 194, "b8853ff2d8978c88e0c03b4553c53f28e0f2dbc631c0400458d17d8a3e7793c0"
+    ),
+    ("grid", 150, NORMALIZE): (
+        2, 194, "b8853ff2d8978c88e0c03b4553c53f28e0f2dbc631c0400458d17d8a3e7793c0"
+    ),
+}
+
+
+def pinned_script(name, length):
+    """The ``length``-move script of ``PINNED_SCRIPTS``, written and parsed:
+    the scripts of one system come from one generator seeded 2024, the
+    60-move script first."""
+    sf = arm_system(7) if name == "arm" else agv_grid_fixture(6, 6)
+    rng = random.Random(2024)
+    for n in (60, 150):
+        moves = random_edge_path(sf.system, sf.seeds[0], n, rng)
+        if n == length:
+            path = from_edge_path(sf.seeds[0], moves, sf.system)
+            return parse_path(serialize_path(path), sf.system)
+    raise AssertionError(f"no pinned script of {length} moves")
+
+
+@pytest.mark.parametrize("name, length, mode", sorted(PINNED_SCRIPTS))
+def test_optimizer_outputs_are_pinned(name, length, mode):
+    out_length, iterations, digest = PINNED_SCRIPTS[name, length, mode]
+    stats = ShrinkStats()
+    out = time_geodesic(pinned_script(name, length), mode, stats)
+    assert out.length == out_length
+    assert stats.iterations == iterations
+    assert hashlib.sha256(serialize_path(out).encode()).hexdigest() == digest
+
+
+def test_l_path_sweep_work_is_pinned():
+    stats = ShrinkStats()
+    out = time_geodesic(two_token_l_path(320), NORMALIZE, stats)
+    assert out.length == 160
+    assert stats.iterations == 51_360

@@ -253,6 +253,49 @@ def test_move_script_errors():
         )
 
 
+def test_a_repeated_move_parses_to_one_object():
+    sf = arm_system(2)
+    path = parse_path(
+        "start (0,0,h) (1,0,h)\n"
+        "step 1: (tipflip, 1, 0, fwd)\n"
+        "step 2: (tipflip, 1, 0, bwd)\n"
+        "step 3: (tipflip, 1, 0, fwd)\n",
+        sf.system,
+    )
+    (first,), (undo,), (again,) = path.steps
+    assert again is first
+    assert undo == first.reverse() and undo is not first
+
+
+@pytest.mark.parametrize(
+    "sf", [arm_system(5), agv_grid_fixture(3, 3)], ids=["arm", "agv-grid"]
+)
+def test_scripts_share_one_object_per_move_and_round_trip(sf):
+    moves = random_edge_path(sf.system, sf.seeds[0], 80, random.Random(4))
+    path = from_edge_path(sf.seeds[0], moves, sf.system)
+    text = serialize_path(path)
+    parsed = parse_path(text, sf.system)
+    assert parsed == path
+    assert serialize_path(parsed) == text
+    acts = [a for step in parsed.steps for a in step]
+    distinct = {}
+    for a in acts:
+        assert distinct.setdefault(a, a) is a
+    assert len(distinct) < len(acts)  # the walk repeats moves
+
+
+def test_a_bad_action_after_a_good_one_reports_its_own_line():
+    sf = arm_system(2)
+    start = "start (0,0,h) (1,0,h)\nstep 1: (tipflip, 1, 0, fwd)\n"
+    for bad, pattern in (
+        ("(tipflip, 1, 0, up)", "line 3: bad direction"),
+        ("(tipflip, 1, fwd)", "line 3: action for tipflip needs two"),
+        ("tipflip, 1, 0, fwd", "line 3: bad action"),
+    ):
+        with pytest.raises(FormatError, match=pattern):
+            parse_path(start + f"step 2: {bad}\n", sf.system)
+
+
 def test_export_complex_layout():
     sf = agv_grid_fixture(1, 1)
     cx = build_complex(sf.system, sf.seeds)

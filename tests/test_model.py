@@ -1,6 +1,7 @@
 """Generators, placements, admissibility, and commutation."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -162,6 +163,20 @@ def test_action_direction_swaps_patterns():
     assert fwd.src_occ == bwd.dst_occ
     assert fwd.dst_occ == bwd.src_occ
     assert fwd.placement_key == bwd.placement_key
+
+
+def test_the_placement_key_is_stored_and_ignored_by_equality():
+    square = lat.square_lattice()
+    graph_actions = agv_grid_fixture(2, 2).system.all_actions
+    for act in (make_action(slide_one(), (3, -1), FORWARD, square), *graph_actions):
+        assert act.placement_key == (act.gid, act.offset)
+        assert act.reverse().placement_key is act.placement_key
+    fwd = make_action(slide_one(), (3, -1), FORWARD, square)
+    built = make_action(slide_one(), (3, -1), BACKWARD, square)
+    for other in (fwd.reverse(), replace(built, placement_key=None)):
+        assert other == built
+        assert hash(other) == hash(built)
+        assert repr(other) == repr(built)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cubeplan.cubepaths import CubePath, validate
+from cubeplan.cubepaths import CubePath, from_edge_path, random_edge_path, validate
 from cubeplan.errors import ModelError, StateError
 from cubeplan.lattice import graph_lattice, hex_lattice, square_lattice
 from cubeplan.model import (
@@ -35,6 +35,7 @@ from cubeplan.systems import (
     HEX_TRAP_STATE,
     VARIANT_CHANGING,
     VARIANT_PRESERVING,
+    agv_grid_fixture,
     hex_ball,
     hex_connectivity_trap,
     hex_pivot_system,
@@ -383,3 +384,12 @@ def test_lift_walks_along_with_the_canonical_frame():
             raw = apply_action(raw, a)
         cur, _ = canonicalize(raw, system.workspace.lattice)
     assert canon_final == cur
+
+
+def test_lift_refuses_a_finite_graph_before_the_first_step():
+    sf = agv_grid_fixture(2, 2)
+    seed = sf.seeds[0]
+    moves = random_edge_path(sf.system, seed, 5, random.Random(1))
+    path = from_edge_path(seed, moves, sf.system)
+    with pytest.raises(ModelError, match="translation-symmetric"):
+        lift_path(path, (), sf.system)

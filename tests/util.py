@@ -1,6 +1,6 @@
 """Shared fixtures: synthetic quotient surfaces, randomized systems,
 move scripts that name moves their system does not have, the step that
-springs the connectivity trap, and oracles:
+springs the connectivity trap, the two-token L-path, and oracles:
 the incident-cell link, the full-catalogue admissibility scan and the
 breadth-first connectivity search.
 
@@ -15,12 +15,14 @@ import random
 from collections import deque
 
 import cubeplan.lattice as lat
+from cubeplan.cubepaths import from_edge_path
 from cubeplan.model import (
     FORWARD,
     Generator,
     System,
     SystemFile,
     Workspace,
+    admissible_actions,
     is_admissible,
     make_action,
 )
@@ -290,6 +292,25 @@ def trap_step(system) -> frozenset:
         make_action(gens[gid], offset, FORWARD, lattice)
         for gid, offset in (("pivot1", (0, 1)), ("pivot3", (-1, 0)), ("pivot5", (1, -1)))
     )
+
+
+def two_token_l_path(n):
+    """First token walks n//2 hops, then the second walks n//2 hops."""
+    sf = agv_grid_fixture(n // 2, n // 2)
+    cur = sf.seeds[0]
+    moves = []
+    for tok in ("p0", "p1"):
+        for i in range(n // 2):
+            acts = admissible_actions(cur, sf.system)
+            step = next(
+                a
+                for a in acts
+                if a.src_occ == frozenset((f"{tok}.{i}",))
+                and a.dst_occ == frozenset((f"{tok}.{i + 1}",))
+            )
+            moves.append(step)
+            cur = cur - step.src_occ | step.dst_occ
+    return from_edge_path(sf.seeds[0], moves, sf.system)
 
 
 # -- the link read off the stored cells ---------------------------------------
