@@ -100,14 +100,17 @@ def commute_sub(step, next_step) -> set:
     An action qualifies when its trace misses every support of the
     current step and its support misses every trace.  These are exactly
     the next step's edges lying in the closed star of the current cube.
+    No running union is built: a one-action step lends its action's own
+    support and trace, a larger one takes a single union of each.
     """
-    sup = frozenset()
-    tr = frozenset()
-    for a in step:
-        sup |= a.support
-        tr |= a.trace
+    if len(step) == 1:
+        (only,) = step
+        sup, tr = only.support, only.trace
+    else:
+        sup = frozenset().union(*[a.support for a in step])
+        tr = frozenset().union(*[a.trace for a in step])
     return {
-        a for a in next_step if not (a.trace & sup) and not (a.support & tr)
+        a for a in next_step if sup.isdisjoint(a.trace) and tr.isdisjoint(a.support)
     }
 
 
@@ -116,12 +119,13 @@ def common_edge(prev_step, cur_step) -> tuple:
 
     A placement occurring in consecutive steps is necessarily a move
     followed by its undo (admissibility forces opposite directions), so
-    deleting both keeps the endpoints and shortens the path.
+    deleting both keeps the endpoints and shortens the path.  When no
+    placement is shared, the two input sets themselves are returned.
     """
     prev_keys = {a.placement_key for a in prev_step}
+    if prev_keys.isdisjoint(a.placement_key for a in cur_step):
+        return prev_step, cur_step
     shared = prev_keys.intersection(a.placement_key for a in cur_step)
-    if not shared:
-        return set(prev_step), set(cur_step)
     return (
         {a for a in prev_step if a.placement_key not in shared},
         {a for a in cur_step if a.placement_key not in shared},
@@ -251,7 +255,8 @@ def validate(path: CubePath) -> PathReport:
     global constraint when the path carries a non-local system).  When
     the path carries a system, its start must fit the workspace and
     satisfy the global constraint (index -1 if not), and every action
-    must be one of its placements.
+    must be one of its placements.  Each distinct action's placement is
+    checked once per call; admissibility is tested at every move.
     """
     cur = path.start
     system = path.system
@@ -263,6 +268,7 @@ def validate(path: CubePath) -> PathReport:
         if not system.constraint_holds(cur):
             return PathReport(False, -1, "start state violates the global constraint")
     embeddings = {}
+    faults = {}  # action -> _placement_fault, for this call
     for i, step in enumerate(path.steps):
         if not step:
             return PathReport(False, i, "empty step")
@@ -272,7 +278,10 @@ def validate(path: CubePath) -> PathReport:
             if system is None:
                 ok = pattern_matches(cur, act)
             else:
-                fault = _placement_fault(act, system, embeddings)
+                try:
+                    fault = faults[act]
+                except KeyError:
+                    fault = faults[act] = _placement_fault(act, system, embeddings)
                 if fault is not None:
                     why = f"is not a placement of the system ({fault})"
                     return PathReport(

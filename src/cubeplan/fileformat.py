@@ -454,11 +454,13 @@ def parse_path(text: str, system: System) -> CubePath:
     """Read a move script; actions are resolved against the system.
 
     One ``Action`` is made per distinct action text of the script and
-    shared by every step that names it; the memo lives for this call.
+    shared by every step that names it, and one frozenset per distinct
+    step text; both memos live for this call.
     """
     kind = system.workspace.lattice.kind
     gens_by_gid = {g.gid: g for g in system.catalogue}
     parsed = {}  # stripped action text -> Action
+    parsed_steps = {}  # stripped step text -> its frozenset, once it was valid
     start = None
     steps = []
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -480,16 +482,19 @@ def parse_path(text: str, system: System) -> CubePath:
         if index != len(steps) + 1:
             raise _err(ln, f"expected step {len(steps) + 1}, got step {index}")
         body = m.group(2).strip()
-        acts = []
-        for part in body.split(";") if body else ():
-            part = part.strip()
-            act = parsed.get(part)
-            if act is None:
-                act = parsed[part] = _parse_action(part, system, gens_by_gid, ln)
-            acts.append(act)
-        step = frozenset(acts)
-        if len(step) != len(acts):
-            raise _err(ln, f"step {index} repeats an action")
+        step = parsed_steps.get(body)
+        if step is None:
+            acts = []
+            for part in body.split(";") if body else ():
+                part = part.strip()
+                act = parsed.get(part)
+                if act is None:
+                    act = parsed[part] = _parse_action(part, system, gens_by_gid, ln)
+                acts.append(act)
+            step = frozenset(acts)
+            if len(step) != len(acts):
+                raise _err(ln, f"step {index} repeats an action")
+            parsed_steps[body] = step
         steps.append(step)
     if start is None:
         raise FormatError("missing start line")

@@ -147,7 +147,9 @@ def shape_actions(system: System, shape: frozenset) -> list:
     Placements are found by aligning the least occupied cell of each
     source pattern with each occupied cell of the shape, the rule
     ``System.actions_by_cell`` uses: a matching placement puts that cell
-    on the shape, so each is tried exactly once.  Patterns with no
+    on the shape, so each is tried exactly once.  An action is built
+    only once the pattern's other source cells, translated alike, are
+    found in the shape too, as a match needs.  Patterns with no
     occupied cells are rejected up front.
     """
     lattice = system.workspace.lattice
@@ -157,9 +159,12 @@ def shape_actions(system: System, shape: frozenset) -> list:
             if not src:
                 continue  # an empty source pattern has no cell to align
             local = min(src)
+            rest = [c for c in src if c != local]
             for w in shape:
                 off = lattice.offset_between(local, w)
-                if off is None:
+                if off is None or any(
+                    lattice.translate(c, off) not in shape for c in rest
+                ):
                     continue
                 act = make_action(gen, off, direction, lattice)
                 if pattern_matches(shape, act) and system.constraint_holds(

@@ -1,11 +1,16 @@
 """Cube paths, the shrink sweep, normal forms, and the length oracle."""
 
+import functools
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubeplan import cubepaths
 from cubeplan.cubepaths import (
+    MODES,
     CubePath,
     NORMALIZE,
     STOP_ON_LENGTH,
@@ -22,19 +27,28 @@ from cubeplan.cubepaths import (
 )
 from cubeplan.errors import PathError
 from cubeplan.fileformat import parse_path, serialize_path
-from cubeplan.model import System, Workspace, admissible_actions
+from cubeplan.model import System, SystemFile, Workspace, admissible_actions
 from cubeplan.statecomplex import build_complex
 from cubeplan.systems import (
+    VARIANT_PRESERVING,
     agv_grid_fixture,
     arm_system,
     disjoint_paths,
     graph_agv_system,
+    hex_ball,
     hex_connectivity_trap,
+    hex_pivot_system,
     path_graph,
     token_generator,
 )
 
-from util import NOT_PLACEMENTS, trap_step, two_token_l_path
+from util import (
+    NOT_PLACEMENTS,
+    oracle_common_edge,
+    oracle_commute_sub,
+    trap_step,
+    two_token_l_path,
+)
 
 
 def grid_fixture():
@@ -221,6 +235,42 @@ def test_validate_refuses_actions_that_are_not_placements(name):
 
 
 @pytest.mark.parametrize("name", sorted(NOT_PLACEMENTS))
+def test_a_recurring_bad_placement_is_reported_where_it_first_occurs(name):
+    """Each action's placement is checked once per call; the memo must
+    not move the report off the first step holding a bad placement."""
+    _, make_system, script, step, reason = NOT_PLACEMENTS[name]
+    system = make_system()
+    path = parse_path(script, system)
+    move = admissible_actions(path.start, system)[0]
+    detour = (frozenset((move,)), frozenset((move.reverse(),)))
+    bad = path.steps[step]
+    recurring = CubePath(path.start, detour + path.steps + (bad, bad), system)
+    report = validate(recurring)
+    assert (report.ok, report.index) == (False, step + 2)
+    assert f"not a placement of the system ({reason})" in report.reason
+
+
+def test_validate_tests_admissibility_once_per_move(monkeypatch):
+    """Placements are checked once per distinct action, but every move is
+    tested against the state it runs from."""
+    calls = 0
+    original = cubepaths.is_admissible
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(cubepaths, "is_admissible", counted)
+    script = pinned_script("grid", 150)
+    for path in (script, time_geodesic(script, NORMALIZE)):
+        calls = 0
+        assert validate(path).ok
+        assert calls == sum(len(step) for step in path.steps)
+    assert len({a for step in script.steps for a in step}) < script.length
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PLACEMENTS))
 def test_from_edge_path_refuses_moves_that_are_not_placements(name):
     _, make_system, script, step, reason = NOT_PLACEMENTS[name]
     system = make_system()
@@ -377,3 +427,55 @@ def test_l_path_sweep_work_is_pinned():
     out = time_geodesic(two_token_l_path(320), NORMALIZE, stats)
     assert out.length == 160
     assert stats.iterations == 51_360
+
+
+# The systems whose seeded scripts feed the junction property.  Hex pivots
+# carry support cells off their trace, where the support and trace tests of
+# ``commute_sub`` part.
+JUNCTION_SYSTEMS = {
+    "arm": lambda: arm_system(7),
+    "grid": lambda: agv_grid_fixture(6, 6),
+    "hex": lambda: SystemFile(
+        hex_pivot_system(VARIANT_PRESERVING, hex_ball(3)),
+        (frozenset(((0, 0), (1, 0), (0, 1), (1, 1))),),
+    ),
+}
+
+
+@functools.cache
+def junction_steps(name):
+    """Steps of seeded scripts, as written (one move each) and after each
+    optimizer mode, of the whole script and of its prefixes (several moves
+    each)."""
+    sf = JUNCTION_SYSTEMS[name]()
+    system, start = sf.system, sf.seeds[0]
+    rng = random.Random(12)
+    steps = []
+    for n in (40, 120):
+        moves = random_edge_path(system, start, n, rng)
+        steps.extend(frozenset((move,)) for move in moves)
+        for k in range(8, n + 1, 8):
+            path = from_edge_path(start, moves[:k], system)
+            for mode in MODES:
+                steps.extend(time_geodesic(path, mode).steps)
+    return tuple(steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(JUNCTION_SYSTEMS)), st.data())
+def test_junction_helpers_equal_the_union_oracles(name, data):
+    """Against the running-union ``commute_sub`` and the copy-always
+    ``common_edge``, on consecutive and on arbitrary step pairs, as the
+    sweep's mutable sets and as a path's frozensets.  With nothing shared,
+    ``common_edge`` hands back its own inputs."""
+    steps = junction_steps(name)
+    assert any(len(step) > 1 for step in steps)
+    i = data.draw(st.integers(0, len(steps) - 2))
+    j = i + 1 if data.draw(st.booleans()) else data.draw(st.integers(0, len(steps) - 1))
+    for kind in (set, frozenset):
+        prev, cur = kind(steps[i]), kind(steps[j])
+        assert commute_sub(prev, cur) == oracle_commute_sub(prev, cur)
+        kept = common_edge(prev, cur)
+        assert kept == oracle_common_edge(prev, cur)
+        if kept == (prev, cur):
+            assert kept[0] is prev and kept[1] is cur

@@ -265,6 +265,7 @@ def test_a_repeated_move_parses_to_one_object():
     (first,), (undo,), (again,) = path.steps
     assert again is first
     assert undo == first.reverse() and undo is not first
+    assert path.steps[2] is path.steps[0]  # the same step text, one frozenset
 
 
 @pytest.mark.parametrize(
@@ -282,6 +283,24 @@ def test_scripts_share_one_object_per_move_and_round_trip(sf):
     for a in acts:
         assert distinct.setdefault(a, a) is a
     assert len(distinct) < len(acts)  # the walk repeats moves
+    distinct_steps = {}
+    for step in parsed.steps:
+        assert distinct_steps.setdefault(step, step) is step
+    assert len(distinct_steps) < len(parsed.steps)
+
+
+def test_a_step_repeating_an_action_reports_its_own_line():
+    """Only valid steps are remembered, so a step that repeats an action
+    fails on its own line, also after a valid step with its first action."""
+    sf = arm_system(2)
+    start = "start (0,0,h) (1,0,h)\nstep 1: (tipflip, 1, 0, fwd)\n"
+    repeat = "(tipflip, 1, 0, fwd); (tipflip, 1, 0, fwd)"
+    for script, line in (
+        (start + f"step 2: {repeat}\n", 3),
+        (start + "step 2: (tipflip, 1, 0, bwd)\n" + f"step 3: {repeat}\n", 4),
+    ):
+        with pytest.raises(FormatError, match=f"line {line}: step {line - 1} repeats"):
+            parse_path(script, sf.system)
 
 
 def test_a_bad_action_after_a_good_one_reports_its_own_line():

@@ -3,10 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import util
+from cubeplan import shape as shape_module
 from cubeplan.cubepaths import CubePath, from_edge_path, random_edge_path, validate
 from cubeplan.errors import ModelError, StateError
-from cubeplan.lattice import graph_lattice, hex_lattice, square_lattice
+from cubeplan.lattice import (
+    graph_lattice,
+    hex_lattice,
+    square_edge_lattice,
+    square_lattice,
+)
 from cubeplan.model import (
     BACKWARD,
     Generator,
@@ -36,6 +45,7 @@ from cubeplan.systems import (
     VARIANT_CHANGING,
     VARIANT_PRESERVING,
     agv_grid_fixture,
+    arm_generators,
     hex_ball,
     hex_connectivity_trap,
     hex_pivot_system,
@@ -44,7 +54,7 @@ from cubeplan.systems import (
 )
 from cubeplan.topology import betti_mod2, euler_characteristic, f_vector
 
-from util import trap_step
+from util import oracle_shape_actions, trap_step
 
 TRIANGLE = frozenset([(0, 0), (1, 0), (0, 1)])
 
@@ -393,3 +403,59 @@ def test_lift_refuses_a_finite_graph_before_the_first_step():
     path = from_edge_path(seed, moves, sf.system)
     with pytest.raises(ModelError, match="translation-symmetric"):
         lift_path(path, (), sf.system)
+
+
+# Unbounded systems for shape enumeration, and the cells of a window their
+# random shapes are drawn from: the arm's corner swap on squareEdge2d has
+# source cells of both orientations, which a placement must match.
+HEX_WINDOW = st.tuples(st.integers(0, 3), st.integers(0, 3))
+ENUMERATED = {
+    "hex-preserving": (preserving, HEX_WINDOW),
+    "hex-changing": (lambda: hex_pivot_system(VARIANT_CHANGING), HEX_WINDOW),
+    "hex-changing-connected": (
+        lambda: hex_pivot_system(VARIANT_CHANGING, constraint_name="connected"),
+        HEX_WINDOW,
+    ),
+    "square-edge": (
+        lambda: System(Workspace(square_edge_lattice(), None), arm_generators()),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from((0, 1))),
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(ENUMERATED)), st.data())
+def test_shape_actions_equal_the_build_every_candidate_oracle(name, data):
+    make_system, cells = ENUMERATED[name]
+    system = make_system()
+    cells = data.draw(st.frozensets(cells, min_size=1, max_size=7))
+    shape = canonicalize(cells, system.workspace.lattice)[0]
+    assert shape_actions(system, shape) == oracle_shape_actions(system, shape)
+
+
+def test_shape_actions_build_only_placements_whose_source_lies_in_the_shape(
+    monkeypatch,
+):
+    """On the 186 five-module hex shapes, the oracle builds an action for
+    every alignment of a source pattern's least cell, and ``shape_actions``
+    only where the pattern's other source cells lie in the shape too."""
+    system = preserving()
+    cx = build_shape_complex(system, [frozenset((i, 0) for i in range(5))])
+    shapes = [cx.vertex_state(vid) for vid in range(cx.n_vertices)]
+    assert len(shapes) == 186
+    calls, found = {}, {}
+    for module, enumerate_actions in (
+        (shape_module, shape_actions),
+        (util, oracle_shape_actions),
+    ):
+        name, real = module.__name__, module.make_action
+        calls[name] = 0
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, "make_action", counted)
+        found[name] = [enumerate_actions(system, s) for s in shapes]
+    assert calls == {"cubeplan.shape": 3_456, "util": 11_160}
+    assert found["cubeplan.shape"] == found["util"]

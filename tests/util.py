@@ -1,8 +1,9 @@
 """Shared fixtures: synthetic quotient surfaces, randomized systems,
 move scripts that name moves their system does not have, the step that
 springs the connectivity trap, the two-token L-path, and oracles:
-the incident-cell link, the full-catalogue admissibility scan and the
-breadth-first connectivity search.
+the incident-cell link, the full-catalogue admissibility scan, the
+breadth-first connectivity search, the union-based junction tests of
+the shrink sweep and the build-every-candidate shape enumeration.
 
 The surfaces implement the small view protocol the topology functions
 consume, with hand-wired identifications, so orientability is exercised
@@ -17,14 +18,17 @@ from collections import deque
 import cubeplan.lattice as lat
 from cubeplan.cubepaths import from_edge_path
 from cubeplan.model import (
+    BACKWARD,
     FORWARD,
     Generator,
     System,
     SystemFile,
     Workspace,
     admissible_actions,
+    apply_action,
     is_admissible,
     make_action,
+    pattern_matches,
 )
 from cubeplan.statecomplex import _enumerate_cliques
 from cubeplan.systems import (
@@ -383,3 +387,56 @@ def oracle_connected(cells, lattice) -> bool:
                 seen.add(nb)
                 queue.append(nb)
     return len(seen) == len(cells)
+
+
+# -- the shrink sweep's junction tests, and shape enumeration -----------------
+
+
+def oracle_commute_sub(step, next_step) -> set:
+    """``commute_sub`` by running unions of the current step's supports
+    and traces."""
+    sup = frozenset()
+    tr = frozenset()
+    for a in step:
+        sup |= a.support
+        tr |= a.trace
+    return {
+        a for a in next_step if not (a.trace & sup) and not (a.support & tr)
+    }
+
+
+def oracle_common_edge(prev_step, cur_step) -> tuple:
+    """``common_edge`` returning fresh copies of both steps, shared
+    placements removed."""
+    prev_keys = {a.placement_key for a in prev_step}
+    shared = prev_keys.intersection(a.placement_key for a in cur_step)
+    if not shared:
+        return set(prev_step), set(cur_step)
+    return (
+        {a for a in prev_step if a.placement_key not in shared},
+        {a for a in cur_step if a.placement_key not in shared},
+    )
+
+
+def oracle_shape_actions(system, shape) -> list:
+    """``shape_actions`` building an action for every alignment of each
+    source pattern's least cell with a cell of the shape, then testing
+    the whole match."""
+    lattice = system.workspace.lattice
+    out = []
+    for gen in system.catalogue:
+        for direction, src in ((FORWARD, gen.occ0), (BACKWARD, gen.occ1)):
+            if not src:
+                continue
+            local = min(src)
+            for w in shape:
+                off = lattice.offset_between(local, w)
+                if off is None:
+                    continue
+                act = make_action(gen, off, direction, lattice)
+                if pattern_matches(shape, act) and system.constraint_holds(
+                    apply_action(shape, act)
+                ):
+                    out.append(act)
+    out.sort()
+    return out
