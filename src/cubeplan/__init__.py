@@ -41,11 +41,9 @@ from .statecomplex import (
     CubeComplex,
     LinkConditionReport,
     StateComplex,
-    boundary,
     build_complex,
     check_link_condition,
     link,
-    star,
 )
 from .topology import (
     betti_mod2,

@@ -47,6 +47,19 @@ def _parse_offset(text: str) -> tuple:
     return (int(m.group(1)), int(m.group(2)))
 
 
+def _int_at_least(least: int):
+    """An argparse type: an int no less than ``least``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its errors
+    return parse
+
+
 def _builtin_agv_k5(args) -> SystemFile:
     return systems.graph_agv_system(systems.complete_graph(5), args.n)
 
@@ -335,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--shapes", action="store_true", help="work in the translation quotient"
             )
         if name in _BUILDS:
-            p.add_argument("--cap", type=int, default=1_000_000, help="vertex cap")
+            p.add_argument(
+                "--cap", type=_int_at_least(1), default=1_000_000, help="vertex cap"
+            )
         if name in ("optimize", "normalize", "lift"):
             p.add_argument(
                 "--in", dest="infile", required=True, metavar="SCRIPT",
@@ -350,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--what", choices=("system", "complex"), default="complex"
             )
         if name == "random-path":
-            p.add_argument("--length", type=int, default=20)
+            p.add_argument("--length", type=_int_at_least(0), default=20)
             p.add_argument("--rng-seed", type=int, default=0)
     return ap
 

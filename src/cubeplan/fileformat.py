@@ -453,9 +453,12 @@ def _parse_action(part: str, system: System, gens_by_gid: dict, ln: int):
 def parse_path(text: str, system: System) -> CubePath:
     """Read a move script; actions are resolved against the system.
 
-    One ``Action`` is made per distinct action text of the script and
-    shared by every step that names it, and one frozenset per distinct
-    step text; both memos live for this call.
+    Actions come from ``make_action``, one object per distinct placed
+    action for as long as its generator lives, so a script shares them
+    with the catalogue, other scripts and lifts.  Two memos live for
+    this call: one from each distinct action text to its action, which
+    saves parsing the text again, and one frozenset per distinct step
+    text.
     """
     kind = system.workspace.lattice.kind
     gens_by_gid = {g.gid: g for g in system.catalogue}

@@ -33,6 +33,10 @@ class Generator:
     patterns.  They must differ, and may differ only inside ``trace``.
     ``local_edges`` gives the adjacency the support must embed along and
     is required exactly when the system lives on a finite graph.
+
+    ``_placed`` is ``make_action``'s table of the actions placed so far,
+    keyed by (lattice kind, offset, direction); it lives as long as the
+    generator, and equality, the hash and the repr ignore it.
     """
 
     gid: str
@@ -41,6 +45,7 @@ class Generator:
     occ0: frozenset
     occ1: frozenset
     local_edges: tuple | None = None
+    _placed: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(sorted(set(self.support))))
@@ -84,7 +89,10 @@ class Action:
     ``(gid, offset)``, which both directions of a placement share, are
     stored by ``make_action``; equality and the repr ignore them, and the
     hash reads only the generator id, so hashing never walks the
-    generator.
+    generator.  ``make_action`` returns one object per distinct placed
+    action for as long as its generator lives, so the catalogue, parsed
+    scripts, shape frames and lifts share them; ``reverse`` is a plain
+    value operation that always builds a new object.
     """
 
     generator: Generator
@@ -126,30 +134,44 @@ class Action:
 def make_action(
     generator: Generator, offset: tuple, direction: int, lattice: lat.Lattice
 ) -> Action:
-    """Place the generator at the offset and run it in the direction."""
-    if lattice.kind == lat.GRAPH:
-        mapping = dict(zip(generator.support, offset))
+    """Place the generator at the offset and run it in the direction.
+
+    Returns the generator's one object for this placed action, made on
+    the first call (hash-consing).  The key holds the lattice kind,
+    since ``translate`` reads it.  An action whose other direction is
+    stored is made as that twin's reverse, so both share ``support``,
+    ``trace`` and ``placement_key``.
+    """
+    table = generator._placed
+    key = (lattice.kind, offset, direction)
+    act = table.get(key)
+    if act is not None:
+        return act
+    twin = table.get((lattice.kind, offset, 1 - direction))
+    if twin is not None:
+        act = twin.reverse()
     else:
-        mapping = {c: lattice.translate(c, offset) for c in generator.support}
-    src, dst = (
-        (generator.occ0, generator.occ1)
-        if direction == FORWARD
-        else (generator.occ1, generator.occ0)
-    )
-    support = frozenset(mapping.values())
-    trace = frozenset(mapping[c] for c in generator.trace)
-    src_occ = frozenset(mapping[c] for c in src)
-    dst_occ = frozenset(mapping[c] for c in dst)
-    return Action(
-        generator,
-        offset,
-        direction,
-        support,
-        trace,
-        src_occ,
-        dst_occ,
-        (generator.gid, offset),
-    )
+        if lattice.kind == lat.GRAPH:
+            mapping = dict(zip(generator.support, offset))
+        else:
+            mapping = {c: lattice.translate(c, offset) for c in generator.support}
+        src, dst = (
+            (generator.occ0, generator.occ1)
+            if direction == FORWARD
+            else (generator.occ1, generator.occ0)
+        )
+        act = Action(
+            generator,
+            offset,
+            direction,
+            frozenset(mapping.values()),
+            frozenset(mapping[c] for c in generator.trace),
+            frozenset(mapping[c] for c in src),
+            frozenset(mapping[c] for c in dst),
+            (generator.gid, offset),
+        )
+    table[key] = act
+    return act
 
 
 @dataclass(frozen=True)
@@ -381,9 +403,10 @@ def placement_fault(action: Action, workspace: Workspace) -> str | None:
 def placements(generator: Generator, workspace: Workspace) -> list:
     """Every placement of the generator that fits the workspace.
 
-    Each placement is returned in both directions; see
-    ``placement_fault`` for what fits.  Output is sorted by (generator
-    id, offset, direction).
+    Each placement is returned in both directions, both made by
+    ``make_action``, so the catalogue holds the generator's own objects;
+    see ``placement_fault`` for what fits.  Output is sorted by
+    (generator id, offset, direction).
     """
     if not workspace.is_finite:
         raise ModelError("WorkspaceNotFinite: placements need a finite workspace")
@@ -403,7 +426,7 @@ def placements(generator: Generator, workspace: Workspace) -> list:
         act = make_action(generator, off, FORWARD, lattice)
         if placement_fault(act, workspace) is None:
             out.append(act)
-            out.append(act.reverse())
+            out.append(make_action(generator, off, BACKWARD, lattice))
     return out
 
 

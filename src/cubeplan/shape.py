@@ -75,21 +75,19 @@ def shape_cube_key(actions, corner_state: frozenset) -> tuple:
 
 
 class ShapeFrame:
-    """The frame of a shape complex: states are named up to translation."""
+    """The frame of a shape complex: states are named up to translation.
+
+    Its actions are ``make_action``'s objects, so the cell records and
+    the build's link record share one object per distinct action with
+    every other user of the system's generators.
+    """
 
     def __init__(self, system: System):
         self.system = system
         self.lattice = system.workspace.lattice
-        # one object per distinct action: the cell records and the build's
-        # link record keep the actions of every shape, and most recur at
-        # many shapes
-        self._actions: dict = {}
-
-    def _interned(self, actions) -> list:
-        return [self._actions.setdefault(a, a) for a in actions]
 
     def actions_at(self, shape: frozenset) -> list:
-        return self._interned(shape_actions(self.system, shape))
+        return shape_actions(self.system, shape)
 
     def canonical(self, state: frozenset) -> frozenset:
         return canonicalize(state, self.lattice)[0]
@@ -106,7 +104,7 @@ class ShapeFrame:
             if (mask >> i) & 1:
                 corner = apply_action(corner, act)
         shift = _shift(corner)
-        return self._interned(
+        return [
             make_action(
                 a.generator,
                 _shift_offset(a.offset, shift),
@@ -114,7 +112,7 @@ class ShapeFrame:
                 self.lattice,
             )
             for i, a in enumerate(actions)
-        )
+        ]
 
 
 class ShapeComplex(StateComplex):

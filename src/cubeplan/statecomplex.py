@@ -347,20 +347,23 @@ def _cell_record(
     moved, base_mask = min((frame.corner_actions(state, actions, m), m) for m in ties)
     acts = tuple(moved)
     corners = tuple(vids[base_mask ^ m] for m in range(1 << k))
-    all_forward = sum(1 << i for i, a in enumerate(actions) if a.direction == BACKWARD)
-    facets = []
-    for j in range(k):
-        bit = 1 << j
-        sub = actions[:j] + actions[j + 1 :]
-        for side in (base_mask & bit, ~base_mask & bit):
-            corner = all_forward & ~bit | side
-            vid = vids[corner]
-            if k > 1:
+    # an edge's facets are its corners, in the same order: one tuple
+    facets = corners
+    if k > 1:
+        all_forward = sum(
+            1 << i for i, a in enumerate(actions) if a.direction == BACKWARD
+        )
+        facets = []
+        for j in range(k):
+            bit = 1 << j
+            sub = actions[:j] + actions[j + 1 :]
+            for side in (base_mask & bit, ~base_mask & bit):
+                corner = all_forward & ~bit | side
                 names = frame.cell_key(sub, corner_states[corner])
-                vid = cx.position(k - 1, (vid, *names))
-            facets.append(vid)
+                facets.append(cx.position(k - 1, (vids[corner], *names)))
+        facets = tuple(facets)
     base = cx.vertex_state(vids[base_mask])
-    return CellRecord(k, key, base, acts, corners, tuple(facets))
+    return CellRecord(k, key, base, acts, corners, facets)
 
 
 # the refused cliques of a vertex whose every clique spans a cube
@@ -458,32 +461,6 @@ def build_complex(system: System, seeds, max_vertices: int = 1_000_000) -> State
     if not system.workspace.is_finite:
         raise ModelError("WorkspaceNotFinite: complex building needs a finite workspace")
     return _build(StateComplex(system), seeds, max_vertices)
-
-
-def boundary(complex_: CubeComplex, rec: CellRecord) -> list:
-    """The 2*dim facet records of a cell; empty for a vertex."""
-    return [complex_.cell(rec.dim - 1, f) for f in rec.facets]
-
-
-def star(complex_: CubeComplex, rec: CellRecord) -> set:
-    """All cells having the given cell as a (possibly improper) face.
-
-    Walks facet links upward: a cube contains a lower face exactly when
-    one of its facets does, so each dimension is reached from the one
-    below it.
-    """
-    out = {rec}
-    level = {complex_.position(rec.dim, rec.key)}
-    for k in range(rec.dim + 1, complex_.max_dim + 1):
-        nxt = set()
-        for i, other in enumerate(complex_.cells(k)):
-            if any(f in level for f in other.facets):
-                nxt.add(i)
-                out.add(other)
-        level = nxt
-        if not level:
-            break
-    return out
 
 
 @dataclass(frozen=True)

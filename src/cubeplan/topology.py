@@ -212,21 +212,30 @@ def collapse_subcomplex(view) -> list:
     A face is free when it appears exactly once in the facet lists of
     the remaining cells.  Pairs are removed highest dimension first,
     least name first, so runs are deterministic; free faces wait in a
-    heap that takes a face again when its count drops to one.  Returns
-    the set of cell numbers left in each dimension.
+    heap that takes a face again when its count drops to one.  The heap
+    orders faces by their rank in one stable sort of each dimension's
+    names, the order (name, number) gives, so pops compare ints, not
+    nested name tuples.  Returns the set of cell numbers left in each
+    dimension.
     """
     _require_full(view)
-    keys = [view.cell_keys(k) for k in range(view.max_dim + 1)]
-    alive = [set(range(len(ks))) for ks in keys]
-    counts = [[0] * len(ks) for ks in keys]
-    cofaces = [[[] for _ in ks] for ks in keys]
-    for k in range(1, len(keys)):
-        for i in range(len(keys[k])):
+    ranks = []
+    for k in range(view.max_dim + 1):
+        names = view.cell_keys(k)
+        rank = [0] * len(names)
+        for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+            rank[i] = r
+        ranks.append(rank)
+    alive = [set(range(len(rank))) for rank in ranks]
+    counts = [[0] * len(rank) for rank in ranks]
+    cofaces = [[[] for _ in rank] for rank in ranks]
+    for k in range(1, len(ranks)):
+        for i in range(len(ranks[k])):
             for f in view.facets(k, i):
                 counts[k - 1][f] += 1
                 cofaces[k - 1][f].append(i)
     free = [
-        (-k, keys[k][i], i)
+        (-k, ranks[k][i], i)
         for k, row in enumerate(counts)
         for i, n in enumerate(row)
         if n == 1
@@ -240,7 +249,7 @@ def collapse_subcomplex(view) -> list:
             for f in view.facets(k, i):
                 below[f] -= 1
                 if below[f] == 1:
-                    heapq.heappush(free, (1 - k, keys[k - 1][f], f))
+                    heapq.heappush(free, (1 - k, ranks[k - 1][f], f))
 
     while free:
         neg, _, i = heapq.heappop(free)

@@ -253,6 +253,33 @@ def test_flags_a_subcommand_never_reads_are_usage_errors(capsys, command, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--builtin", "arm", "--n", "4", "--cap", "0"],
+        ["stats", "--builtin", "arm", "--n", "4", "--cap", "-1"],
+        ["check-npc", "--builtin", "arm", "--n", "4", "--cap", "0"],
+        ["random-path", "--builtin", "arm", "--n", "4", "--length", "-3"],
+        ["random-path", "--builtin", "arm", "--n", "4", "--length", "-1", "--shapes"],
+    ],
+)
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be at least" in err
+
+
+def test_the_least_cap_and_length_are_accepted(capsys):
+    code, out, err = run(capsys, "stats", "--builtin", "arm", "--n", "4", "--cap", "1")
+    assert (code, out) == (0, "fvec: 1\n")
+    assert "vertex cap" in err
+    code, out, _ = run(capsys, "random-path", "--builtin", "arm", "--n", "4", "--length", "0")
+    assert (code, out) == (0, "start (0,0,h) (1,0,h) (2,0,h) (3,0,h)\n")
+
+
 def test_seed_file_overrides_builtin_seed(capsys, tmp_path):
     sf = agv_grid_fixture(2, 2)
     statefile = tmp_path / "state.txt"

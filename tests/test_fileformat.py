@@ -269,6 +269,28 @@ def test_a_repeated_move_parses_to_one_object():
 
 
 @pytest.mark.parametrize(
+    "make", [lambda: arm_system(5), lambda: agv_grid_fixture(3, 3)], ids=["arm", "agv-grid"]
+)
+def test_parsed_moves_are_the_systems_own_objects(make):
+    """Parsing a script twice gives the same object for each move, and a
+    move is the catalogue's object whichever is made first."""
+    sf = make()
+    moves = random_edge_path(sf.system, sf.seeds[0], 40, random.Random(9))
+    text = serialize_path(from_edge_path(sf.seeds[0], moves, sf.system))
+    fresh = make()  # its catalogue is not enumerated yet
+    first = parse_path(text, fresh.system)
+    again = parse_path(text, fresh.system)
+    catalogue = {act: act for act in fresh.system.all_actions}
+    for one, other in zip(first.steps, again.steps):
+        ((act,), (same,)) = (one, other)
+        assert same is act
+        assert catalogue[act] is act
+    later = parse_path(text, sf.system)  # after the catalogue was read
+    catalogue = {act: act for act in sf.system.all_actions}
+    assert all(catalogue[act] is act for step in later.steps for act in step)
+
+
+@pytest.mark.parametrize(
     "sf", [arm_system(5), agv_grid_fixture(3, 3)], ids=["arm", "agv-grid"]
 )
 def test_scripts_share_one_object_per_move_and_round_trip(sf):

@@ -179,6 +179,63 @@ def test_the_placement_key_is_stored_and_ignored_by_equality():
         assert repr(other) == repr(built)
 
 
+def test_make_action_returns_one_object_per_placed_action():
+    square = lat.square_lattice()
+    gen = slide_one()
+    fwd = make_action(gen, (3, -1), FORWARD, square)
+    assert make_action(gen, (3, -1), FORWARD, square) is fwd
+    bwd = make_action(gen, (3, -1), BACKWARD, square)
+    assert make_action(gen, (3, -1), BACKWARD, square) is bwd
+    assert bwd == fwd.reverse() and bwd is not fwd
+    # a placement made backward first gives its forward twin the same sets
+    late = make_action(gen, (0, 5), BACKWARD, square)
+    early = make_action(gen, (0, 5), FORWARD, square)
+    for one, other in ((fwd, bwd), (early, late)):
+        assert one.support is other.support
+        assert one.trace is other.trace
+        assert one.placement_key is other.placement_key
+        assert one.src_occ is other.dst_occ and one.dst_occ is other.src_occ
+    # ``reverse`` stays a value operation, and an equal generator keeps
+    # its own objects
+    assert fwd.reverse() == bwd and fwd.reverse() is not bwd
+    twin = make_action(slide_one(), (3, -1), FORWARD, square)
+    assert twin == fwd and twin is not fwd
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        arm_system(4).system,
+        agv_grid_fixture(2, 2).system,
+        hex_pivot_system(VARIANT_CHANGING, hex_ball(1)),
+    ],
+    ids=["arm", "agv-grid", "hex"],
+)
+def test_the_catalogue_holds_make_actions_objects(system):
+    """Each placement sits forward then backward in the catalogue, both
+    made by ``make_action`` and sharing their placed sets."""
+    lattice = system.workspace.lattice
+    catalogue = system.all_actions
+    for fwd, bwd in zip(catalogue[::2], catalogue[1::2]):
+        assert (fwd.direction, bwd.direction) == (FORWARD, BACKWARD)
+        for act in (fwd, bwd):
+            assert make_action(act.generator, act.offset, act.direction, lattice) is act
+        assert fwd.support is bwd.support
+        assert fwd.trace is bwd.trace
+        assert fwd.placement_key is bwd.placement_key
+
+
+def test_a_generator_holding_placed_actions_equals_a_fresh_one():
+    used, fresh = slide_one(), slide_one()
+    cells = frozenset((x, y) for x in range(3) for y in range(2))
+    placements(used, Workspace(lat.square_lattice(), cells))
+    assert used._placed and not fresh._placed
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert {fresh: "found"}[used] == "found"
+
+
 @pytest.mark.parametrize(
     "system",
     [

@@ -23,6 +23,7 @@ from cubeplan.model import (
     Workspace,
     apply_action,
     commute_pair,
+    make_action,
     pattern_matches,
 )
 from cubeplan.shape import (
@@ -396,6 +397,18 @@ def test_lift_walks_along_with_the_canonical_frame():
     assert canon_final == cur
 
 
+def test_lifting_twice_gives_the_same_step_actions():
+    system = preserving()
+    board = hex_pivot_system(VARIANT_PRESERVING, cells=hex_ball(12))
+    path = random_shape_path(system, TRIANGLE, 25, random.Random(41))
+    first = lift_path(path, (1, -1), board)
+    again = lift_path(path, (1, -1), board)
+    assert first.ok and again.ok
+    assert first.path == again.path
+    for one, other in zip(first.path.steps, again.path.steps):
+        assert all(a is b for a, b in zip(sorted(one), sorted(other)))
+
+
 def test_lift_refuses_a_finite_graph_before_the_first_step():
     sf = agv_grid_fixture(2, 2)
     seed = sf.seeds[0]
@@ -459,3 +472,21 @@ def test_shape_actions_build_only_placements_whose_source_lies_in_the_shape(
         found[name] = [enumerate_actions(system, s) for s in shapes]
     assert calls == {"cubeplan.shape": 3_456, "util": 11_160}
     assert found["cubeplan.shape"] == found["util"]
+
+
+def test_the_shape_frame_hands_out_make_actions_objects():
+    """On the five-module quotient the frame's actions are
+    ``shape_actions``' own objects, and every cell record's actions are
+    ``make_action``'s."""
+    system = preserving()
+    lattice = system.workspace.lattice
+    cx = build_shape_complex(system, [frozenset((i, 0) for i in range(5))])
+    for vid in range(cx.n_vertices):
+        shape = cx.vertex_state(vid)
+        framed, direct = cx.frame.actions_at(shape), shape_actions(system, shape)
+        assert len(framed) == len(direct)
+        assert all(a is b for a, b in zip(framed, direct))
+    for k in range(1, cx.max_dim + 1):
+        for rec in cx.cells(k):
+            for a in rec.actions:
+                assert make_action(a.generator, a.offset, a.direction, lattice) is a

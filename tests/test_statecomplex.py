@@ -1,4 +1,4 @@
-"""Complex construction, canonical cube identity, stars, links."""
+"""Complex construction, canonical cube identity, links."""
 
 import random
 
@@ -14,12 +14,10 @@ from cubeplan.model import BACKWARD, System, Workspace, apply_action
 from cubeplan.shape import ShapeComplex, build_shape_complex
 from cubeplan.statecomplex import (
     CellRecord,
-    boundary,
     build_complex,
     check_link_condition,
     cube_key,
     link,
-    star,
     state_key,
 )
 from cubeplan.systems import (
@@ -168,32 +166,7 @@ def test_edges_connect_adjacent_states():
     for rec in cx.cells(1):
         (act,) = rec.actions
         assert cx.vertex_state(rec.corners[1]) == apply_action(rec.base, act)
-
-
-def test_star_of_vertex_and_edge():
-    cx = build_fixture(agv_grid_fixture(2, 2))
-    center = frozenset(("p0.1", "p1.1"))
-    vrec = cx.cell(0, cx.vertex_vid(center))
-    st_ = star(cx, vrec)
-    dims = sorted(r.dim for r in st_)
-    assert dims == [0, 1, 1, 1, 1, 2, 2, 2, 2]
-    # an interior edge lies in exactly two squares
-    erec = next(
-        r for r in cx.cells(1) if cx.vertex_vid(center) in r.corners
-    )
-    st2 = star(cx, erec)
-    assert sorted(r.dim for r in st2) == [1, 2, 2]
-    with pytest.raises(CubeplanError):
-        star(cx, vrec.__class__(0, ((), ("zz",)), frozenset(), (), (0,), ()))
-
-
-def test_boundary_lists_facet_records():
-    cx = build_fixture(agv_grid_fixture(2, 2))
-    sq = cx.cells(2)[0]
-    facets = boundary(cx, sq)
-    assert len(facets) == 4
-    assert all(f.dim == 1 for f in facets)
-    assert boundary(cx, cx.cells(0)[0]) == []
+        assert rec.facets is rec.corners  # an edge's facets are its corners
 
 
 def test_link_of_interior_vertex_is_a_cycle():
@@ -509,3 +482,5 @@ def test_vertex_lookups_accept_any_iterable_of_cells():
     assert not cx.has_state(["p0.1"])
     with pytest.raises(CubeplanError, match="not a vertex"):
         cx.vertex_vid(["p0.1"])
+    with pytest.raises(CubeplanError, match="no 0-cell"):
+        cx.position(0, frozenset(("zz",)))
