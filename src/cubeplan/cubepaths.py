@@ -302,13 +302,19 @@ def validate(path: CubePath) -> PathReport:
 def oracle_shortest(complex_, u, v) -> int:
     """Fewest cubes between two vertices, by search over cube moves.
 
-    One move jumps from any vertex of a cube to the antipodal vertex.
-    Independent of the optimizer: used to cross-check its output on
-    complexes small enough to build.
+    One move jumps from any vertex of a cube to the antipodal vertex:
+    corner m of a cube's record to corner ``~m``.  The moves are read
+    off the cells on every call.  Independent of the optimizer: used to
+    cross-check its output on complexes small enough to build.
     """
     from collections import deque
 
-    adj = complex_.cube_move_adjacency()
+    adj = [set() for _ in range(complex_.n_vertices)]
+    for k in range(1, complex_.max_dim + 1):
+        for rec in complex_.cells(k):
+            corners = rec.corners
+            for m, vid in enumerate(corners):
+                adj[vid].add(corners[~m])
     src = complex_.vertex_vid(u)
     dst = complex_.vertex_vid(v)
     if src == dst:

@@ -5,10 +5,10 @@ enumerates one k-cube for every set of k pairwise-commuting actions
 admissible at a reached state.  A cube is a set of commuting placements
 plus the state off their supports, so it has exactly one *all-forward
 corner*, where every placement sits in its forward source pattern.  A
-vertex's key is its state; a cube's key is that corner's vertex id
-followed by the names of its placements read in that corner's frame.
-Every corner reaches the same key, so a cube found from different
-corners is stored once.
+vertex is found by its state; while the builder runs, a cube's key is
+that corner's vertex id followed by the names of its placements read in
+that corner's frame.  Every corner reaches the same key, so a cube found
+from different corners is stored once.
 
 One builder serves plain and quotient complexes alike.  A *frame* tells
 it how states are named: which actions leave a state, which canonical
@@ -59,11 +59,9 @@ def cube_key(actions, corner_state: frozenset) -> tuple:
 class CellRecord:
     """One cell of a cube complex.
 
-    A vertex's ``key`` is its state; a cube's is the flat tuple (vertex
-    id of its all-forward corner, *sorted names of its placements read in
-    that corner's frame).  ``base`` is the corner whose canonical state
-    has the least state key; only a quotient can give two corners the
-    same one, and then the one reading the least actions wins.
+    ``base`` is the corner whose canonical state has the least state
+    key; only a quotient can give two corners the same one, and then the
+    one reading the least actions wins.  A vertex's base is its state.
     ``actions`` are expressed from the base, in its frame; they are born
     sorted (see ``_cell_record``).  ``corners`` lists vertex ids in
     bitmask order, bit i meaning action i has been applied; ``facets``
@@ -72,7 +70,6 @@ class CellRecord:
     """
 
     dim: int
-    key: tuple
     base: frozenset
     actions: tuple
     corners: tuple
@@ -84,13 +81,16 @@ class CubeComplex:
 
     A cell's number is its position in its dimension: vertex ids are
     the positions of the 0-cells, and facets are positions one
-    dimension down.  Each dimension also maps cell keys to positions; a
-    vertex's key is its state.
+    dimension down.  Vertices are also found by their states.  A cell is
+    printed by ``name(actions, base)`` read off its record; a cube's
+    key, which merges one cube found from several corners, lives only
+    while the complex is assembled.
     """
 
-    def __init__(self):
+    def __init__(self, name=cube_key):
         self._cells: list[list] = [[]]
-        self._position: list[dict] = [{}]
+        self._vid: dict = {}
+        self.name = name
         self.truncated: bool = False
         self.cap: int | None = None
         # how states and cubes are named; None for a complex assembled
@@ -101,28 +101,26 @@ class CubeComplex:
         # its leaving actions and their commute bitmasks, and the cliques
         # of vertices that have any that span no cube
         self._links: tuple | None = None
-        self._move_adjacency: list | None = None
         self._names: list | None = None
 
     # -- construction -------------------------------------------------
 
     def add_vertex(self, state: frozenset) -> int:
-        vid = self._position[0].get(state)
+        vid = self._vid.get(state)
         if vid is None:
-            vid = self.add_cell(CellRecord(0, state, state, (), (self.n_vertices,), ()))
+            vid = self.add_cell(CellRecord(0, state, (), (self.n_vertices,), ()))
         return vid
 
     def add_cell(self, rec: CellRecord) -> int:
-        """Store a cell whose key is not stored yet, last in its
-        dimension; returns its position."""
+        """Store a cell last in its dimension; returns its position."""
         while len(self._cells) <= rec.dim:
             self._cells.append([])
-            self._position.append({})
         cells = self._cells[rec.dim]
-        pos = self._position[rec.dim][rec.key] = len(cells)
+        pos = len(cells)
+        if rec.dim == 0:
+            self._vid[rec.base] = pos
         cells.append(rec)
         self._links = None
-        self._move_adjacency = None
         self._names = None
         return pos
 
@@ -136,11 +134,14 @@ class CubeComplex:
         return len(self._cells[k]) if 0 <= k <= self.max_dim else 0
 
     def cell_keys(self, k: int) -> list:
-        """Printed names in number order: a vertex's sorted cells after
-        an empty placement list, a cube's key."""
-        if k == 0:
-            return [((), state_key(state)) for state in self._position[0]]
-        return list(self._position[k]) if 0 < k <= self.max_dim else []
+        """Printed names in number order: ``name`` read at each cell's
+        base corner, rendered once per dimension."""
+        if self._names is None:
+            self._names = [
+                [self.name(rec.actions, rec.base) for rec in cells]
+                for cells in self._cells
+            ]
+        return list(self._names[k]) if 0 <= k <= self.max_dim else []
 
     def cells(self, k: int) -> list:
         return list(self._cells[k]) if 0 <= k <= self.max_dim else []
@@ -151,15 +152,6 @@ class CubeComplex:
     def facets(self, k: int, i: int) -> tuple:
         return self._cells[k][i].facets
 
-    def position(self, k: int, key: tuple) -> int:
-        try:
-            return self._position[k][key]
-        except (IndexError, KeyError):
-            raise CubeplanError(f"no {k}-cell with key {key!r}") from None
-
-    def has_cell(self, k: int, key: tuple) -> bool:
-        return 0 <= k <= self.max_dim and key in self._position[k]
-
     # -- vertices ------------------------------------------------------
 
     @property
@@ -168,7 +160,7 @@ class CubeComplex:
 
     def vertex_vid(self, state) -> int:
         state = frozenset(state)
-        vid = self._position[0].get(state)
+        vid = self._vid.get(state)
         if vid is None:
             raise CubeplanError(
                 f"state {state_key(state)!r} is not a vertex of the complex"
@@ -176,7 +168,7 @@ class CubeComplex:
         return vid
 
     def has_state(self, state) -> bool:
-        return frozenset(state) in self._position[0]
+        return frozenset(state) in self._vid
 
     def vertex_state(self, vid: int) -> frozenset:
         return self._cells[0][vid].base
@@ -201,22 +193,6 @@ class CubeComplex:
         walk = ((f[2], c[0]), (f[1], c[1]), (f[3], c[3]), (f[0], c[2]))
         edges = self._cells[1]
         return [(e, 1 if edges[e].corners[0] == start else -1) for e, start in walk]
-
-    def cube_move_adjacency(self) -> list:
-        """Per vertex, the set of vertices one cube move away.
-
-        A cube move jumps from a corner of a cube to its antipode.
-        """
-        if self._move_adjacency is None:
-            adj = [set() for _ in range(self.n_vertices)]
-            for k in range(1, self.max_dim + 1):
-                for rec in self._cells[k]:
-                    corners = rec.corners
-                    full = len(corners) - 1
-                    for m, vid in enumerate(corners):
-                        adj[vid].add(corners[full ^ m])
-            self._move_adjacency = adj
-        return self._move_adjacency
 
 
 class PlainFrame:
@@ -261,16 +237,6 @@ class StateComplex(CubeComplex):
         self.system = system
         self.frame = self.frame_type(system)
 
-    def cell_keys(self, k: int) -> list:
-        """Printed names in number order: ``cube_key`` read at each
-        cell's base corner, rendered once per dimension."""
-        if self._names is None:
-            self._names = [
-                [cube_key(rec.actions, rec.base) for rec in cells]
-                for cells in self._cells
-            ]
-        return list(self._names[k]) if 0 <= k <= self.max_dim else []
-
     def key_at(self, state: frozenset, actions) -> tuple | None:
         """Key of the cube spanned by sorted commuting actions leaving a
         vertex state, in that state's frame; None when the cube's
@@ -280,7 +246,7 @@ class StateComplex(CubeComplex):
         for act in actions:
             if act.direction == BACKWARD:
                 corner = apply_action(corner, act)
-        vid = self._position[0].get(self.frame.canonical(corner))
+        vid = self._vid.get(self.frame.canonical(corner))
         if vid is None:
             return None
         return (vid, *self.frame.cell_key(actions, corner))
@@ -313,10 +279,10 @@ def _mask(clique) -> int:
 
 
 def _cell_record(
-    cx: StateComplex, key: tuple, state: frozenset, actions: list
+    cx: StateComplex, index: list, state: frozenset, actions: list
 ) -> CellRecord | None:
     """Make the record of a new cube spanned by sorted actions leaving a
-    vertex state; None if a corner is not a vertex.
+    vertex state; None at the first corner that is not a vertex.
 
     The base is the corner with the least canonical state key, ties
     going to the least actions read there; actions are re-expressed from
@@ -326,22 +292,29 @@ def _cell_record(
     offset by one vector.  So bit i names one placement at every corner,
     and the base's corner m is the state's corner ``base ^ m``.  Each
     facet is keyed at its own all-forward corner, read off the cube's
-    corners, and must already be stored: a missing one raises
-    ``CubeplanError``.
+    corners, and looked up in ``index[k - 1]``, the keys of the cubes one
+    dimension down: its corners are the cube's, all vertices, so the
+    pass before stored it.
     """
-    frame = cx.frame
+    frame, vertex = cx.frame, cx._vid
     k = len(actions)
-    # corner states in bitmask order, bit i meaning action i has run
-    corner_states = [state]
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        prev = corner_states[mask ^ low]
-        corner_states.append(apply_action(prev, actions[low.bit_length() - 1]))
-    canonical = [frame.canonical(corner) for corner in corner_states]
-    vids = [cx._position[0].get(shape) for shape in canonical]
-    if None in vids:
-        return None
-    skeys = [state_key(shape) for shape in canonical]
+    # corner states in bitmask order, bit i meaning action i has run,
+    # each looked up as soon as it is made
+    corner_states, vids, skeys = [], [], []
+    for mask in range(1 << k):
+        corner = state
+        if mask:
+            low = mask & -mask
+            corner = apply_action(
+                corner_states[mask ^ low], actions[low.bit_length() - 1]
+            )
+        shape = frame.canonical(corner)
+        vid = vertex.get(shape)
+        if vid is None:
+            return None
+        corner_states.append(corner)
+        vids.append(vid)
+        skeys.append(state_key(shape))
     least = min(skeys)
     ties = [m for m in range(1 << k) if skeys[m] == least]
     moved, base_mask = min((frame.corner_actions(state, actions, m), m) for m in ties)
@@ -353,6 +326,7 @@ def _cell_record(
         all_forward = sum(
             1 << i for i, a in enumerate(actions) if a.direction == BACKWARD
         )
+        below = index[k - 1]
         facets = []
         for j in range(k):
             bit = 1 << j
@@ -360,10 +334,10 @@ def _cell_record(
             for side in (base_mask & bit, ~base_mask & bit):
                 corner = all_forward & ~bit | side
                 names = frame.cell_key(sub, corner_states[corner])
-                facets.append(cx.position(k - 1, (vids[corner], *names)))
+                facets.append(below[(vids[corner], *names)])
         facets = tuple(facets)
     base = cx.vertex_state(vids[base_mask])
-    return CellRecord(k, key, base, acts, corners, facets)
+    return CellRecord(k, base, acts, corners, facets)
 
 
 # the refused cliques of a vertex whose every clique spans a cube
@@ -377,6 +351,9 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     states at ``cap`` vertices and marks the result truncated; cubes are
     then restricted to fully-visited corner sets.  Cubes are stored one
     dimension at a time, so every facet is stored before its cube.
+    ``index`` maps each stored cube's key to its position, one dict per
+    dimension; it merges a cube found from several corners and finds
+    facets, and dies when the build returns.
 
     Each clique of commuting actions at a vertex either spans a cube or
     is refused, so the build leaves its refusals behind as the complex's
@@ -434,20 +411,22 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     # satisfies it at every corner.  ``refused`` keeps, per vertex, the
     # cliques that span no cube
     refused: dict = {}
+    index = [None]
     for k in range(1, max(map(len, cliques_of), default=0) + 1):
+        index.append({})
         for vid, by_size in enumerate(cliques_of):
             acts = commute[vid][0]
             state = cx.vertex_state(vid)
             for clique in by_size.pop(0) if by_size else ():
                 chosen = [acts[i] for i in clique]
                 key = cx.key_at(state, chosen)
-                if key is not None and cx.has_cell(k, key):
+                if key in index[k]:
                     continue
-                rec = None if key is None else _cell_record(cx, key, state, chosen)
+                rec = None if key is None else _cell_record(cx, index, state, chosen)
                 if rec is None:
                     refused.setdefault(vid, set()).add(_mask(clique))
                 else:
-                    cx.add_cell(rec)
+                    index[k][key] = cx.add_cell(rec)
     cx._links = (commute, {vid: frozenset(masks) for vid, masks in refused.items()})
     return cx
 

@@ -240,11 +240,13 @@ def arm_word_complex(n: int) -> CubeComplex:
     flipping the last letter generate the moves; sets of moves touching
     pairwise disjoint positions span cubes.  No machinery from the
     state-complex builder is involved, so this is a genuinely separate
-    route to the same space.
+    route to the same space.  A cube found from several words is merged
+    by ``word_cube_key``, which reads the same at every corner, so it
+    also names the cube in the listing.
     """
     if n < 1:
         raise ModelError("the arm needs at least one segment")
-    cx = CubeComplex()
+    cx = CubeComplex(word_cube_key)
     words = []
     for r in range(n + 1):
         for combo in combinations(range(1, n + 1), r):
@@ -261,14 +263,16 @@ def arm_word_complex(n: int) -> CubeComplex:
         moves.append(("flip", n))
         moves_of.append((w, moves))
     # size by size, so every facet is stored before its cube
+    index = [None]
     for size in range(1, n + 1):
+        index.append({})
         for w, moves in moves_of:
             for chosen in combinations(moves, size):
                 touched = [_word_touch(m) for m in chosen]
                 if len(frozenset().union(*touched)) < sum(map(len, touched)):
                     continue
                 key = word_cube_key(chosen, w)
-                if cx.has_cell(size, key):
+                if key in index[size]:
                     continue
                 masks = range(1 << size)
                 base = min((_flipped(w, touched, m) for m in masks), key=state_key)
@@ -282,8 +286,9 @@ def arm_word_complex(n: int) -> CubeComplex:
                         if size == 1:
                             facets.append(cx.vertex_vid(corner))
                         else:
-                            facets.append(cx.position(size - 1, word_cube_key(sub, corner)))
-                cx.add_cell(CellRecord(size, key, base, acts, corners, tuple(facets)))
+                            facets.append(index[size - 1][word_cube_key(sub, corner)])
+                rec = CellRecord(size, base, acts, corners, tuple(facets))
+                index[size][key] = cx.add_cell(rec)
     return cx
 
 

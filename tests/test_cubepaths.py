@@ -5,7 +5,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cubeplan import cubepaths
@@ -41,11 +41,13 @@ from cubeplan.systems import (
     path_graph,
     token_generator,
 )
+from cubeplan.topology import greedy_collapse
 
 from util import (
     NOT_PLACEMENTS,
     oracle_common_edge,
     oracle_commute_sub,
+    random_system,
     trap_step,
     two_token_l_path,
 )
@@ -181,6 +183,32 @@ def test_optimizer_matches_bfs_oracle_on_the_arm():
         path = from_edge_path(seed, moves, system)
         out = time_geodesic(path, STOP_ON_LENGTH)
         assert out.length == oracle_shortest(cx, path.start, path.end)
+
+
+# about one random system in six is finite, local, built whole and
+# collapsible, so most draws are filtered out by design
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_optimizer_matches_bfs_oracle_on_random_collapsible_systems(seed, walk):
+    """Random finite local systems whose complex is built whole and
+    collapses to a point: a random admissible walk from a seed shrinks
+    to the oracle's fewest cube moves.  The optimizer is least only in
+    the walk's homotopy class, so the complex must be contractible."""
+    sf = random_system(random.Random(seed))
+    system = sf.system
+    assume(system.workspace.is_finite and system.is_local and sf.seeds)
+    cx = build_complex(system, sf.seeds, max_vertices=64)
+    assume(not cx.truncated)
+    counts = greedy_collapse(cx)
+    assume(counts[0] == 1 and not any(counts[1:]))
+    rng = random.Random(walk)
+    start = rng.choice(sf.seeds)
+    moves = random_edge_path(system, start, rng.randrange(1, 16), rng)
+    path = from_edge_path(start, moves, system)
+    out = time_geodesic(path, STOP_ON_LENGTH)
+    assert out.length == oracle_shortest(cx, path.start, path.end)
 
 
 def test_equal_endpoints_normalize_identically():

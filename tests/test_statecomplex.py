@@ -7,11 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cubeplan.lattice as lat
+from cubeplan import shape
 from cubeplan.cubepaths import oracle_shortest
 from cubeplan.errors import BuildTruncatedError, CubeplanError
 from cubeplan.fileformat import export_complex
 from cubeplan.model import BACKWARD, System, Workspace, apply_action
-from cubeplan.shape import ShapeComplex, build_shape_complex
+from cubeplan.shape import ShapeComplex, build_shape_complex, canonicalize
 from cubeplan.statecomplex import (
     CellRecord,
     build_complex,
@@ -114,12 +115,17 @@ SQUARE_COMPLEXES = {
 
 def assert_every_corner_reads_the_key(cx):
     """From each corner's vertex, the cube's actions leaving it give
-    back the cube's key."""
+    back the key read at its base, and one dimension's keys are
+    pairwise distinct."""
     for k in range(1, cx.max_dim + 1):
+        keys = set()
         for rec in cx.cells(k):
+            key = cx.key_at(rec.base, rec.actions)
+            keys.add(key)
             for mask, vid in enumerate(rec.corners):
                 leaving = cx.frame.corner_actions(rec.base, rec.actions, mask)
-                assert cx.key_at(cx.vertex_state(vid), leaving) == rec.key
+                assert cx.key_at(cx.vertex_state(vid), leaving) == key
+        assert len(keys) == cx.n_cells(k)
 
 
 CORNER_COMPLEXES = {
@@ -279,7 +285,7 @@ def test_derived_views_follow_cells_added_after_first_use():
     a, b = cx.vertex_vid(u), cx.vertex_vid(v)
     assert oracle_shortest(cx, u, v) == 2
     names = cx.cell_keys(1)
-    cx.add_cell(CellRecord(1, ("shortcut",), u, (), (a, b), (a, b)))
+    cx.add_cell(CellRecord(1, u, (), (a, b), (a, b)))
     assert oracle_shortest(cx, u, v) == 1
     assert cx.cell_keys(1) == names + [cube_key((), u)]
 
@@ -333,15 +339,50 @@ def random_build(seed, connected):
     return build_complex(system, seeds, max_vertices=64)
 
 
+def quotient_generators(seed, kind):
+    """Random generators on a translation lattice, those with both
+    patterns occupied."""
+    rng = random.Random(seed)
+    gens = [_random_generator(rng, f"g{i}", kind) for i in range(rng.randrange(1, 4))]
+    return tuple(g for g in gens if g.occ0 and g.occ1)
+
+
+def build_quotient(gens, kind):
+    """The shape complex of the generators on a lattice of that kind,
+    from the first one's source pattern, cut at 20 shapes."""
+    system = System(Workspace(lat.Lattice(kind), None), gens)
+    return build_shape_complex(system, [gens[0].occ0], cap=20)
+
+
 def random_quotient(seed, kind):
     """The shape complex of random generators on a translation lattice,
     from the first one's source pattern."""
-    rng = random.Random(seed)
-    gens = [_random_generator(rng, f"g{i}", kind) for i in range(rng.randrange(1, 4))]
-    gens = tuple(g for g in gens if g.occ0 and g.occ1)
+    gens = quotient_generators(seed, kind)
     assume(gens)
-    system = System(Workspace(lat.Lattice(kind), None), gens)
-    return build_shape_complex(system, [gens[0].occ0], cap=20)
+    return build_quotient(gens, kind)
+
+
+@pytest.mark.parametrize(
+    "seed, kind", [(2366, lat.SQUARE), (2366, lat.HEX), (3651, lat.SQUARE_EDGE)]
+)
+def test_truncated_quotients_refuse_a_cube_at_its_first_missing_corner(
+    monkeypatch, seed, kind
+):
+    """A cut shape build refuses thousands of cliques whose corners run
+    off its 20 shapes.  Each is refused at the first corner that is not
+    a vertex, so the build canonicalizes about 66,000 states, not the
+    1.5 million it takes to canonicalize every corner of every clique."""
+    calls = 0
+
+    def counted(state, lattice):
+        nonlocal calls
+        calls += 1
+        return canonicalize(state, lattice)
+
+    monkeypatch.setattr(shape, "canonicalize", counted)
+    cx = build_quotient(quotient_generators(seed, kind), kind)
+    assert cx.truncated and cx.n_vertices == 20
+    assert calls < 200_000
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,7 +419,7 @@ def test_links_need_the_build_record():
     u = frozenset(("p0.0", "p1.0"))
     assert link(cx, u).vertices
     a = cx.vertex_vid(u)
-    cx.add_cell(CellRecord(1, ("shortcut",), u, (), (a, a), (a, a)))
+    cx.add_cell(CellRecord(1, u, (), (a, a), (a, a)))
     with pytest.raises(CubeplanError, match="record"):
         link(cx, u)
     with pytest.raises(CubeplanError, match="record"):
@@ -424,7 +465,7 @@ def assert_records_are_born_sorted(cx):
     frame = cx.frame
     for vid in range(cx.n_vertices):
         state = cx.vertex_state(vid)
-        assert cx.cell(0, vid).key == state
+        assert cx.cell(0, vid).base == state
         acts = frame.actions_at(state)
         assert acts == sorted(acts)
     for k in range(1, cx.max_dim + 1):
@@ -439,8 +480,9 @@ def assert_records_are_born_sorted(cx):
                         corner = apply_action(corner, act)
                 assert cx.vertex_state(vid) == frame.canonical(corner)
             forward = sum(1 << i for i, a in enumerate(rec.actions) if a.direction == BACKWARD)
-            assert len(rec.key) == k + 1
-            assert rec.key[0] == rec.corners[forward]
+            key = cx.key_at(rec.base, rec.actions)
+            assert len(key) == k + 1
+            assert key[0] == rec.corners[forward]
     assert_every_corner_reads_the_key(cx)
 
 
@@ -474,7 +516,7 @@ def test_vertex_lookups_accept_any_iterable_of_cells():
     cx = build_fixture(agv_grid_fixture(2, 2))
     state = frozenset(("p0.1", "p1.1"))
     vid = cx.vertex_vid(state)
-    assert cx.position(0, state) == vid
+    assert cx.vertex_state(vid) == state
     for cells in (sorted(state), tuple(sorted(state))):
         assert cx.vertex_vid(cells) == vid
         assert cx.has_state(cells)
@@ -482,5 +524,5 @@ def test_vertex_lookups_accept_any_iterable_of_cells():
     assert not cx.has_state(["p0.1"])
     with pytest.raises(CubeplanError, match="not a vertex"):
         cx.vertex_vid(["p0.1"])
-    with pytest.raises(CubeplanError, match="no 0-cell"):
-        cx.position(0, frozenset(("zz",)))
+    with pytest.raises(CubeplanError, match="not a vertex"):
+        cx.vertex_vid(frozenset(("zz",)))
