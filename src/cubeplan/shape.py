@@ -79,12 +79,16 @@ class ShapeFrame:
 
     Its actions are ``make_action``'s objects, so the cell records and
     the build's link record share one object per distinct action with
-    every other user of the system's generators.
+    every other user of the system's generators.  It numbers them as
+    the plain catalogue does, placements in the order first seen: i's
+    forward action is number 2i and its backward 2i + 1.
     """
 
     def __init__(self, system: System):
         self.system = system
         self.lattice = system.workspace.lattice
+        self._first: dict = {}  # placement key -> the forward number
+        self._actions: list = []  # number -> action
 
     def actions_at(self, shape: frozenset) -> list:
         return shape_actions(self.system, shape)
@@ -92,27 +96,43 @@ class ShapeFrame:
     def canonical(self, state: frozenset) -> frozenset:
         return canonicalize(state, self.lattice)[0]
 
-    def cell_key(self, actions, corner_state: frozenset) -> tuple:
-        return shape_cube_key(actions, corner_state)
+    def _number(self, act) -> int:
+        first = self._first.get(act.placement_key)
+        if first is None:
+            first = self._first[act.placement_key] = len(self._actions)
+            for direction in (FORWARD, BACKWARD):
+                self._actions.append(
+                    make_action(act.generator, act.offset, direction, self.lattice)
+                )
+        return first + act.direction
 
-    def corner_actions(self, base: frozenset, actions, mask: int) -> list:
-        """The cube's actions leaving corner ``mask``, translated into the
-        frame of that corner's canonical shape; those already applied
-        there (bit set) run in reverse."""
-        corner = base
-        for i, act in enumerate(actions):
-            if (mask >> i) & 1:
-                corner = apply_action(corner, act)
-        shift = _shift(corner)
-        return [
-            make_action(
-                a.generator,
-                _shift_offset(a.offset, shift),
-                a.direction ^ ((mask >> i) & 1),
-                self.lattice,
-            )
-            for i, a in enumerate(actions)
-        ]
+    def leaving(self, shape: frozenset, actions) -> tuple:
+        """The actions' numbers, the canonical shapes they reach and the
+        translations into those shapes' frames: None for none, and None
+        in place of the tuple when no action translates."""
+        numbers, reached, shifts = [], [], []
+        for act in actions:
+            numbers.append(self._number(act))
+            state, shift = canonicalize(apply_action(shape, act), self.lattice)
+            reached.append(state)
+            shifts.append(shift if any(shift) else None)
+        return tuple(numbers), reached, tuple(shifts) if any(shifts) else None
+
+    def carry(self, numbers, shift: tuple) -> tuple | None:
+        """The numbers of the same actions in the frame the shift
+        translates into; None when one was never numbered, so it leaves
+        no shape this build has reached."""
+        out = []
+        for n in numbers:
+            gid, offset = self._actions[n].placement_key
+            first = self._first.get((gid, _shift_offset(offset, shift)))
+            if first is None:
+                return None
+            out.append(first + (n & 1))
+        return tuple(out)
+
+    def cell_key(self, numbers, corner_state: frozenset) -> tuple:
+        return shape_cube_key([self._actions[n] for n in numbers], corner_state)
 
 
 class ShapeComplex(StateComplex):

@@ -10,12 +10,18 @@ that corner's vertex id followed by the names of its placements read in
 that corner's frame.  Every corner reaches the same key, so a cube found
 from different corners is stored once.
 
+The closure records every edge it finds: per vertex, the numbers of
+its leaving actions and the vertex each reaches.  A cube's corners are
+then found by walking those edges, reading its actions' numbers at each
+corner, so no corner state is rebuilt; the base corner is picked by a
+rank of the vertices' state keys, computed once.
+
 One builder serves plain and quotient complexes alike.  A *frame* tells
 it how states are named: which actions leave a state, which canonical
-representative stands for a state, how a cube's placements are named,
-and how a cube's actions read from each of its corners.  The plain
-frame names every state by itself; ``shape`` supplies the translation
-frame.
+representative stands for a state, how actions are numbered and what
+translation carries them into the frame of the state they reach, and
+how a cube's placements are named.  The plain frame names every state
+by itself; ``shape`` supplies the translation frame.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .errors import (
     StateError,
 )
 from .model import (
-    BACKWARD,
     System,
     admissible_actions,
     apply_action,
@@ -200,8 +205,8 @@ class PlainFrame:
 
     def __init__(self, system: System):
         self.system = system
-        # the catalogue lists placement i forward at position 2i, then
-        # backward at 2i + 1
+        # an action's number is its position in the catalogue, which lists
+        # placement i forward at position 2i, then backward at 2i + 1
         self.position = {a: i for i, a in enumerate(system.all_actions)}
 
     def actions_at(self, state: frozenset) -> list:
@@ -210,21 +215,18 @@ class PlainFrame:
     def canonical(self, state: frozenset) -> frozenset:
         return state
 
-    def cell_key(self, actions, corner_state: frozenset) -> tuple:
-        """A cube's placements named by their numbers in the catalogue;
-        sorted actions give sorted numbers."""
-        return tuple(self.position[a] >> 1 for a in actions)
+    def leaving(self, state: frozenset, actions) -> tuple:
+        """The actions' numbers, the states they reach and the
+        translations into those states' frames: None, since every plain
+        state is its own frame."""
+        position = self.position
+        numbers = tuple([position[a] for a in actions])
+        return numbers, [apply_action(state, a) for a in actions], None
 
-    def corner_actions(self, base: frozenset, actions, mask: int) -> list:
-        """The cube's actions leaving corner ``mask``, in the frame of
-        that corner's vertex; every plain state is its own frame.  Those
-        already applied there (bit set) run in reverse, each read from its
-        twin position in the catalogue."""
-        catalogue = self.system.all_actions
-        return [
-            catalogue[self.position[a] ^ 1] if (mask >> i) & 1 else a
-            for i, a in enumerate(actions)
-        ]
+    def cell_key(self, numbers: tuple, corner_state: frozenset) -> tuple:
+        """A cube's placements named by the numbers its actions read at
+        its all-forward corner, all even there."""
+        return numbers
 
 
 class StateComplex(CubeComplex):
@@ -237,107 +239,162 @@ class StateComplex(CubeComplex):
         self.system = system
         self.frame = self.frame_type(system)
 
-    def key_at(self, state: frozenset, actions) -> tuple | None:
-        """Key of the cube spanned by sorted commuting actions leaving a
-        vertex state, in that state's frame; None when the cube's
-        all-forward corner, reached by running its backward actions, is
-        not a vertex."""
-        corner = state
-        for act in actions:
-            if act.direction == BACKWARD:
-                corner = apply_action(corner, act)
-        vid = self._vid.get(self.frame.canonical(corner))
-        if vid is None:
-            return None
-        return (vid, *self.frame.cell_key(actions, corner))
 
-
-def _enumerate_cliques(n: int, adjacency: list):
-    """Yield every clique (as a tuple of indices) of the graph, size >= 1.
-
-    ``adjacency`` is a list of bitmasks.  Cliques come out in
-    lexicographic order of their index tuples.
-    """
-    out = []
-
-    def extend(clique, candidates):
-        c = candidates
-        while c:
-            low = c & (-c)
-            i = low.bit_length() - 1
-            c ^= low
-            new = clique + (i,)
+def _extend_cliques(adjacency, clique: tuple, candidates: int, size, out: list) -> bool:
+    """Append to ``out`` the cliques that extend ``clique`` by some of
+    the candidates, in lexicographic order: those of the given size, or
+    every one when it is None.  True when a clique one larger holds one
+    of those appended.  ``adjacency`` holds the graph as bitmasks."""
+    grows = False
+    c = candidates
+    while c:
+        low = c & (-c)
+        i = low.bit_length() - 1
+        c ^= low
+        new = clique + (i,)
+        common = c & adjacency[i]
+        if size is None:
             out.append(new)
-            extend(new, c & adjacency[i])
+            _extend_cliques(adjacency, new, common, size, out)
+        elif len(new) == size:
+            out.append(new)
+            grows = grows or common != 0
+        elif len(new) + common.bit_count() >= size:
+            grows = _extend_cliques(adjacency, new, common, size, out) or grows
+    return grows
 
-    extend((), (1 << n) - 1)
+
+def _enumerate_cliques(n: int, adjacency: list) -> list:
+    """Every clique (as a tuple of indices) of the graph, size >= 1, in
+    lexicographic order; ``adjacency`` is a list of bitmasks."""
+    out = []
+    _extend_cliques(adjacency, (), (1 << n) - 1, None, out)
     return out
+
+
+def _cliques_of_size(adjacency: tuple, size: int) -> tuple:
+    """The cliques of one size, in lexicographic order, and whether a
+    clique one larger holds one of them."""
+    out = []
+    grows = _extend_cliques(adjacency, (), (1 << len(adjacency)) - 1, size, out)
+    return out, grows
 
 
 def _mask(clique) -> int:
     return sum(1 << i for i in clique)
 
 
-def _cell_record(
-    cx: StateComplex, index: list, state: frozenset, actions: list
-) -> CellRecord | None:
-    """Make the record of a new cube spanned by sorted actions leaving a
-    vertex state; None at the first corner that is not a vertex.
+class _Edges:
+    """The edges the closure found, kept while cubes are enumerated.
 
-    The base is the corner with the least canonical state key, ties
-    going to the least actions read there; actions are re-expressed from
-    the base, in the frame of its canonical state.  They stay sorted: no
-    two share a placement, as its two directions never commute, and a
-    plain frame only flips directions while a quotient shifts every
-    offset by one vector.  So bit i names one placement at every corner,
-    and the base's corner m is the state's corner ``base ^ m``.  Each
-    facet is keyed at its own all-forward corner, read off the cube's
-    corners, and looked up in ``index[k - 1]``, the keys of the cubes one
-    dimension down: its corners are the cube's, all vertices, so the
-    pass before stored it.
+    ``links`` is the complex's link record: per vertex, its leaving
+    actions and their commute bitmasks.  Parallel to each vertex's
+    actions, ``numbers`` holds their numbers in the frame, ``successors``
+    the vids they reach (None past the cap), and ``shifts`` the
+    translation each applies into its successor's frame (None for none,
+    and None in place of the tuple when no action translates).  A cube
+    is walked by the numbers its actions read at each corner: running
+    one is an integer ``tuple.index`` and one successor look-up.
     """
-    frame, vertex = cx.frame, cx._vid
-    k = len(actions)
-    # corner states in bitmask order, bit i meaning action i has run,
-    # each looked up as soon as it is made
-    corner_states, vids, skeys = [], [], []
-    for mask in range(1 << k):
-        corner = state
-        if mask:
-            low = mask & -mask
-            corner = apply_action(
-                corner_states[mask ^ low], actions[low.bit_length() - 1]
-            )
-        shape = frame.canonical(corner)
-        vid = vertex.get(shape)
-        if vid is None:
+
+    __slots__ = ("frame", "links", "numbers", "successors", "shifts")
+
+    def __init__(self, frame):
+        self.frame = frame
+        self.links, self.numbers, self.successors, self.shifts = [], [], [], []
+
+    def step(self, vid: int, numbers: tuple, b: int) -> tuple | None:
+        """The corner action b reaches from the corner at vertex vid where
+        the cube's actions read ``numbers``: (its vid, the numbers read
+        there), or None when that corner is not a vertex."""
+        try:
+            i = self.numbers[vid].index(numbers[b])
+        except ValueError:
+            # not admissible here, so its result breaks the constraint
             return None
-        corner_states.append(corner)
-        vids.append(vid)
-        skeys.append(state_key(shape))
-    least = min(skeys)
-    ties = [m for m in range(1 << k) if skeys[m] == least]
-    moved, base_mask = min((frame.corner_actions(state, actions, m), m) for m in ties)
-    acts = tuple(moved)
-    corners = tuple(vids[base_mask ^ m] for m in range(1 << k))
+        reached = self.successors[vid][i]
+        if reached is None:
+            return None
+        numbers = (*numbers[:b], numbers[b] ^ 1, *numbers[b + 1 :])
+        shifts = self.shifts[vid]
+        if shifts is not None and shifts[i] is not None:
+            numbers = self.frame.carry(numbers, shifts[i])
+            if numbers is None:
+                return None
+        return reached, numbers
+
+    def all_forward(self, vid: int, numbers: tuple) -> tuple | None:
+        """The cube's all-forward corner, reached from vertex vid by
+        running the actions that read backward there, as ``step`` gives
+        it; None past a corner that is not a vertex."""
+        corner = (vid, numbers)
+        for b, n in enumerate(numbers):
+            if n & 1:
+                corner = self.step(*corner, b)
+                if corner is None:
+                    return None
+        return corner
+
+    def corners(self, vid: int, numbers: tuple) -> tuple | None:
+        """Every corner's vid and the numbers read there, as two lists in
+        bitmask order from the corner at vertex vid, bit i meaning action
+        i has run; None at the first corner that is not a vertex."""
+        step, vids, read = self.step, [vid], [numbers]
+        for m in range(1, 1 << len(numbers)):
+            low = m & -m
+            corner = step(vids[m ^ low], read[m ^ low], low.bit_length() - 1)
+            if corner is None:
+                return None
+            vids.append(corner[0])
+            read.append(corner[1])
+        return vids, read
+
+    def read(self, vid: int, numbers: tuple) -> tuple:
+        """The actions leaving vertex vid with these numbers."""
+        actions, own = self.links[vid][0], self.numbers[vid]
+        return tuple([actions[own.index(n)] for n in numbers])
+
+
+def _cell_record(
+    cx: StateComplex, edges: _Edges, rank: list, below: dict, vids: list, numbers: list
+) -> CellRecord:
+    """The record of a new cube from its corners in bitmask order from
+    its all-forward corner: their vids and the numbers its actions read
+    at each, as ``_Edges.corners`` gives them.
+
+    The base is the corner whose vertex ranks least by state key; only a
+    quotient can put two corners on one vertex, and then the one reading
+    the least actions wins.  Actions are those leaving the base, in its
+    frame.  They stay sorted: no two share a placement, as its two
+    directions never commute, and a plain frame only flips directions
+    while a quotient shifts every offset by one vector.  So bit i names
+    one placement at every corner, and the base's corner m is the walk's
+    corner ``base ^ m``.  Each facet is keyed at its own all-forward
+    corner, the walk's corner 0 or 1 << j, and found in ``below``, the
+    keys of the cubes one dimension down: its corners are the cube's,
+    all vertices, so the pass before stored it.
+    """
+    frame = cx.frame
+    k = len(numbers[0])
+    ranks = [rank[vid] for vid in vids]
+    base = ranks.index(min(ranks))
+    if vids.count(vids[base]) > 1:
+        ties = [m for m in range(1 << k) if vids[m] == vids[base]]
+        base = min(ties, key=lambda m: edges.read(vids[m], numbers[m]))
+    corners = tuple([vids[base ^ m] for m in range(1 << k)])
     # an edge's facets are its corners, in the same order: one tuple
     facets = corners
     if k > 1:
-        all_forward = sum(
-            1 << i for i, a in enumerate(actions) if a.direction == BACKWARD
-        )
-        below = index[k - 1]
         facets = []
         for j in range(k):
             bit = 1 << j
-            sub = actions[:j] + actions[j + 1 :]
-            for side in (base_mask & bit, ~base_mask & bit):
-                corner = all_forward & ~bit | side
-                names = frame.cell_key(sub, corner_states[corner])
-                facets.append(below[(vids[corner], *names)])
+            for corner in (base & bit, ~base & bit):
+                sub = numbers[corner][:j] + numbers[corner][j + 1 :]
+                vid = vids[corner]
+                facets.append(below[(vid, *frame.cell_key(sub, cx.vertex_state(vid)))])
         facets = tuple(facets)
-    base = cx.vertex_state(vids[base_mask])
-    return CellRecord(k, base, acts, corners, facets)
+    acts = edges.read(vids[base], numbers[base])
+    return CellRecord(k, cx.vertex_state(vids[base]), acts, corners, facets)
 
 
 # the refused cliques of a vertex whose every clique spans a cube
@@ -349,31 +406,51 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
 
     States are named through the complex's frame.  Stops discovering new
     states at ``cap`` vertices and marks the result truncated; cubes are
-    then restricted to fully-visited corner sets.  Cubes are stored one
-    dimension at a time, so every facet is stored before its cube.
-    ``index`` maps each stored cube's key to its position, one dict per
-    dimension; it merges a cube found from several corners and finds
-    facets, and dies when the build returns.
+    then restricted to fully-visited corner sets.
+
+    The closure records every edge it finds (see ``_Edges``): per
+    vertex, its leaving actions' numbers, the vids they reach and, in a
+    quotient, the translation into each successor's frame, which
+    carries a cube's numbers across the edge.  Both frames number
+    placement i's forward action 2i and its backward 2i + 1, so running
+    an action flips its number's low bit.  After the closure each vertex
+    is ranked once by its state key.
+
+    Cubes are then enumerated one dimension at a time, each vertex's
+    k-cliques of commuting actions in pass k, so every facet is stored
+    before its cube.  A clique is walked along the recorded successors:
+    first to its all-forward corner, whose vid and placement names (the
+    frame's ``cell_key`` of the numbers read there) key the cube, and,
+    for a key not yet stored, to every corner (see ``_cell_record``).
+    No state is rebuilt or canonicalized per corner.  ``stored`` maps
+    the key of each cube stored in the pass to its position, merging a
+    cube found from several corners, and ``below`` the pass before's, to
+    find facets.  The recorded edges, the ranks and the keys die when
+    the build returns.
 
     Each clique of commuting actions at a vertex either spans a cube or
     is refused, so the build leaves its refusals behind as the complex's
     link record: per vertex, its leaving actions, their commute bitmasks
-    and the cliques that span no cube.  No clique spans two cubes.  A
-    cube is fixed by one corner and the actions leaving it, so two cubes
-    spanning one clique at one vertex are one cube read at two of its
-    corners.  Distinct corners hold distinct states, so only a quotient
-    lets them name one vertex, and then the nonzero lattice translation
-    between them maps the cube's finite corner set onto itself, which no
-    nonzero translation of Z^2 does.
+    and the cliques that span no cube.  A clique holding one refused at
+    the same vertex is refused unwalked: its cube holds that one's
+    missing corner.  No clique spans two cubes.  A cube is fixed by one
+    corner and the actions leaving it, so two cubes spanning one clique
+    at one vertex are one cube read at two of its corners.  Distinct
+    corners hold distinct states, so only a quotient lets them name one
+    vertex, and then the nonzero lattice translation between them maps
+    the cube's finite corner set onto itself, which no nonzero
+    translation of Z^2 does.
     """
-    system, frame = cx.system, cx.frame
+    system, frame, vertex = cx.system, cx.frame, cx._vid
     cx.cap = cap
 
     def reach(state):
         if cx.n_vertices < cap:
-            cx.add_vertex(state)
-        elif not cx.has_state(state):
+            return cx.add_vertex(state)
+        vid = vertex.get(state)
+        if vid is None:
             cx.truncated = True
+        return vid
 
     for s in seeds:
         occ = frame.canonical(system.workspace.check_state(s))
@@ -381,16 +458,16 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
             raise StateError("seed state violates the system's global constraint")
         reach(occ)
 
-    # vertices are expanded in the order they were added; each keeps its
-    # leaving actions and their commute bitmasks in ``commute``, and its
-    # sets of pairwise-commuting actions, grouped by size, in
-    # ``cliques_of`` until the cubes of that size are stored
-    commute, cliques_of = [], []
-    while len(cliques_of) < cx.n_vertices:
-        state = cx.vertex_state(len(cliques_of))
+    # vertices are expanded in the order they were added
+    edges = _Edges(frame)
+    links = edges.links
+    while len(links) < cx.n_vertices:
+        state = cx.vertex_state(len(links))
         acts = frame.actions_at(state)
-        for act in acts:
-            reach(frame.canonical(apply_action(state, act)))
+        numbers, reached, shifts = frame.leaving(state, acts)
+        edges.successors.append(tuple(map(reach, reached)))
+        edges.numbers.append(numbers)
+        edges.shifts.append(shifts)
         n = len(acts)
         adjacency = [0] * n
         for i in range(n):
@@ -398,36 +475,53 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
                 if commute_pair(acts[i], acts[j]):
                     adjacency[i] |= 1 << j
                     adjacency[j] |= 1 << i
-        by_size = []
-        for clique in _enumerate_cliques(n, adjacency):
-            if len(clique) > len(by_size):
-                by_size.append([])
-            by_size[len(clique) - 1].append(clique)
-        commute.append((tuple(acts), tuple(adjacency)))
-        cliques_of.append(by_size)
+        links.append((tuple(acts), tuple(adjacency)))
+
+    # the vertex index's own int objects stand for the vids, and for
+    # their ranks in state-key order, so records and ranks add none
+    vids = list(vertex.values())
+    rank = [0] * len(vids)
+    by_key = sorted(vids, key=lambda vid: state_key(cx.vertex_state(vid)))
+    for r, vid in enumerate(by_key):
+        rank[vid] = vids[r]
 
     # every vertex satisfies a global constraint (seeds are checked and
     # successors admissible), so a cube whose corners are all vertices
     # satisfies it at every corner.  ``refused`` keeps, per vertex, the
-    # cliques that span no cube
+    # cliques that span no cube; pass k visits the vertices with k-cliques
     refused: dict = {}
-    index = [None]
-    for k in range(1, max(map(len, cliques_of), default=0) + 1):
-        index.append({})
-        for vid, by_size in enumerate(cliques_of):
-            acts = commute[vid][0]
-            state = cx.vertex_state(vid)
-            for clique in by_size.pop(0) if by_size else ():
-                chosen = [acts[i] for i in clique]
-                key = cx.key_at(state, chosen)
-                if key in index[k]:
-                    continue
-                rec = None if key is None else _cell_record(cx, index, state, chosen)
-                if rec is None:
-                    refused.setdefault(vid, set()).add(_mask(clique))
-                else:
-                    index[k][key] = cx.add_cell(rec)
-    cx._links = (commute, {vid: frozenset(masks) for vid, masks in refused.items()})
+    all_forward = edges.all_forward
+    k, below, alive = 0, None, vids
+    while alive:
+        k, stored, still = k + 1, {}, []
+        for vid in alive:
+            cliques, grows = _cliques_of_size(links[vid][1], k)
+            if grows:
+                still.append(vid)
+            numbers, masks = edges.numbers[vid], refused.get(vid)
+            for clique in cliques:
+                if masks:
+                    mask = _mask(clique)
+                    if any(mask ^ 1 << i in masks for i in clique):
+                        masks.add(mask)
+                        continue
+                corner = all_forward(vid, tuple(map(numbers.__getitem__, clique)))
+                if corner is not None:
+                    f, read = corner
+                    key = (f, *frame.cell_key(read, cx.vertex_state(f)))
+                    if key in stored:
+                        continue
+                    corners = edges.corners(f, read)
+                    if corners is not None:
+                        stored[key] = cx.add_cell(
+                            _cell_record(cx, edges, rank, below, *corners)
+                        )
+                        continue
+                if masks is None:
+                    masks = refused[vid] = set()
+                masks.add(_mask(clique))
+        below, alive = stored, still
+    cx._links = (links, {vid: frozenset(masks) for vid, masks in refused.items()})
     return cx
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cubeplan.lattice as lat
-from cubeplan import shape
+from cubeplan import shape, statecomplex
 from cubeplan.cubepaths import oracle_shortest
 from cubeplan.errors import BuildTruncatedError, CubeplanError
 from cubeplan.fileformat import export_complex
@@ -40,7 +40,15 @@ from cubeplan.topology import f_vector
 
 from test_golden import BUILTINS, build_builtin, cell_counts, complex_digest, sha, shape_fixture
 from test_shape import stacked_bars
-from util import _random_generator, oracle_link, oracle_violations, random_system
+from util import (
+    _random_generator,
+    corner_actions,
+    key_at,
+    oracle_cells,
+    oracle_link,
+    oracle_violations,
+    random_system,
+)
 
 
 def build_fixture(sf, cap=1_000_000):
@@ -120,11 +128,11 @@ def assert_every_corner_reads_the_key(cx):
     for k in range(1, cx.max_dim + 1):
         keys = set()
         for rec in cx.cells(k):
-            key = cx.key_at(rec.base, rec.actions)
+            key = key_at(cx, rec.base, rec.actions)
             keys.add(key)
             for mask, vid in enumerate(rec.corners):
-                leaving = cx.frame.corner_actions(rec.base, rec.actions, mask)
-                assert cx.key_at(cx.vertex_state(vid), leaving) == key
+                leaving = corner_actions(cx, rec.base, rec.actions, mask)
+                assert key_at(cx, cx.vertex_state(vid), leaving) == key
         assert len(keys) == cx.n_cells(k)
 
 
@@ -362,16 +370,19 @@ def random_quotient(seed, kind):
     return build_quotient(gens, kind)
 
 
-@pytest.mark.parametrize(
-    "seed, kind", [(2366, lat.SQUARE), (2366, lat.HEX), (3651, lat.SQUARE_EDGE)]
-)
+# random quotients whose builds, cut at 20 shapes, refuse over 22,000 cliques
+TRUNCATED_QUOTIENTS = [(2366, lat.SQUARE), (2366, lat.HEX), (3651, lat.SQUARE_EDGE)]
+
+
+@pytest.mark.parametrize("seed, kind", TRUNCATED_QUOTIENTS)
 def test_truncated_quotients_refuse_a_cube_at_its_first_missing_corner(
     monkeypatch, seed, kind
 ):
     """A cut shape build refuses thousands of cliques whose corners run
     off its 20 shapes.  Each is refused at the first corner that is not
-    a vertex, so the build canonicalizes about 66,000 states, not the
-    1.5 million it takes to canonicalize every corner of every clique."""
+    a vertex, found on the recorded edges, so the build canonicalizes
+    only the shapes its closure reaches (about 220), not the 1.5 million
+    it takes to canonicalize every corner of every clique."""
     calls = 0
 
     def counted(state, lattice):
@@ -383,6 +394,53 @@ def test_truncated_quotients_refuse_a_cube_at_its_first_missing_corner(
     cx = build_quotient(quotient_generators(seed, kind), kind)
     assert cx.truncated and cx.n_vertices == 20
     assert calls < 200_000
+
+
+def test_a_cut_quotient_walks_no_clique_holding_a_refused_one(monkeypatch):
+    """Of the 24,121 cliques of the square quotient cut at 20 shapes,
+    24,071 are refused.  A clique holding one refused at the same
+    vertex holds its missing corner, so it is refused unwalked: the
+    build walks 270 cliques to store its 23 cubes."""
+    walks = 0
+    all_forward = statecomplex._Edges.all_forward
+
+    def counted(edges, vid, numbers):
+        nonlocal walks
+        walks += 1
+        return all_forward(edges, vid, numbers)
+
+    monkeypatch.setattr(statecomplex._Edges, "all_forward", counted)
+    cx = build_quotient(quotient_generators(2366, lat.SQUARE), lat.SQUARE)
+    assert (cx.n_cells(1), cx.n_cells(2), cx.max_dim) == (21, 2, 2)
+    refusals = sum(len(link(cx, cx.vertex_state(vid)).refused) for vid in range(20))
+    assert refusals == 24_071
+    assert walks == 270
+
+
+CAPPED_BUILDS = {
+    "hex-r2-cap-200": lambda: build_complex(
+        hex_pivot_system(VARIANT_CHANGING, hex_ball(2)),
+        [frozenset([(0, 0), (1, 0), (0, 1), (1, 1)])],
+        max_vertices=200,
+    ),
+    **{
+        f"quotient-{seed}-{kind}": (
+            lambda seed=seed, kind=kind: build_quotient(quotient_generators(seed, kind), kind)
+        )
+        for seed, kind in TRUNCATED_QUOTIENTS
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_BUILDS))
+def test_capped_builds_match_the_cubes_rebuilt_from_states(name):
+    """A build cut at its vertex cap walks edges whose successor lies
+    past the cap.  Its records, and the cliques its links refuse, are
+    those the cube enumeration from corner states gives."""
+    cx = CAPPED_BUILDS[name]()
+    assert cx.truncated
+    assert any(link(cx, cx.vertex_state(vid)).refused for vid in range(cx.n_vertices))
+    assert_records_match_the_oracle(cx)
 
 
 @settings(max_examples=60, deadline=None)
@@ -410,6 +468,29 @@ def test_random_shape_quotients_span_each_clique_once(seed, kind):
     set twice: a cube with two corners on one shape never reads the same
     actions at both, so no clique spans two cubes."""
     assert_links_match_the_oracle(random_quotient(seed, kind))
+
+
+def assert_records_match_the_oracle(cx):
+    cells, refused = oracle_cells(cx)
+    assert [cx.cells(k) for k in range(1, cx.max_dim + 1)] == cells[1:]
+    for vid in range(cx.n_vertices):
+        assert link(cx, cx.vertex_state(vid)).refused == refused.get(vid, frozenset())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_plain_records_match_the_cubes_rebuilt_from_states(seed, connected):
+    """Random finite systems, local or under the connected constraint,
+    cut at 64 vertices or whole: the walked records and refusals are
+    those rebuilt from corner states."""
+    assert_records_match_the_oracle(random_build(seed, connected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from((lat.SQUARE, lat.HEX, lat.SQUARE_EDGE)))
+def test_shape_records_match_the_cubes_rebuilt_from_states(seed, kind):
+    """Random homogeneous quotients, cut at 20 shapes or whole."""
+    assert_records_match_the_oracle(random_quotient(seed, kind))
 
 
 def test_links_need_the_build_record():
@@ -480,7 +561,7 @@ def assert_records_are_born_sorted(cx):
                         corner = apply_action(corner, act)
                 assert cx.vertex_state(vid) == frame.canonical(corner)
             forward = sum(1 << i for i, a in enumerate(rec.actions) if a.direction == BACKWARD)
-            key = cx.key_at(rec.base, rec.actions)
+            key = key_at(cx, rec.base, rec.actions)
             assert len(key) == k + 1
             assert key[0] == rec.corners[forward]
     assert_every_corner_reads_the_key(cx)

@@ -1,9 +1,10 @@
 """Shared fixtures: synthetic quotient surfaces, randomized systems,
 move scripts that name moves their system does not have, the step that
 springs the connectivity trap, the two-token L-path, and oracles:
-the incident-cell link, the full-catalogue admissibility scan, the
-breadth-first connectivity search, the union-based junction tests of
-the shrink sweep and the build-every-candidate shape enumeration.
+the cube enumeration from states, the incident-cell link, the
+full-catalogue admissibility scan, the breadth-first connectivity
+search, the union-based junction tests of the shrink sweep and the
+build-every-candidate shape enumeration.
 
 The surfaces implement the small view protocol the topology functions
 consume, with hand-wired identifications, so orientability is exercised
@@ -26,11 +27,13 @@ from cubeplan.model import (
     Workspace,
     admissible_actions,
     apply_action,
+    commute_pair,
     is_admissible,
     make_action,
     pattern_matches,
 )
-from cubeplan.statecomplex import _enumerate_cliques
+from cubeplan.shape import ShapeComplex, canonicalize
+from cubeplan.statecomplex import CellRecord, _enumerate_cliques, _mask, state_key
 from cubeplan.systems import (
     VARIANT_CHANGING,
     agv_grid_fixture,
@@ -317,6 +320,128 @@ def two_token_l_path(n):
     return from_edge_path(sf.seeds[0], moves, sf.system)
 
 
+# -- cubes rebuilt from states -------------------------------------------------
+
+
+def corner_actions(cx, base, actions, mask) -> list:
+    """A cube's actions leaving corner ``mask``, in the frame of that
+    corner's vertex, found by rebuilding the corner's state.  Those
+    already applied there (bit set) run in reverse, and a quotient
+    shifts every offset into the frame of the corner's canonical
+    shape."""
+    corner = base
+    for i, act in enumerate(actions):
+        if (mask >> i) & 1:
+            corner = apply_action(corner, act)
+    lattice = cx.system.workspace.lattice
+    dx, dy = canonicalize(corner, lattice)[1] if isinstance(cx, ShapeComplex) else (0, 0)
+    return [
+        make_action(
+            a.generator,
+            (a.offset[0] + dx, a.offset[1] + dy) if dx or dy else a.offset,
+            a.direction ^ ((mask >> i) & 1),
+            lattice,
+        )
+        for i, a in enumerate(actions)
+    ]
+
+
+def key_at(cx, state, actions) -> tuple | None:
+    """Key of the cube spanned by sorted commuting actions leaving a
+    vertex state, in that state's frame: the vid of its all-forward
+    corner, reached by running its backward actions, then the
+    placements read there.  None when that corner is not a vertex."""
+    forward = sum(1 << i for i, a in enumerate(actions) if a.direction == BACKWARD)
+    corner = state
+    for i, act in enumerate(actions):
+        if (forward >> i) & 1:
+            corner = apply_action(corner, act)
+    corner = cx.frame.canonical(corner)
+    if not cx.has_state(corner):
+        return None
+    read = corner_actions(cx, state, actions, forward)
+    return (cx.vertex_vid(corner), *(a.placement_key for a in read))
+
+
+def oracle_record(cx, below, state, actions):
+    """The record of the cube spanned by sorted commuting actions
+    leaving a vertex state, from its corner states; None when a corner
+    is not a vertex.  The base is the corner of least state key, ties
+    going to the least actions read there; ``below`` holds the keys of
+    the stored cubes one dimension down."""
+    k = len(actions)
+    states = []
+    for mask in range(1 << k):
+        corner = state
+        for i, act in enumerate(actions):
+            if (mask >> i) & 1:
+                corner = apply_action(corner, act)
+        corner = cx.frame.canonical(corner)
+        if not cx.has_state(corner):
+            return None
+        states.append(corner)
+    least = min(map(state_key, states))
+    base = min(
+        (corner_actions(cx, state, actions, m), m)
+        for m in range(1 << k)
+        if state_key(states[m]) == least
+    )[1]
+    corners = tuple(cx.vertex_vid(states[base ^ m]) for m in range(1 << k))
+    facets = corners
+    if k > 1:
+        facets = []
+        for j in range(k):
+            bit = 1 << j
+            for side in (base & bit, ~base & bit):
+                read = corner_actions(cx, state, actions, side)
+                facets.append(below[key_at(cx, states[side], read[:j] + read[j + 1 :])])
+        facets = tuple(facets)
+    acts = tuple(corner_actions(cx, state, actions, base))
+    return CellRecord(k, states[base], acts, corners, facets)
+
+
+def oracle_cells(cx) -> tuple:
+    """The cubes and refusals a build over the complex's vertices makes,
+    rebuilding every corner from states: each vertex's k-cliques of
+    commuting leaving actions in pass k, by vid then in lexicographic
+    order, each keyed by ``key_at``, stored unless its key is, or
+    refused.  Returns the records of each dimension >= 1, led by an
+    empty list for the vertices, and the refused cliques' bitmasks per
+    vid."""
+    frame = cx.frame
+    states = [cx.vertex_state(vid) for vid in range(cx.n_vertices)]
+    cliques = []
+    for state in states:
+        acts = frame.actions_at(state)
+        adjacency = [
+            sum(1 << j for j, b in enumerate(acts) if j != i and commute_pair(a, b))
+            for i, a in enumerate(acts)
+        ]
+        cliques.append((acts, _enumerate_cliques(len(acts), adjacency)))
+    cells, refused = [[]], {}
+    k = 1
+    while any(len(c) == k for _, found in cliques for c in found):
+        index, stored = {}, []
+        below = {key_at(cx, rec.base, rec.actions): i for i, rec in enumerate(cells[-1])}
+        for vid, (acts, found) in enumerate(cliques):
+            for clique in (c for c in found if len(c) == k):
+                chosen = [acts[i] for i in clique]
+                key = key_at(cx, states[vid], chosen)
+                if key in index:
+                    continue
+                rec = None if key is None else oracle_record(cx, below, states[vid], chosen)
+                if rec is None:
+                    refused.setdefault(vid, set()).add(_mask(clique))
+                else:
+                    index[key] = len(stored)
+                    stored.append(rec)
+        cells.append(stored)
+        k += 1
+    while len(cells) > 1 and not cells[-1]:
+        cells.pop()
+    return cells, {vid: frozenset(masks) for vid, masks in refused.items()}
+
+
 # -- the link read off the stored cells ---------------------------------------
 
 
@@ -334,7 +459,7 @@ def oracle_link(cx, vertex_state) -> tuple:
         for rec in cx.cells(k):
             for mask, corner in enumerate(rec.corners):
                 if corner == vid:
-                    simplex = frozenset(cx.frame.corner_actions(rec.base, rec.actions, mask))
+                    simplex = frozenset(corner_actions(cx, rec.base, rec.actions, mask))
                     simplices[simplex] = simplices.get(simplex, 0) + 1
     vertices = tuple(sorted({a for s in simplices for a in s}))
     return vertices, simplices
