@@ -8,11 +8,20 @@ their supports and traces permit, cancels move/undo pairs meeting at a
 junction, and drops emptied steps.  Its fixed points are exactly the
 normal cube paths, which are the unique time-optimal representatives of
 their homotopy class in a nonpositively curved complex.
+
+The sweep runs on integers.  Each ``time_geodesic`` call numbers its
+path once: the actions by equality, the cells of their supports and
+the placements, so an action is a support bitmask, a trace bitmask and
+one placement bit, and a step is its action ids plus the OR of each.
+Junctions are then tested with ``&``.  The numbering is handed from
+sweep to sweep on the paths they return and dies with the call.
+``commute_sub``, ``common_edge`` and ``is_normal`` keep the set-valued
+tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PathError, StateError
 from .lattice import GRAPH
@@ -39,6 +48,11 @@ class CubePath:
     start: frozenset
     steps: tuple
     system: System | None = None
+    # the sweep's integer coding of the steps (see ``_number``), set only
+    # by ``shrink_cube_path``, so a copy or a new path starts without one
+    _coding: tuple | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "start", frozenset(self.start))
@@ -140,6 +154,52 @@ def _require_optimizable(path: CubePath) -> None:
         )
 
 
+def _number(path: CubePath) -> tuple:
+    """The path's coding, ``(tables, rows)``, shared by the sweeps of
+    one ``time_geodesic`` call.
+
+    ``tables`` is ``(actions, sup, tr, pk)``, indexed by action id and
+    never changed: the actions numbered by equality in order of first
+    occurrence, each one's bitmask of support cells, of trace cells,
+    and the bit of its placement, over cells and placements numbered in
+    the same pass.  ``rows`` is ``(steps, step_sup, step_tr, step_pk)``:
+    each step's action ids and the OR of each mask over them.  A sweep
+    works on copies of the rows and hands its own on.  A step object
+    that recurs (a parsed script shares them) is coded once."""
+    number, cells, places = {}, {}, {}
+    actions, sup, tr, pk = [], [], [], []
+
+    def bits(cell_set) -> int:
+        mask = 0
+        for c in cell_set:
+            mask |= 1 << cells.setdefault(c, len(cells))
+        return mask
+
+    coded = {}  # id(step) -> (action ids, support, trace, placement masks)
+    per_step = []
+    for step in path.steps:
+        got = coded.get(id(step))
+        if got is None:
+            row = []
+            s = t = p = 0
+            for act in step:
+                j = number.get(act)
+                if j is None:
+                    j = number[act] = len(actions)
+                    actions.append(act)
+                    sup.append(bits(act.support))
+                    tr.append(bits(act.trace))
+                    pk.append(1 << places.setdefault(act.placement_key, len(places)))
+                row.append(j)
+                s |= sup[j]
+                t |= tr[j]
+                p |= pk[j]
+            got = coded[id(step)] = (tuple(row), s, t, p)
+        per_step.append(got)
+    columns = [list(column) for column in zip(*per_step)] or [[], [], [], []]
+    return (actions, sup, tr, pk), columns
+
+
 def shrink_cube_path(path: CubePath, stats: ShrinkStats | None = None) -> CubePath:
     """One optimization sweep along the path.
 
@@ -150,40 +210,95 @@ def shrink_cube_path(path: CubePath, stats: ShrinkStats | None = None) -> CubePa
     advances when nothing commuted forward.  The result has the same
     endpoints; its potential is strictly smaller unless nothing changed,
     and the sweep changes nothing exactly when the path is normal.
+
+    The sweep runs on the path's integer coding (see ``_number``): a
+    whole step commutes forward when its support and trace masks miss
+    the current step's trace and support masks, its actions are tested
+    one by one only when that fails and it holds more than one, and two
+    steps share a placement when their placement masks meet.  A path
+    from an earlier sweep carries the coding; any other path is
+    numbered on entry.  The result carries its own coding, and keeps
+    the frozenset of every step the sweep did not change.
     """
     _require_optimizable(path)
     if stats is not None:
         stats.shrink_calls += 1
-    steps = [set(s) for s in path.steps]
+    tables, rows = path._coding if path._coding is not None else _number(path)
+    actions, a_sup, a_tr, a_pk = tables
+    rows = [list(row) for row in rows]
+    ids, sups, trs, pks = rows
+    # a step's frozenset, or None once the sweep has changed the step
+    sets = list(path.steps)
+
+    def recode(k, row) -> None:
+        s = t = p = 0
+        for j in row:
+            s |= a_sup[j]
+            t |= a_tr[j]
+            p |= a_pk[j]
+        ids[k], sups[k], trs[k], pks[k], sets[k] = row, s, t, p, None
+
+    iterations = 0
+    n = len(ids)
     i = 0
-    while i < len(steps):
-        if stats is not None:
-            stats.iterations += 1
-        if i + 1 < len(steps):
-            moved = commute_sub(steps[i], steps[i + 1])
-            if moved:
-                steps[i] |= moved
-                steps[i + 1] -= moved
-                if not steps[i + 1]:
-                    del steps[i + 1]
-        else:
-            moved = set()
-        if i >= 1:
-            kept_prev, kept_cur = common_edge(steps[i - 1], steps[i])
-            steps[i - 1] = kept_prev
-            steps[i] = kept_cur
-            empty_cur = not kept_cur
-            empty_prev = not kept_prev
-            if empty_cur:
-                del steps[i]
-            if empty_prev:
-                del steps[i - 1]
-            if empty_cur or empty_prev:
-                i = max(0, i - (2 if empty_prev else 1))
-                continue
+    while i < n:
+        iterations += 1
+        moved = False
+        if i + 1 < n:
+            c_sup, c_tr = sups[i], trs[i]
+            if not (c_sup & trs[i + 1] or c_tr & sups[i + 1]):
+                nxt = ids[i + 1]
+                if nxt:
+                    # the whole next step runs a step earlier
+                    moved = True
+                    ids[i] += nxt
+                    sups[i] = c_sup | sups[i + 1]
+                    trs[i] = c_tr | trs[i + 1]
+                    pks[i] |= pks[i + 1]
+                    sets[i] = None
+                    del ids[i + 1], sups[i + 1], trs[i + 1], pks[i + 1], sets[i + 1]
+                    n -= 1
+            elif len(ids[i + 1]) > 1:
+                go, stay = [], []
+                for j in ids[i + 1]:
+                    if a_tr[j] & c_sup or a_sup[j] & c_tr:
+                        stay.append(j)
+                    else:
+                        go.append(j)
+                if go:
+                    moved = True
+                    recode(i, ids[i] + tuple(go))
+                    recode(i + 1, tuple(stay))
+        if i:
+            p_pk, c_pk = pks[i - 1], pks[i]
+            shared = p_pk & c_pk
+            # a step whose placements all cancel is left empty, and an
+            # empty step (an input may hold one) has no placement bit
+            if shared or not (p_pk and c_pk):
+                empty_prev, empty_cur = p_pk == shared, c_pk == shared
+                if shared and not empty_prev:
+                    recode(i - 1, tuple(j for j in ids[i - 1] if not a_pk[j] & shared))
+                if shared and not empty_cur:
+                    recode(i, tuple(j for j in ids[i] if not a_pk[j] & shared))
+                if empty_cur or empty_prev:
+                    if empty_cur:
+                        del ids[i], sups[i], trs[i], pks[i], sets[i]
+                    if empty_prev:
+                        del ids[i - 1], sups[i - 1], trs[i - 1], pks[i - 1], sets[i - 1]
+                    n = len(ids)
+                    i = max(0, i - (2 if empty_prev else 1))
+                    continue
         if not moved:
             i += 1
-    return CubePath(path.start, tuple(frozenset(s) for s in steps), path.system)
+    if stats is not None:
+        stats.iterations += iterations
+    steps = tuple(
+        s if s is not None else frozenset([actions[j] for j in row])
+        for s, row in zip(sets, ids)
+    )
+    out = CubePath(path.start, steps, path.system)
+    object.__setattr__(out, "_coding", (tables, rows))
+    return out
 
 
 def time_geodesic(
@@ -195,6 +310,10 @@ def time_geodesic(
     the result has the least length in the path's homotopy class.
     ``normalize`` repeats until nothing changes at all: the result is the
     unique normal cube path of the class.  Endpoints never change.
+
+    The first sweep numbers the path's actions, cells and placements
+    (``_number``), and each sweep hands that coding to the next, so it
+    lives for this call only: the returned path carries none.
     """
     if mode not in MODES:
         raise PathError(f"unknown mode {mode!r}")
@@ -205,12 +324,16 @@ def time_geodesic(
             before = cur.length
             cur = shrink_cube_path(cur, stats)
             if cur.length >= before:
-                return cur
-    while True:
-        nxt = shrink_cube_path(cur, stats)
-        if nxt == cur:
-            return cur
-        cur = nxt
+                break
+    else:
+        while True:
+            nxt = shrink_cube_path(cur, stats)
+            if nxt == cur:
+                break
+            cur = nxt
+    if cur._coding is None:
+        return cur
+    return CubePath(cur.start, cur.steps, cur.system)
 
 
 def is_normal(path: CubePath) -> bool:

@@ -87,8 +87,9 @@ class Action:
     graph it is the tuple of host nodes the local support maps to, in
     local support order.  The placed cell sets and the placement key
     ``(gid, offset)``, which both directions of a placement share, are
-    stored by ``make_action``; equality and the repr ignore them, and the
-    hash reads only the generator id, so hashing never walks the
+    stored by ``make_action``; equality and the repr ignore them.  So
+    does ``hash_``, the hash of ``(gid, offset, direction)``, computed
+    once by ``make_action`` and ``reverse``, so hashing never walks the
     generator.  ``make_action`` returns one object per distinct placed
     action for as long as its generator lives, so the catalogue, parsed
     scripts, shape frames and lifts share them; ``reverse`` is a plain
@@ -103,9 +104,10 @@ class Action:
     src_occ: frozenset = field(compare=False, repr=False)
     dst_occ: frozenset = field(compare=False, repr=False)
     placement_key: tuple = field(compare=False, repr=False)
+    hash_: int = field(compare=False, repr=False)
 
     def __hash__(self):
-        return hash((self.generator.gid, self.offset, self.direction))
+        return self.hash_
 
     @property
     def gid(self) -> str:
@@ -116,15 +118,17 @@ class Action:
         return (self.generator.gid, self.offset, self.direction)
 
     def reverse(self) -> "Action":
+        direction = BACKWARD if self.direction == FORWARD else FORWARD
         return Action(
             self.generator,
             self.offset,
-            BACKWARD if self.direction == FORWARD else FORWARD,
+            direction,
             self.support,
             self.trace,
             self.dst_occ,
             self.src_occ,
             self.placement_key,
+            hash((self.generator.gid, self.offset, direction)),
         )
 
     def __lt__(self, other):
@@ -169,6 +173,7 @@ def make_action(
             frozenset(mapping[c] for c in src),
             frozenset(mapping[c] for c in dst),
             (generator.gid, offset),
+            hash((generator.gid, offset, direction)),
         )
     table[key] = act
     return act

@@ -172,9 +172,6 @@ class CubeComplex:
             )
         return vid
 
-    def has_state(self, state) -> bool:
-        return frozenset(state) in self._vid
-
     def vertex_state(self, vid: int) -> frozenset:
         return self._cells[0][vid].base
 
@@ -240,11 +237,11 @@ class StateComplex(CubeComplex):
         self.frame = self.frame_type(system)
 
 
-def _extend_cliques(adjacency, clique: tuple, candidates: int, size, out: list) -> bool:
-    """Append to ``out`` the cliques that extend ``clique`` by some of
-    the candidates, in lexicographic order: those of the given size, or
-    every one when it is None.  True when a clique one larger holds one
-    of those appended.  ``adjacency`` holds the graph as bitmasks."""
+def _extend_cliques(adjacency, clique: tuple, candidates: int, size: int, out: list) -> bool:
+    """Append to ``out`` the cliques of the given size that extend
+    ``clique`` by some of the candidates, in lexicographic order.  True
+    when a clique one larger holds one of those appended.  ``adjacency``
+    holds the graph as bitmasks."""
     grows = False
     c = candidates
     while c:
@@ -253,23 +250,12 @@ def _extend_cliques(adjacency, clique: tuple, candidates: int, size, out: list) 
         c ^= low
         new = clique + (i,)
         common = c & adjacency[i]
-        if size is None:
-            out.append(new)
-            _extend_cliques(adjacency, new, common, size, out)
-        elif len(new) == size:
+        if len(new) == size:
             out.append(new)
             grows = grows or common != 0
         elif len(new) + common.bit_count() >= size:
             grows = _extend_cliques(adjacency, new, common, size, out) or grows
     return grows
-
-
-def _enumerate_cliques(n: int, adjacency: list) -> list:
-    """Every clique (as a tuple of indices) of the graph, size >= 1, in
-    lexicographic order; ``adjacency`` is a list of bitmasks."""
-    out = []
-    _extend_cliques(adjacency, (), (1 << n) - 1, None, out)
-    return out
 
 
 def _cliques_of_size(adjacency: tuple, size: int) -> tuple:
@@ -547,38 +533,13 @@ class LinkComplex:
     (k-1)-simplex of its actions leaving that corner.  Each such set is
     a clique of the commute graph, and every clique the build did not
     refuse is contributed exactly once.  ``refused`` holds the cliques
-    that span no cube, as bitmasks over ``actions``.  ``vertices``,
-    ``simplices`` and ``skeleton_edges`` are derived on demand.
+    that span no cube, as bitmasks over ``actions``.
     """
 
     state: frozenset
     actions: tuple
     adjacency: tuple
     refused: frozenset
-
-    @property
-    def vertices(self) -> tuple:
-        """The leaving actions that span an edge, sorted."""
-        return tuple(a for i, a in enumerate(self.actions) if 1 << i not in self.refused)
-
-    @property
-    def simplices(self) -> dict:
-        """Every contributed action set, as a frozenset, with its count, 1."""
-        return {
-            frozenset(self.actions[i] for i in clique): 1
-            for clique in _enumerate_cliques(len(self.actions), self.adjacency)
-            if _mask(clique) not in self.refused
-        }
-
-    def skeleton_edges(self) -> list:
-        """The 1-simplices, each as a sorted pair of actions, sorted."""
-        acts, n = self.actions, len(self.actions)
-        return [
-            (acts[i], acts[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (self.adjacency[i] >> j) & 1 and 1 << i | 1 << j not in self.refused
-        ]
 
 
 def link(complex_: CubeComplex, vertex_state) -> LinkComplex:

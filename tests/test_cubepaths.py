@@ -47,6 +47,7 @@ from util import (
     NOT_PLACEMENTS,
     oracle_common_edge,
     oracle_commute_sub,
+    oracle_shrink_cube_path,
     random_system,
     trap_step,
     two_token_l_path,
@@ -507,3 +508,117 @@ def test_junction_helpers_equal_the_union_oracles(name, data):
         assert kept == oracle_common_edge(prev, cur)
         if kept == (prev, cur):
             assert kept[0] is prev and kept[1] is cur
+
+
+def assert_sweeps_equal_the_oracle(path):
+    """Sweep the path with the coded sweep, each sweep handing its coding
+    to the next, and with the set-based oracle, until a sweep changes
+    nothing: every sweep gives the same steps in the same iterations.
+    The first coded sweep numbers the path on entry."""
+    coded = oracle = path
+    while True:
+        got, want = ShrinkStats(), ShrinkStats()
+        nxt = shrink_cube_path(coded, got)
+        ref = oracle_shrink_cube_path(oracle, want)
+        assert nxt.steps == ref.steps
+        assert (got.iterations, got.shrink_calls) == (want.iterations, want.shrink_calls)
+        if ref == oracle:
+            return
+        coded, oracle = nxt, ref
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.data())
+def test_coded_sweep_equals_the_set_sweep_on_random_walks(seed, walk, data):
+    """Random admissible walks on random finite local systems, some
+    moves replaced by equal but distinct copies, the path carrying its
+    system or none."""
+    sf = random_system(random.Random(seed))
+    system = sf.system
+    assume(system.workspace.is_finite and system.is_local and sf.seeds)
+    rng = random.Random(walk)
+    start = rng.choice(sf.seeds)
+    moves = random_edge_path(system, start, rng.randrange(1, 40), rng)
+    copies = data.draw(st.lists(st.booleans(), min_size=len(moves), max_size=len(moves)))
+    moves = [m.reverse().reverse() if c else m for m, c in zip(moves, copies)]
+    owner = system if data.draw(st.booleans()) else None
+    assert_sweeps_equal_the_oracle(
+        CubePath(start, tuple(frozenset((m,)) for m in moves), owner)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(JUNCTION_SYSTEMS))
+def test_coded_sweep_equals_the_set_sweep_on_long_walks(name):
+    """Long walks, whose sweeps move parts of steps and cancel often."""
+    sf = JUNCTION_SYSTEMS[name]()
+    rng = random.Random(40)
+    for _ in range(3):
+        moves = random_edge_path(sf.system, sf.seeds[0], 150, rng)
+        assert_sweeps_equal_the_oracle(from_edge_path(sf.seeds[0], moves, sf.system))
+
+
+def test_coded_sweep_equals_the_set_sweep_on_odd_paths():
+    """Equal but distinct actions in one path, empty steps, and steps of
+    several actions, with and without a system."""
+    system, seed = grid_fixture()
+    a = first_move(system, seed, "p0.0", "p0.1")
+    b = first_move(system, seed, "p1.0", "p1.1")
+    twin = a.reverse().reverse()
+    assert twin == a and twin is not a
+    empty = frozenset()
+    paths = [
+        (frozenset((a,)), frozenset((b,)), frozenset((twin.reverse(),))),
+        (frozenset((twin,)), frozenset((a.reverse(),)), frozenset((a,))),
+        (empty, frozenset((a,)), empty, empty, frozenset((b,)), empty),
+        (frozenset((a, b)), frozenset((a.reverse(),)), empty, frozenset((twin,))),
+        (empty,),
+        (),
+    ]
+    for steps in paths:
+        for owner in (system, None):
+            assert_sweeps_equal_the_oracle(CubePath(seed, steps, owner))
+
+
+def test_a_sweep_leaves_its_input_as_it_found_it():
+    """A coded path can be swept twice: each sweep works on its own copy
+    of the coding it was handed."""
+    system, seed = grid_fixture()
+    moves = random_edge_path(system, seed, 30, random.Random(0))
+    first = shrink_cube_path(from_edge_path(seed, moves, system))
+    again = shrink_cube_path(first)
+    assert again != first
+    assert shrink_cube_path(first) == again == oracle_shrink_cube_path(first)
+
+
+def test_time_geodesic_returns_a_plain_path():
+    """The result equals and hashes like the same path built afresh, and
+    carries no coding."""
+    for mode in MODES:
+        script = pinned_script("grid", 60)
+        out = time_geodesic(script, mode)
+        fresh = CubePath(out.start, out.steps, out.system)
+        assert out == fresh and hash(out) == hash(fresh)
+        assert out._coding is None
+        assert shrink_cube_path(script)._coding is not None
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_normal_forms_of_random_walks_are_normal_and_fixed(seed, walk):
+    """On random finite local systems, ``normalize`` gives a normal path
+    that normalizes to itself, with the walk's endpoints."""
+    sf = random_system(random.Random(seed))
+    system = sf.system
+    assume(system.workspace.is_finite and system.is_local and sf.seeds)
+    rng = random.Random(walk)
+    start = rng.choice(sf.seeds)
+    moves = random_edge_path(system, start, rng.randrange(1, 40), rng)
+    path = from_edge_path(start, moves, system)
+    normal = time_geodesic(path, NORMALIZE)
+    assert is_normal(normal)
+    assert time_geodesic(normal, NORMALIZE) == normal
+    assert normal.end == path.end

@@ -213,13 +213,17 @@ def test_make_action_returns_one_object_per_placed_action():
 )
 def test_the_catalogue_holds_make_actions_objects(system):
     """Each placement sits forward then backward in the catalogue, both
-    made by ``make_action`` and sharing their placed sets."""
+    made by ``make_action`` and sharing their placed sets.  The hash each
+    action stores, and each reverse, is that of (gid, offset, direction),
+    so sets of actions keep their order."""
     lattice = system.workspace.lattice
     catalogue = system.all_actions
     for fwd, bwd in zip(catalogue[::2], catalogue[1::2]):
         assert (fwd.direction, bwd.direction) == (FORWARD, BACKWARD)
         for act in (fwd, bwd):
             assert make_action(act.generator, act.offset, act.direction, lattice) is act
+        for act in (fwd, bwd, fwd.reverse(), bwd.reverse()):
+            assert hash(act) == hash((act.gid, act.offset, act.direction))
         assert fwd.support is bwd.support
         assert fwd.trace is bwd.trace
         assert fwd.placement_key is bwd.placement_key

@@ -1,10 +1,10 @@
 """Shared fixtures: synthetic quotient surfaces, randomized systems,
 move scripts that name moves their system does not have, the step that
 springs the connectivity trap, the two-token L-path, and oracles:
-the cube enumeration from states, the incident-cell link, the
-full-catalogue admissibility scan, the breadth-first connectivity
-search, the union-based junction tests of the shrink sweep and the
-build-every-candidate shape enumeration.
+the cube enumeration from states, the incident-cell link and the
+views derived from a link record, the full-catalogue admissibility scan, the breadth-first connectivity
+search, the union-based junction tests of the shrink sweep, the sweep
+on sets and the build-every-candidate shape enumeration.
 
 The surfaces implement the small view protocol the topology functions
 consume, with hand-wired identifications, so orientability is exercised
@@ -17,7 +17,8 @@ import random
 from collections import deque
 
 import cubeplan.lattice as lat
-from cubeplan.cubepaths import from_edge_path
+from cubeplan.errors import CubeplanError
+from cubeplan.cubepaths import CubePath, common_edge, commute_sub, from_edge_path
 from cubeplan.model import (
     BACKWARD,
     FORWARD,
@@ -33,7 +34,7 @@ from cubeplan.model import (
     pattern_matches,
 )
 from cubeplan.shape import ShapeComplex, canonicalize
-from cubeplan.statecomplex import CellRecord, _enumerate_cliques, _mask, state_key
+from cubeplan.statecomplex import CellRecord, _mask, state_key
 from cubeplan.systems import (
     VARIANT_CHANGING,
     agv_grid_fixture,
@@ -357,7 +358,7 @@ def key_at(cx, state, actions) -> tuple | None:
         if (forward >> i) & 1:
             corner = apply_action(corner, act)
     corner = cx.frame.canonical(corner)
-    if not cx.has_state(corner):
+    if not has_state(cx, corner):
         return None
     read = corner_actions(cx, state, actions, forward)
     return (cx.vertex_vid(corner), *(a.placement_key for a in read))
@@ -377,7 +378,7 @@ def oracle_record(cx, below, state, actions):
             if (mask >> i) & 1:
                 corner = apply_action(corner, act)
         corner = cx.frame.canonical(corner)
-        if not cx.has_state(corner):
+        if not has_state(cx, corner):
             return None
         states.append(corner)
     least = min(map(state_key, states))
@@ -417,7 +418,7 @@ def oracle_cells(cx) -> tuple:
             sum(1 << j for j, b in enumerate(acts) if j != i and commute_pair(a, b))
             for i, a in enumerate(acts)
         ]
-        cliques.append((acts, _enumerate_cliques(len(acts), adjacency)))
+        cliques.append((acts, enumerate_cliques(len(acts), adjacency)))
     cells, refused = [[]], {}
     k = 1
     while any(len(c) == k for _, found in cliques for c in found):
@@ -443,6 +444,60 @@ def oracle_cells(cx) -> tuple:
 
 
 # -- the link read off the stored cells ---------------------------------------
+
+
+def has_state(cx, state) -> bool:
+    """Whether any iterable of cells is the state of a vertex."""
+    try:
+        cx.vertex_vid(state)
+    except CubeplanError:
+        return False
+    return True
+
+
+def enumerate_cliques(n: int, adjacency) -> list:
+    """Every clique (as a tuple of indices) of the graph on ``n``
+    vertices, size >= 1, in lexicographic order; ``adjacency`` is a
+    list of bitmasks."""
+    out = []
+
+    def extend(clique, candidates):
+        for i in range(n):
+            if (candidates >> i) & 1:
+                new = clique + (i,)
+                out.append(new)
+                extend(new, candidates & adjacency[i] & ~((2 << i) - 1))
+
+    extend((), (1 << n) - 1)
+    return out
+
+
+def link_vertices(lnk) -> tuple:
+    """The link's vertices: its leaving actions that span an edge,
+    sorted."""
+    refused = lnk.refused
+    return tuple(a for i, a in enumerate(lnk.actions) if 1 << i not in refused)
+
+
+def link_simplices(lnk) -> dict:
+    """Every set of actions the link's record says is spanned, as a
+    frozenset, with its count, 1."""
+    return {
+        frozenset(lnk.actions[i] for i in clique): 1
+        for clique in enumerate_cliques(len(lnk.actions), lnk.adjacency)
+        if _mask(clique) not in lnk.refused
+    }
+
+
+def link_skeleton_edges(lnk) -> list:
+    """The link's 1-simplices, each as a sorted pair of actions, sorted."""
+    acts, n = lnk.actions, len(lnk.actions)
+    return [
+        (acts[i], acts[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (lnk.adjacency[i] >> j) & 1 and 1 << i | 1 << j not in lnk.refused
+    ]
 
 
 def oracle_link(cx, vertex_state) -> tuple:
@@ -480,7 +535,7 @@ def oracle_violations(cx) -> tuple:
                 i, j = (index[a] for a in s)
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
-        for clique in _enumerate_cliques(len(verts), adjacency):
+        for clique in enumerate_cliques(len(verts), adjacency):
             if len(clique) > 1:
                 simplex = frozenset(verts[i] for i in clique)
                 count = simplices.get(simplex, 0)
@@ -514,7 +569,7 @@ def oracle_connected(cells, lattice) -> bool:
     return len(seen) == len(cells)
 
 
-# -- the shrink sweep's junction tests, and shape enumeration -----------------
+# -- the shrink sweep and its junction tests, and shape enumeration ------------
 
 
 def oracle_commute_sub(step, next_step) -> set:
@@ -541,6 +596,44 @@ def oracle_common_edge(prev_step, cur_step) -> tuple:
         {a for a in prev_step if a.placement_key not in shared},
         {a for a in cur_step if a.placement_key not in shared},
     )
+
+
+def oracle_shrink_cube_path(path, stats=None):
+    """``shrink_cube_path`` on mutable sets of actions, testing each
+    junction with ``commute_sub`` and ``common_edge``: the same rewrite
+    order, with no integer coding."""
+    if stats is not None:
+        stats.shrink_calls += 1
+    steps = [set(s) for s in path.steps]
+    i = 0
+    while i < len(steps):
+        if stats is not None:
+            stats.iterations += 1
+        if i + 1 < len(steps):
+            moved = commute_sub(steps[i], steps[i + 1])
+            if moved:
+                steps[i] |= moved
+                steps[i + 1] -= moved
+                if not steps[i + 1]:
+                    del steps[i + 1]
+        else:
+            moved = set()
+        if i >= 1:
+            kept_prev, kept_cur = common_edge(steps[i - 1], steps[i])
+            steps[i - 1] = kept_prev
+            steps[i] = kept_cur
+            empty_cur = not kept_cur
+            empty_prev = not kept_prev
+            if empty_cur:
+                del steps[i]
+            if empty_prev:
+                del steps[i - 1]
+            if empty_cur or empty_prev:
+                i = max(0, i - (2 if empty_prev else 1))
+                continue
+        if not moved:
+            i += 1
+    return CubePath(path.start, tuple(frozenset(s) for s in steps), path.system)
 
 
 def oracle_shape_actions(system, shape) -> list:
