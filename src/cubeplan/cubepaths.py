@@ -354,15 +354,17 @@ class PathReport:
     reason: str | None = None
 
 
-def _placement_fault(act, system: System, embeddings: dict) -> str | None:
+def _placement_fault(act, system: System) -> str | None:
     """Why the action is not a placement of the system, or None.
 
     On a finite graph the offset must also be one the catalogue lists,
-    in its node order; ``embeddings`` keeps each generator's offsets.
+    in its node order; ``System.graph_embeddings`` keeps each
+    generator's offsets from the first check of its gid.
     """
     ws = system.workspace
     fault = placement_fault(act, ws)
     if fault is None and ws.lattice.kind == GRAPH:
+        embeddings = system.graph_embeddings
         if act.gid not in embeddings:
             embeddings[act.gid] = frozenset(_graph_embeddings(act.generator, ws))
         if act.offset not in embeddings[act.gid]:
@@ -378,8 +380,9 @@ def validate(path: CubePath) -> PathReport:
     global constraint when the path carries a non-local system).  When
     the path carries a system, its start must fit the workspace and
     satisfy the global constraint (index -1 if not), and every action
-    must be one of its placements.  Each distinct action's placement is
-    checked once per call; admissibility is tested at every move.
+    must be one of its placements.  Admissibility is tested at every
+    move, the rest once per distinct step (one met again passed them);
+    a step's actions commute, so the state advances by their rewrites.
     """
     cur = path.start
     system = path.system
@@ -390,21 +393,22 @@ def validate(path: CubePath) -> PathReport:
             return PathReport(False, -1, f"start state invalid: {err}")
         if not system.constraint_holds(cur):
             return PathReport(False, -1, "start state violates the global constraint")
-    embeddings = {}
-    faults = {}  # action -> _placement_fault, for this call
+    ordered = {}  # step -> its sorted actions, once it passed empty and commute
     for i, step in enumerate(path.steps):
-        if not step:
-            return PathReport(False, i, "empty step")
-        if not commute(step):
-            return PathReport(False, i, "step actions do not commute")
-        for act in sorted(step):
+        acts = ordered.get(step)
+        fresh = acts is None
+        if fresh:
+            if not step:
+                return PathReport(False, i, "empty step")
+            if not commute(step):
+                return PathReport(False, i, "step actions do not commute")
+            acts = ordered[step] = sorted(step)
+        nxt = cur
+        for act in acts:
             if system is None:
                 ok = pattern_matches(cur, act)
             else:
-                try:
-                    fault = faults[act]
-                except KeyError:
-                    fault = faults[act] = _placement_fault(act, system, embeddings)
+                fault = _placement_fault(act, system) if fresh else None
                 if fault is not None:
                     why = f"is not a placement of the system ({fault})"
                     return PathReport(
@@ -415,8 +419,8 @@ def validate(path: CubePath) -> PathReport:
                 return PathReport(
                     False, i, f"action {act.gid} at {act.offset} not admissible"
                 )
-        for act in sorted(step):
-            cur = apply_action(cur, act)
+            nxt = (nxt - act.support) | act.dst_occ
+        cur = nxt
         if system is not None and not system.constraint_holds(cur):
             return PathReport(False, i, "state violates the global constraint")
     return PathReport(True, None, None)

@@ -458,7 +458,7 @@ def parse_path(text: str, system: System) -> CubePath:
     with the catalogue, other scripts and lifts.  Two memos live for
     this call: one from each distinct action text to its action, which
     saves parsing the text again, and one frozenset per distinct step
-    text.
+    text.  A step line's index and trimmed body come from one match.
     """
     kind = system.workspace.lattice.kind
     gens_by_gid = {g.gid: g for g in system.catalogue}
@@ -470,21 +470,21 @@ def parse_path(text: str, system: System) -> CubePath:
         line = _strip_comment(raw)
         if not line:
             continue
-        toks = line.split()
-        if toks[0] == "start":
+        m = _STEP_RE.match(line)
+        if not m:
+            toks = line.split()
+            if toks[0] != "start":
+                raise _err(ln, "expected a start or step line")
             if start is not None:
                 raise _err(ln, "duplicate start line")
             start = frozenset(_parse_cell(t, kind, ln) for t in toks[1:])
             continue
-        m = _STEP_RE.match(line)
-        if not m:
-            raise _err(ln, "expected a start or step line")
         if start is None:
             raise _err(ln, "the start line must come first")
-        index = int(m.group(1))
-        if index != len(steps) + 1:
-            raise _err(ln, f"expected step {len(steps) + 1}, got step {index}")
-        body = m.group(2).strip()
+        number, body = m.groups()
+        index = len(steps) + 1
+        if int(number) != index:
+            raise _err(ln, f"expected step {index}, got step {int(number)}")
         step = parsed_steps.get(body)
         if step is None:
             acts = []

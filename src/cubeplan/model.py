@@ -325,6 +325,12 @@ class System:
             out.setdefault(key, []).append(i)
         return out
 
+    @cached_property
+    def graph_embeddings(self) -> dict:
+        """Generator id -> frozenset of its ``_graph_embeddings`` offsets
+        on a finite graph, each filled on its first use by a check."""
+        return {}
+
 
 @dataclass(frozen=True)
 class SystemFile:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cubeplan import cubepaths
+from cubeplan import lattice as lat
 from cubeplan.cubepaths import (
     MODES,
     CubePath,
@@ -27,7 +28,15 @@ from cubeplan.cubepaths import (
 )
 from cubeplan.errors import PathError
 from cubeplan.fileformat import parse_path, serialize_path
-from cubeplan.model import System, SystemFile, Workspace, admissible_actions
+from cubeplan.model import (
+    FORWARD,
+    Generator,
+    System,
+    SystemFile,
+    Workspace,
+    admissible_actions,
+    make_action,
+)
 from cubeplan.statecomplex import build_complex
 from cubeplan.systems import (
     VARIANT_PRESERVING,
@@ -48,9 +57,10 @@ from util import (
     oracle_common_edge,
     oracle_commute_sub,
     oracle_shrink_cube_path,
-    random_system,
+    oracle_validate,
     trap_step,
     two_token_l_path,
+    walkable_system,
 )
 
 
@@ -186,8 +196,8 @@ def test_optimizer_matches_bfs_oracle_on_the_arm():
         assert out.length == oracle_shortest(cx, path.start, path.end)
 
 
-# about one random system in six is finite, local, built whole and
-# collapsible, so most draws are filtered out by design
+# about two walkable systems in five are built whole and collapsible,
+# so the rest are filtered out by design
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
 )
@@ -197,9 +207,8 @@ def test_optimizer_matches_bfs_oracle_on_random_collapsible_systems(seed, walk):
     collapses to a point: a random admissible walk from a seed shrinks
     to the oracle's fewest cube moves.  The optimizer is least only in
     the walk's homotopy class, so the complex must be contractible."""
-    sf = random_system(random.Random(seed))
+    sf = walkable_system(random.Random(seed))
     system = sf.system
-    assume(system.workspace.is_finite and system.is_local and sf.seeds)
     cx = build_complex(system, sf.seeds, max_vertices=64)
     assume(not cx.truncated)
     counts = greedy_collapse(cx)
@@ -297,6 +306,91 @@ def test_validate_tests_admissibility_once_per_move(monkeypatch):
         assert validate(path).ok
         assert calls == sum(len(step) for step in path.steps)
     assert len({a for step in script.steps for a in step}) < script.length
+
+
+def _misplaced(step, system, rng):
+    """The step's one action at an offset its system need not place: on
+    a graph its nodes shuffled and one replaced by any node, elsewhere
+    shifted out of the workspace."""
+    (act,) = step
+    lattice = system.workspace.lattice
+    if lattice.kind == lat.GRAPH:
+        offset = list(act.offset)
+        rng.shuffle(offset)
+        offset[rng.randrange(len(offset))] = rng.choice(lattice.nodes)
+    else:
+        offset = (act.offset[0] + 50, act.offset[1] + 50)
+    return make_action(act.generator, tuple(offset), act.direction, lattice)
+
+
+def _outside_cell(workspace):
+    kind = workspace.lattice.kind
+    if kind == lat.GRAPH:
+        return "outside"
+    return (99, 99, lat.HORIZONTAL) if kind == lat.SQUARE_EDGE else (99, 99)
+
+
+VALIDATE_MUTATIONS = (
+    "none", "drop", "swap", "double", "merge", "undo-pair", "empty", "misplaced",
+    "start-outside",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(VALIDATE_MUTATIONS),
+    st.booleans(),
+)
+def test_validate_matches_the_oracle_on_mutated_walks(seed, walk, mutation, owned):
+    """Random admissible walks on random finite systems, local or not,
+    and copies with one mutation, the path carrying its system or none:
+    ``validate`` gives the report of the memo-free oracle."""
+    path = mutated_walk(seed, walk, mutation, owned)
+    assert validate(path) == oracle_validate(path)
+
+
+def mutated_walk(seed, walk, mutation, owned) -> CubePath:
+    """A random admissible walk of singleton steps with one mutation."""
+    sf = walkable_system(random.Random(seed), local=False)
+    system = sf.system
+    rng = random.Random(walk)
+    start = rng.choice(sf.seeds)
+    moves = random_edge_path(system, start, rng.randrange(1, 40), rng)
+    steps = [frozenset((m,)) for m in moves]
+    i, j = rng.randrange(len(steps)), rng.randrange(len(steps))
+    act = rng.choice(moves)
+    if mutation == "drop":
+        del steps[i]
+    elif mutation == "swap":
+        steps[i], steps[j] = steps[j], steps[i]
+    elif mutation == "double":
+        steps.insert(i, steps[i])
+    elif mutation == "merge" and i + 1 < len(steps):
+        steps[i : i + 2] = [steps[i] | steps[i + 1]]
+    elif mutation == "undo-pair":
+        steps.insert(i, frozenset((act, act.reverse())))
+    elif mutation == "empty":
+        steps.insert(i, frozenset())
+    elif mutation == "misplaced":
+        steps[i] = frozenset((_misplaced(steps[i], system, rng),))
+    elif mutation == "start-outside":
+        start = start | {_outside_cell(system.workspace)}
+    return CubePath(start, tuple(steps), system if owned else None)
+
+
+def test_validate_reads_a_foreign_generator_like_the_oracle():
+    """A move of a generator the graph system's catalogue lacks is
+    checked against its own generator's embeddings, as before."""
+    sf = agv_grid_fixture(2, 2)
+    token = token_generator()
+    hop = Generator("hop", token.support, token.trace, token.occ0, token.occ1, token.local_edges)
+    lattice = sf.system.workspace.lattice
+    for offset in (("p0.0", "p0.1"), ("p0.1", "p0.0")):
+        move = make_action(hop, offset, FORWARD, lattice)
+        path = CubePath(sf.seeds[0], (frozenset((move,)),), sf.system)
+        assert validate(path) == oracle_validate(path)
 
 
 @pytest.mark.parametrize("name", sorted(NOT_PLACEMENTS))
@@ -535,9 +629,8 @@ def test_coded_sweep_equals_the_set_sweep_on_random_walks(seed, walk, data):
     """Random admissible walks on random finite local systems, some
     moves replaced by equal but distinct copies, the path carrying its
     system or none."""
-    sf = random_system(random.Random(seed))
+    sf = walkable_system(random.Random(seed))
     system = sf.system
-    assume(system.workspace.is_finite and system.is_local and sf.seeds)
     rng = random.Random(walk)
     start = rng.choice(sf.seeds)
     moves = random_edge_path(system, start, rng.randrange(1, 40), rng)
@@ -611,9 +704,8 @@ def test_time_geodesic_returns_a_plain_path():
 def test_normal_forms_of_random_walks_are_normal_and_fixed(seed, walk):
     """On random finite local systems, ``normalize`` gives a normal path
     that normalizes to itself, with the walk's endpoints."""
-    sf = random_system(random.Random(seed))
+    sf = walkable_system(random.Random(seed))
     system = sf.system
-    assume(system.workspace.is_finite and system.is_local and sf.seeds)
     rng = random.Random(walk)
     start = rng.choice(sf.seeds)
     moves = random_edge_path(system, start, rng.randrange(1, 40), rng)

@@ -350,3 +350,98 @@ def test_export_complex_layout():
     facets = re.search(r"facets (.*)$", square).group(1).split()
     assert len(facets) == 4
     assert all(0 <= int(i) < 4 for i in facets)
+
+
+# Malformed move scripts and the exact ``FormatError`` text each raises:
+# name -> (system, script, message).  The texts pin the diagnostics,
+# line numbers included, so a faster parser reports the same errors.
+_ARM_START = "start (0,0,h) (1,0,h)\n"
+_ARM_MOVE = "(tipflip, 1, 0, fwd)"
+_GRID_START = "start p0.0 p1.0\n"
+BAD_SCRIPTS = {
+    "duplicate-start": (
+        "arm", _ARM_START + f"step 1: {_ARM_MOVE}\n" + _ARM_START,
+        "line 3: duplicate start line",
+    ),
+    "step-before-start": (
+        "arm", f"step 1: {_ARM_MOVE}\n" + _ARM_START,
+        "line 1: the start line must come first",
+    ),
+    "neither-start-nor-step": (
+        "arm", _ARM_START + f"stop 1: {_ARM_MOVE}\n",
+        "line 2: expected a start or step line",
+    ),
+    "step-without-a-space": (
+        "arm", _ARM_START + f"step1: {_ARM_MOVE}\n",
+        "line 2: expected a start or step line",
+    ),
+    "missing-start": ("arm", "# only a comment\n\n", "missing start line"),
+    "bad-start-cell": (
+        "arm", "start (0,0,h) (1,0)\n",
+        "line 1: bad edge-lattice cell '(1,0)', expected (x,y,h|v)",
+    ),
+    "wrong-index": (
+        "arm", _ARM_START + f"step 2: {_ARM_MOVE}\n",
+        "line 2: expected step 1, got step 2",
+    ),
+    "zero-padded-index": (
+        "arm", _ARM_START + f"step 1: {_ARM_MOVE}\nstep 007: (tipflip, 1, 0, bwd)\n",
+        "line 3: expected step 2, got step 7",
+    ),
+    "repeated-action": (
+        "arm", _ARM_START + f"step 1: {_ARM_MOVE}; {_ARM_MOVE}\n",
+        "line 2: step 1 repeats an action",
+    ),
+    "zero-padded-index-repeating-an-action": (
+        "arm", _ARM_START + f"step 01: {_ARM_MOVE}; {_ARM_MOVE}\n",
+        "line 2: step 1 repeats an action",
+    ),
+    "unknown-generator": (
+        "arm", _ARM_START + "step 1: (warp, 1, 0, fwd)\n",
+        "line 2: unknown generator 'warp'",
+    ),
+    "bad-direction": (
+        "arm", _ARM_START + "step 1: (tipflip, 1, 0, up)\n",
+        "line 2: bad direction 'up', expected fwd or bwd",
+    ),
+    "too-few-offsets": (
+        "arm", _ARM_START + "step 1: (tipflip, 1, fwd)\n",
+        "line 2: action for tipflip needs two integer offsets",
+    ),
+    "non-integer-offset": (
+        "arm", _ARM_START + "step 1: (tipflip, 1, x, fwd)\n",
+        "line 2: action for tipflip needs two integer offsets",
+    ),
+    "too-few-fields": (
+        "arm", _ARM_START + "step 1: (tipflip)\n",
+        "line 2: bad action '(tipflip)': too few fields",
+    ),
+    "unbracketed-action": (
+        "arm", _ARM_START + "step 1: tipflip, 1, 0, fwd\n",
+        "line 2: bad action 'tipflip, 1, 0, fwd', expected (gid, ..., fwd|bwd)",
+    ),
+    "graph-node-count": (
+        "grid", _GRID_START + "step 1: (token, p0.0, fwd)\n",
+        "line 2: action for token needs 2 node fields, got 1",
+    ),
+    "graph-bad-node": (
+        "grid", _GRID_START + "step 1: (token, p0.0, p0 1, fwd)\n",
+        "line 2: bad node token 'p0 1'",
+    ),
+    "after-comment-lines": (
+        "arm",
+        "# a script\n\n   # with notes\n" + _ARM_START + "# then moves\n"
+        f"step 1: {_ARM_MOVE}  # a move\n\n# and one more\n"
+        "step 2: (tipflip, 1, 0, sideways)\n",
+        "line 9: bad direction 'sideways', expected fwd or bwd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCRIPTS))
+def test_move_script_diagnostics_are_pinned(name):
+    systems = {"arm": arm_system(2).system, "grid": agv_grid_fixture(2, 2).system}
+    system, script, message = BAD_SCRIPTS[name]
+    with pytest.raises(FormatError) as err:
+        parse_path(script, systems[system])
+    assert str(err.value) == message

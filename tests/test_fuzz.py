@@ -1,11 +1,17 @@
 """Fuzzed text: mutated system files, states and move scripts either
-parse or raise ``CubeplanError``, never another exception."""
+parse or raise ``CubeplanError``, never another exception, and the
+commands that read them exit with a code, never a traceback."""
 
+import io
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubeplan.cli import main
 from cubeplan.cubepaths import from_edge_path, random_edge_path
 from cubeplan.errors import CubeplanError
 from cubeplan.fileformat import (
@@ -16,12 +22,16 @@ from cubeplan.fileformat import (
     serialize_path,
     serialize_state,
 )
+from cubeplan.model import SystemFile
+from cubeplan.shape import random_shape_path
 from cubeplan.systems import (
     VARIANT_CHANGING,
+    VARIANT_PRESERVING,
     agv_grid_fixture,
     arm_system,
     complete_graph,
     graph_agv_system,
+    hex_ball,
     hex_connectivity_trap,
     hex_pivot_system,
     sliding_ring_fixture,
@@ -128,3 +138,55 @@ def test_unmutated_texts_parse():
         parse_state(text, system)
     for text, system in SCRIPT_TEXTS:
         assert parse_path(text, system).length > 0
+
+
+# a shape walk on the plane, to lift into a hexagon ball
+_PLANE = hex_pivot_system(VARIANT_PRESERVING)
+LIFT_FILES = {
+    "--system": serialize(SystemFile(hex_pivot_system(VARIANT_PRESERVING, hex_ball(3)))),
+    "--in": serialize_path(
+        random_shape_path(_PLANE, {(0, 0), (1, 0), (0, 1)}, 6, random.Random(1)), _PLANE
+    ),
+}
+
+
+def cli_files(command: str, i: int) -> tuple:
+    """The files a command reads, by flag, for fixture ``i``, and the
+    command's other arguments."""
+    if command == "lift":
+        return dict(LIFT_FILES), ["--base", "(0,0)"]
+    system = SYSTEM_TEXTS[i]
+    if command == "check-npc":
+        return {"--system": system, "--seed": STATE_TEXTS[i][0]}, ["--cap", "200"]
+    return {"--system": system, "--in": SCRIPT_TEXTS[i][0]}, []
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(("optimize", "normalize", "lift", "check-npc")),
+    st.integers(0, len(FIXTURES) - 1),
+    st.booleans(),
+    MUTATIONS,
+)
+def test_mutated_files_through_the_cli_exit_with_a_code(command, i, on_system, ops):
+    """One of a command's files mutated: the command exits 0 when the
+    files still make a valid run, 1 when it refuses them and 2 on a
+    usage error, and never raises."""
+    files, argv = cli_files(command, i)
+    flag = "--system" if on_system else next(f for f in files if f != "--system")
+    files[flag] = mutate(files[flag], ops)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, text in files.items():
+            path = os.path.join(tmp, flag.strip("-"))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv += [flag, path]
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([command, *argv])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith(("error: ", "lift failed at step"))

@@ -4,7 +4,8 @@ springs the connectivity trap, the two-token L-path, and oracles:
 the cube enumeration from states, the incident-cell link and the
 views derived from a link record, the full-catalogue admissibility scan, the breadth-first connectivity
 search, the union-based junction tests of the shrink sweep, the sweep
-on sets and the build-every-candidate shape enumeration.
+on sets, the build-every-candidate shape enumeration and path
+validation with no per-step memo.
 
 The surfaces implement the small view protocol the topology functions
 consume, with hand-wired identifications, so orientability is exercised
@@ -18,7 +19,14 @@ from collections import deque
 
 import cubeplan.lattice as lat
 from cubeplan.errors import CubeplanError
-from cubeplan.cubepaths import CubePath, common_edge, commute_sub, from_edge_path
+from cubeplan.cubepaths import (
+    CubePath,
+    PathReport,
+    common_edge,
+    commute_sub,
+    from_edge_path,
+)
+from cubeplan.errors import StateError
 from cubeplan.model import (
     BACKWARD,
     FORWARD,
@@ -26,12 +34,15 @@ from cubeplan.model import (
     System,
     SystemFile,
     Workspace,
+    _graph_embeddings,
     admissible_actions,
     apply_action,
+    commute,
     commute_pair,
     is_admissible,
     make_action,
     pattern_matches,
+    placement_fault,
 )
 from cubeplan.shape import ShapeComplex, canonicalize
 from cubeplan.statecomplex import CellRecord, _mask, state_key
@@ -288,6 +299,19 @@ def random_system(rng: random.Random) -> SystemFile:
     system = System(workspace, gens, constraint)
     seeds = tuple(_random_seed(rng, workspace) for _ in range(rng.randrange(0, 3)))
     return SystemFile(system, seeds)
+
+
+def walkable_system(rng: random.Random, local: bool = True) -> SystemFile:
+    """The first ``random_system`` drawn from ``rng`` that is finite, local
+    unless ``local`` is false, and has a seed with an admissible move;
+    its seeds with no move are dropped, so a walk from any seed moves."""
+    while True:
+        sf = random_system(rng)
+        system = sf.system
+        if system.workspace.is_finite and (system.is_local or not local):
+            seeds = tuple(s for s in sf.seeds if admissible_actions(s, system))
+            if seeds:
+                return SystemFile(system, seeds)
 
 
 def trap_step(system) -> frozenset:
@@ -658,3 +682,64 @@ def oracle_shape_actions(system, shape) -> list:
                     out.append(act)
     out.sort()
     return out
+
+
+# -- path validation, one check at a time --------------------------------------
+
+
+def oracle_placement_fault(act, system, embeddings: dict):
+    """``cubepaths._placement_fault`` enumerating each generator's graph
+    embeddings afresh in every ``oracle_validate`` call."""
+    ws = system.workspace
+    fault = placement_fault(act, ws)
+    if fault is None and ws.lattice.kind == lat.GRAPH:
+        if act.gid not in embeddings:
+            embeddings[act.gid] = frozenset(_graph_embeddings(act.generator, ws))
+        if act.offset not in embeddings[act.gid]:
+            fault = "not-an-embedding"
+    return fault
+
+
+def oracle_validate(path) -> PathReport:
+    """``cubepaths.validate`` testing every step for emptiness and
+    commutation, every action's placement and admissibility, and
+    applying every action with ``apply_action``, with no memo but the
+    placement faults."""
+    cur = path.start
+    system = path.system
+    if system is not None:
+        try:
+            system.workspace.check_state(cur)
+        except StateError as err:
+            return PathReport(False, -1, f"start state invalid: {err}")
+        if not system.constraint_holds(cur):
+            return PathReport(False, -1, "start state violates the global constraint")
+    embeddings = {}
+    faults = {}
+    for i, step in enumerate(path.steps):
+        if not step:
+            return PathReport(False, i, "empty step")
+        if not commute(step):
+            return PathReport(False, i, "step actions do not commute")
+        for act in sorted(step):
+            if system is None:
+                ok = pattern_matches(cur, act)
+            else:
+                if act not in faults:
+                    faults[act] = oracle_placement_fault(act, system, embeddings)
+                fault = faults[act]
+                if fault is not None:
+                    why = f"is not a placement of the system ({fault})"
+                    return PathReport(
+                        False, i, f"action {act.gid} at {act.offset} {why}"
+                    )
+                ok = is_admissible(cur, act, system)
+            if not ok:
+                return PathReport(
+                    False, i, f"action {act.gid} at {act.offset} not admissible"
+                )
+        for act in sorted(step):
+            cur = apply_action(cur, act)
+        if system is not None and not system.constraint_holds(cur):
+            return PathReport(False, i, "state violates the global constraint")
+    return PathReport(True, None, None)
