@@ -58,8 +58,6 @@ from .cubepaths import (
     STOP_ON_LENGTH,
     CubePath,
     ShrinkStats,
-    commute_sub,
-    common_edge,
     from_edge_path,
     is_normal,
     oracle_shortest,

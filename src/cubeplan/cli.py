@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("stats", cmd_stats, "build and print the f-vector only"),
         ("check-npc", cmd_check_npc, "certify the link condition"),
         ("homology", cmd_homology, "mod-2 betti numbers and Euler characteristic"),
-        ("optimize", cmd_optimize, "shorten a move script to optimal length"),
+        ("optimize", cmd_optimize, "shorten a move script to the least length in its homotopy class"),
         ("normalize", cmd_normalize, "rewrite a move script in normal form"),
         ("lift", cmd_lift, "place a shape-space script at a translation"),
         ("export", cmd_export, "write the system or complex as text"),

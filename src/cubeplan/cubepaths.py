@@ -15,8 +15,7 @@ the placements, so an action is a support bitmask, a trace bitmask and
 one placement bit, and a step is its action ids plus the OR of each.
 Junctions are then tested with ``&``.  The numbering is handed from
 sweep to sweep on the paths they return and dies with the call.
-``commute_sub``, ``common_edge`` and ``is_normal`` keep the set-valued
-tests.
+``is_normal`` reads the same coding.
 """
 
 from __future__ import annotations
@@ -108,44 +107,6 @@ def from_edge_path(start, moves, system: System | None = None) -> CubePath:
     return path
 
 
-def commute_sub(step, next_step) -> set:
-    """Actions of the next step that can run a step earlier.
-
-    An action qualifies when its trace misses every support of the
-    current step and its support misses every trace.  These are exactly
-    the next step's edges lying in the closed star of the current cube.
-    No running union is built: a one-action step lends its action's own
-    support and trace, a larger one takes a single union of each.
-    """
-    if len(step) == 1:
-        (only,) = step
-        sup, tr = only.support, only.trace
-    else:
-        sup = frozenset().union(*[a.support for a in step])
-        tr = frozenset().union(*[a.trace for a in step])
-    return {
-        a for a in next_step if sup.isdisjoint(a.trace) and tr.isdisjoint(a.support)
-    }
-
-
-def common_edge(prev_step, cur_step) -> tuple:
-    """Drop placements present in both steps.
-
-    A placement occurring in consecutive steps is necessarily a move
-    followed by its undo (admissibility forces opposite directions), so
-    deleting both keeps the endpoints and shortens the path.  When no
-    placement is shared, the two input sets themselves are returned.
-    """
-    prev_keys = {a.placement_key for a in prev_step}
-    if prev_keys.isdisjoint(a.placement_key for a in cur_step):
-        return prev_step, cur_step
-    shared = prev_keys.intersection(a.placement_key for a in cur_step)
-    return (
-        {a for a in prev_step if a.placement_key not in shared},
-        {a for a in cur_step if a.placement_key not in shared},
-    )
-
-
 def _require_optimizable(path: CubePath) -> None:
     if path.system is not None and not path.system.is_local:
         raise PathError(
@@ -156,7 +117,7 @@ def _require_optimizable(path: CubePath) -> None:
 
 def _number(path: CubePath) -> tuple:
     """The path's coding, ``(tables, rows)``, shared by the sweeps of
-    one ``time_geodesic`` call.
+    one ``time_geodesic`` call; ``is_normal`` reads it too.
 
     ``tables`` is ``(actions, sup, tr, pk)``, indexed by action id and
     never changed: the actions numbered by equality in order of first
@@ -337,12 +298,17 @@ def time_geodesic(
 
 
 def is_normal(path: CubePath) -> bool:
-    """No action of any step can run earlier and no junction cancels."""
-    for i in range(len(path.steps) - 1):
-        if commute_sub(path.steps[i], path.steps[i + 1]):
-            return False
-        prev_keys = {a.placement_key for a in path.steps[i]}
-        if any(a.placement_key in prev_keys for a in path.steps[i + 1]):
+    """No action of any step can run earlier and no junction cancels.
+
+    The sweep's junction tests on the path's coding (``_number``); an
+    empty step lends no masks, so the next step's actions run earlier.
+    """
+    (_, a_sup, a_tr, _), (ids, sups, trs, pks) = _number(path)
+    for i in range(len(ids) - 1):
+        s, t = sups[i], trs[i]
+        if pks[i] & pks[i + 1] or any(
+            not (a_tr[j] & s or a_sup[j] & t) for j in ids[i + 1]
+        ):
             return False
     return True
 

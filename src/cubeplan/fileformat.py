@@ -457,13 +457,14 @@ def parse_path(text: str, system: System) -> CubePath:
     action for as long as its generator lives, so a script shares them
     with the catalogue, other scripts and lifts.  Two memos live for
     this call: one from each distinct action text to its action, which
-    saves parsing the text again, and one frozenset per distinct step
-    text.  A step line's index and trimmed body come from one match.
+    saves parsing and label-checking it again, and one frozenset per
+    distinct step text.  A step line's index and body come from one match.
     """
     kind = system.workspace.lattice.kind
     gens_by_gid = {g.gid: g for g in system.catalogue}
     parsed = {}  # stripped action text -> Action
     parsed_steps = {}  # stripped step text -> its frozenset, once it was valid
+    labels = ()  # a graph's node fields all take the first action's type
     start = None
     steps = []
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -493,6 +494,9 @@ def parse_path(text: str, system: System) -> CubePath:
                 act = parsed.get(part)
                 if act is None:
                     act = parsed[part] = _parse_action(part, system, gens_by_gid, ln)
+                    if kind == lat.GRAPH:
+                        labels = labels or act.offset[:1]
+                        _homogeneous(labels + act.offset, ln, "action node fields")
                 acts.append(act)
             step = frozenset(acts)
             if len(step) != len(acts):

@@ -48,11 +48,13 @@ class Generator:
     _placed: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(sorted(set(self.support))))
+        sup = set(self.support)
+        if len({type(c) for c in sup}) > 1:
+            raise ModelError(f"generator {self.gid}: support mixes label types")
+        object.__setattr__(self, "support", tuple(sorted(sup)))
         object.__setattr__(self, "trace", frozenset(self.trace))
         object.__setattr__(self, "occ0", frozenset(self.occ0))
         object.__setattr__(self, "occ1", frozenset(self.occ1))
-        sup = set(self.support)
         if not sup:
             raise ModelError(f"generator {self.gid}: empty support")
         if not self.trace <= sup:

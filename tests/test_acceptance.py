@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from util import random_system, two_token_l_path
+from util import oracle_is_normal, random_system, two_token_l_path
 
 from cubeplan.cubepaths import (
     NORMALIZE,
@@ -231,7 +231,7 @@ def test_check_04_shortened_paths_hit_the_breadth_first_oracle_length():
 
 
 def test_check_05_normal_forms_are_canonical_and_fixed_points_match():
-    with verdict(5, "normal forms unique per endpoint pair; fixed points equal is_normal on 500 paths"):
+    with verdict(5, "normal forms unique per endpoint pair; fixed points equal is_normal and its set oracle on 500 paths"):
         trials = _optimizer_trials()
         groups = {}
         for t in trials:
@@ -254,7 +254,9 @@ def test_check_05_normal_forms_are_canonical_and_fixed_points_match():
             name, sf, cx = fixtures[i % len(fixtures)]
             moves = random_edge_path(sf.system, sf.seeds[0], rng.randint(0, 12), rng)
             path = from_edge_path(sf.seeds[0], moves, sf.system)
-            assert (shrink_cube_path(path) == path) == is_normal(path)
+            fixed = shrink_cube_path(path) == path
+            # the set oracle keeps the check independent of the sweep's coding
+            assert fixed == is_normal(path) == oracle_is_normal(path)
 
 
 # ---------------------------------------------------------------- check 6

@@ -30,7 +30,9 @@ def record(wall, seed, trace=0, commit="abc", correct=True):
 
 def test_bench_file_carries_the_compare_verdicts(tmp_path):
     tool = load_tool()
-    parent = [record(1.0 + i / 100, i) for i in range(1, 11)] + [record(1.0, 1, trace=1)]
+    traced_walls = (1.0, 1.3, 1.1)
+    parent = [record(1.0 + i / 100, i) for i in range(1, 11)]
+    parent += [record(wall, 1, trace=1) for wall in traced_walls]
     change = [record(0.7 + i / 100, i, commit="def") for i in range(1, 11)]
     change.append(record(0.7, 1, trace=1, commit="def", correct=False))
     files = []
@@ -52,8 +54,15 @@ def test_bench_file_carries_the_compare_verdicts(tmp_path):
         [r["metrics"]["wall_s"] for r in parent[:10]]
     )[1]
     assert entry["traced"]["coverage_ok"] == {"parent": True, "change": False}
-    assert entry["traced"]["per_layer_median"]["statecomplex.link.calls"] == {
-        "parent": 3344, "change": 3344,
+    layers = entry["traced"]["per_layer"]
+    # one traced run gives a bare median; three add their quartiles
+    assert layers["statecomplex.link.calls"] == {
+        "parent": {"runs": 3, "median": 3344, "q1": 3344, "q3": 3344},
+        "change": {"runs": 1, "median": 3344},
     }
+    link_s = layers["statecomplex.link.s"]["parent"]
+    assert (link_s["q1"], link_s["median"], link_s["q3"]) == tool.bench_stats.quartiles(
+        [wall / 100 for wall in traced_walls]
+    )
     assert bench["provenance"]["change"]["commit"] == ["def"]
     assert bench["provenance"]["parent"]["seeds"] == list(range(1, 11))

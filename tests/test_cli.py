@@ -188,6 +188,42 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+MIXED_GENERATOR = (
+    "lattice finiteGraph\nnodes 0 1 2\nedges (0,1) (1,2)\nworkspace all\n"
+    "generator token\n  support a 1\n  trace a 1\n  occ0 a\n  occ1 1\n"
+    "  edges (a,1)\nend\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, files, line",
+    [
+        # a generator whose support mixes label types
+        (
+            ("stats", "--system", "sys.txt"),
+            {"sys.txt": MIXED_GENERATOR},
+            5,
+        ),
+        # a move script whose node fields mix label types
+        (
+            ("optimize", "--builtin", "agv-k5", "--in", "s.moves"),
+            {"s.moves": "start 0 1\nstep 1: (token, 0, 2, fwd); (token, x, y, fwd)\n"},
+            2,
+        ),
+    ],
+    ids=["generator-support", "script-node-fields"],
+)
+def test_mixed_label_types_exit_one_without_a_traceback(capsys, tmp_path, argv, files, line):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: line {line}: ") and "mix" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", sorted(NOT_PLACEMENTS))
 @pytest.mark.parametrize("command", ["optimize", "normalize"])
 def test_scripts_naming_no_placement_exit_one(capsys, tmp_path, name, command):

@@ -16,8 +16,6 @@ from cubeplan.cubepaths import (
     NORMALIZE,
     STOP_ON_LENGTH,
     ShrinkStats,
-    commute_sub,
-    common_edge,
     from_edge_path,
     is_normal,
     oracle_shortest,
@@ -54,8 +52,8 @@ from cubeplan.topology import greedy_collapse
 
 from util import (
     NOT_PLACEMENTS,
-    oracle_common_edge,
     oracle_commute_sub,
+    oracle_is_normal,
     oracle_shrink_cube_path,
     oracle_validate,
     trap_step,
@@ -95,18 +93,6 @@ def test_from_edge_path_rejects_bad_moves_with_index():
     with pytest.raises(PathError) as err:
         from_edge_path(seed, [a, a], system)
     assert err.value.index == 1
-
-
-def test_commute_sub_and_common_edge():
-    system, seed = grid_fixture()
-    a = first_move(system, seed, "p0.0", "p0.1")
-    b = first_move(system, seed, "p1.0", "p1.1")
-    assert commute_sub({a}, {b}) == {b}
-    assert commute_sub({a}, {a.reverse()}) == set()
-    kept_prev, kept_cur = common_edge({a}, {a.reverse()})
-    assert kept_prev == set() and kept_cur == set()
-    kept_prev, kept_cur = common_edge({a}, {b})
-    assert kept_prev == {a} and kept_cur == {b}
 
 
 def test_parallel_moves_merge_into_one_step():
@@ -245,7 +231,7 @@ def test_normal_form_is_normal_everywhere_along():
     moves = random_edge_path(system, seed, 20, rng)
     normal = time_geodesic(from_edge_path(seed, moves, system), NORMALIZE)
     for i in range(normal.length - 1):
-        assert not commute_sub(normal.steps[i], normal.steps[i + 1])
+        assert not oracle_commute_sub(normal.steps[i], normal.steps[i + 1])
 
 
 def test_validate_reports():
@@ -554,7 +540,7 @@ def test_l_path_sweep_work_is_pinned():
 
 # The systems whose seeded scripts feed the junction property.  Hex pivots
 # carry support cells off their trace, where the support and trace tests of
-# ``commute_sub`` part.
+# a junction part.
 JUNCTION_SYSTEMS = {
     "arm": lambda: arm_system(7),
     "grid": lambda: agv_grid_fixture(6, 6),
@@ -586,22 +572,21 @@ def junction_steps(name):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(JUNCTION_SYSTEMS)), st.data())
-def test_junction_helpers_equal_the_union_oracles(name, data):
-    """Against the running-union ``commute_sub`` and the copy-always
-    ``common_edge``, on consecutive and on arbitrary step pairs, as the
-    sweep's mutable sets and as a path's frozensets.  With nothing shared,
-    ``common_edge`` hands back its own inputs."""
+def test_is_normal_equals_the_set_oracle(name, data):
+    """Against the set-valued junction tests, on runs of consecutive steps
+    (an optimizer's output is normal) with some replaced by an arbitrary
+    or an empty step, with and without the system."""
     steps = junction_steps(name)
     assert any(len(step) > 1 for step in steps)
-    i = data.draw(st.integers(0, len(steps) - 2))
-    j = i + 1 if data.draw(st.booleans()) else data.draw(st.integers(0, len(steps) - 1))
-    for kind in (set, frozenset):
-        prev, cur = kind(steps[i]), kind(steps[j])
-        assert commute_sub(prev, cur) == oracle_commute_sub(prev, cur)
-        kept = common_edge(prev, cur)
-        assert kept == oracle_common_edge(prev, cur)
-        if kept == (prev, cur):
-            assert kept[0] is prev and kept[1] is cur
+    k = data.draw(st.integers(0, 8))
+    i = data.draw(st.integers(0, len(steps) - k))
+    run = list(steps[i : i + k])
+    if k:
+        for pos in data.draw(st.lists(st.integers(0, k - 1), max_size=k)):
+            run[pos] = data.draw(st.sampled_from((frozenset(),) + steps))
+    system = JUNCTION_SYSTEMS[name]().system if data.draw(st.booleans()) else None
+    path = CubePath(frozenset(), tuple(run), system)
+    assert is_normal(path) == oracle_is_normal(path)
 
 
 def assert_sweeps_equal_the_oracle(path):

@@ -110,6 +110,15 @@ def test_graph_node_labels_must_be_homogeneous():
     )
 
 
+def test_generator_support_labels_must_be_homogeneous():
+    expect_error(
+        "lattice finiteGraph\nnodes 0 1\nedges (0,1)\nworkspace all\n"
+        "generator token\n  support a 1\n  trace a 1\n  occ0 a\n  occ1 1\n"
+        "  edges (a,1)\nend\n",
+        r"^line 5: generator token: support mixes label types$",
+    )
+
+
 def test_duplicate_and_malformed_directives():
     base = "lattice square2d\nworkspace (0,0) (1,0)\n"
     expect_error(base + "workspace (0,0)\n", r"line 3: duplicate workspace")
@@ -427,6 +436,15 @@ BAD_SCRIPTS = {
     "graph-bad-node": (
         "grid", _GRID_START + "step 1: (token, p0.0, p0 1, fwd)\n",
         "line 2: bad node token 'p0 1'",
+    ),
+    "graph-mixed-node-labels": (
+        "grid", _GRID_START + "step 1: (token, p0.0, p0.1, fwd); (token, 0, 1, fwd)\n",
+        "line 2: action node fields mix integer and string labels",
+    ),
+    "graph-mixed-labels-across-steps": (
+        "grid", _GRID_START + "step 1: (token, p0.0, p0.1, fwd)\n"
+        "step 2: (token, p0.1, 1, bwd)\n",
+        "line 3: action node fields mix integer and string labels",
     ),
     "after-comment-lines": (
         "arm",

@@ -4,8 +4,8 @@ springs the connectivity trap, the two-token L-path, and oracles:
 the cube enumeration from states, the incident-cell link and the
 views derived from a link record, the full-catalogue admissibility scan, the breadth-first connectivity
 search, the union-based junction tests of the shrink sweep, the sweep
-on sets, the build-every-candidate shape enumeration and path
-validation with no per-step memo.
+and the normality test on sets, the build-every-candidate shape
+enumeration and path validation with no per-step memo.
 
 The surfaces implement the small view protocol the topology functions
 consume, with hand-wired identifications, so orientability is exercised
@@ -19,13 +19,7 @@ from collections import deque
 
 import cubeplan.lattice as lat
 from cubeplan.errors import CubeplanError
-from cubeplan.cubepaths import (
-    CubePath,
-    PathReport,
-    common_edge,
-    commute_sub,
-    from_edge_path,
-)
+from cubeplan.cubepaths import CubePath, PathReport, from_edge_path
 from cubeplan.errors import StateError
 from cubeplan.model import (
     BACKWARD,
@@ -597,8 +591,9 @@ def oracle_connected(cells, lattice) -> bool:
 
 
 def oracle_commute_sub(step, next_step) -> set:
-    """``commute_sub`` by running unions of the current step's supports
-    and traces."""
+    """Actions of the next step that can run a step earlier: their trace
+    misses the running union of the current step's supports, and their
+    support the union of its traces."""
     sup = frozenset()
     tr = frozenset()
     for a in step:
@@ -610,8 +605,8 @@ def oracle_commute_sub(step, next_step) -> set:
 
 
 def oracle_common_edge(prev_step, cur_step) -> tuple:
-    """``common_edge`` returning fresh copies of both steps, shared
-    placements removed."""
+    """Fresh copies of both steps with the placements they share removed
+    (a move and its undo meeting at the junction)."""
     prev_keys = {a.placement_key for a in prev_step}
     shared = prev_keys.intersection(a.placement_key for a in cur_step)
     if not shared:
@@ -624,8 +619,8 @@ def oracle_common_edge(prev_step, cur_step) -> tuple:
 
 def oracle_shrink_cube_path(path, stats=None):
     """``shrink_cube_path`` on mutable sets of actions, testing each
-    junction with ``commute_sub`` and ``common_edge``: the same rewrite
-    order, with no integer coding."""
+    junction with ``oracle_commute_sub`` and ``oracle_common_edge``: the
+    same rewrite order, with no integer coding."""
     if stats is not None:
         stats.shrink_calls += 1
     steps = [set(s) for s in path.steps]
@@ -634,7 +629,7 @@ def oracle_shrink_cube_path(path, stats=None):
         if stats is not None:
             stats.iterations += 1
         if i + 1 < len(steps):
-            moved = commute_sub(steps[i], steps[i + 1])
+            moved = oracle_commute_sub(steps[i], steps[i + 1])
             if moved:
                 steps[i] |= moved
                 steps[i + 1] -= moved
@@ -643,7 +638,7 @@ def oracle_shrink_cube_path(path, stats=None):
         else:
             moved = set()
         if i >= 1:
-            kept_prev, kept_cur = common_edge(steps[i - 1], steps[i])
+            kept_prev, kept_cur = oracle_common_edge(steps[i - 1], steps[i])
             steps[i - 1] = kept_prev
             steps[i] = kept_cur
             empty_cur = not kept_cur
@@ -658,6 +653,18 @@ def oracle_shrink_cube_path(path, stats=None):
         if not moved:
             i += 1
     return CubePath(path.start, tuple(frozenset(s) for s in steps), path.system)
+
+
+def oracle_is_normal(path) -> bool:
+    """``is_normal`` on sets: no junction lets an action run earlier or
+    shares a placement."""
+    for i in range(len(path.steps) - 1):
+        if oracle_commute_sub(path.steps[i], path.steps[i + 1]):
+            return False
+        prev_keys = {a.placement_key for a in path.steps[i]}
+        if any(a.placement_key in prev_keys for a in path.steps[i + 1]):
+            return False
+    return True
 
 
 def oracle_shape_actions(system, shape) -> list:

@@ -11,8 +11,9 @@ both sides' medians and quartiles and the verdict of
 ``perfbench/run.py --compare``, computed by the same
 ``perfbench/bench_stats.compare`` from the same pairing: untraced run i
 of a workload on one side against run i on the other, in file order.
-Traced runs, where present, add each side's per-layer medians and
-whether every traced run passed its coverage guard.  Provenance
+Traced runs, where present, add each side's per-layer run count and
+median (quartiles too from three runs up) and whether every traced run
+passed its coverage guard.  Provenance
 (Python, nproc, CPU, commit, source digest, seeds) is taken from the
 records.  Standard library only; the benchmark's files are read, never
 written.
@@ -72,6 +73,8 @@ def side_runs(records: list) -> dict:
 
 
 def per_layer(parent: list, change: list) -> dict:
+    """Each traced metric's run count and median per side, and from three
+    runs up its quartiles, so a layer's spread can be read beside it."""
     names = sorted(set().union(*(r["metrics"] for r in parent + change)))
     out = {}
     for name in names:
@@ -79,7 +82,10 @@ def per_layer(parent: list, change: list) -> dict:
         for side, recs in (("parent", parent), ("change", change)):
             values = [r["metrics"][name] for r in recs if name in r["metrics"]]
             if values:
-                row[side] = statistics.median(values)
+                row[side] = {"runs": len(values), "median": statistics.median(values)}
+                if len(values) >= 3:
+                    q1, _, q3 = bench_stats.quartiles(values)
+                    row[side].update(q1=q1, q3=q3)
         out[name] = row
     return out
 
@@ -119,7 +125,7 @@ def bench_record(parent: list, change: list, spec: dict, pr: int) -> dict:
                     "parent": sorted({q for r in tp for q in r["problems"]}),
                     "change": sorted({q for r in tc for q in r["problems"]}),
                 },
-                "per_layer_median": per_layer(tp, tc),
+                "per_layer": per_layer(tp, tc),
             }
         workloads[name] = entry
     return {
