@@ -301,9 +301,12 @@ def is_normal(path: CubePath) -> bool:
     """No action of any step can run earlier and no junction cancels.
 
     The sweep's junction tests on the path's coding (``_number``); an
-    empty step lends no masks, so the next step's actions run earlier.
+    empty step lends no masks, so the next step's actions run earlier,
+    and the sweep deletes an empty last step that follows another.
     """
     (_, a_sup, a_tr, _), (ids, sups, trs, pks) = _number(path)
+    if len(ids) > 1 and not ids[-1]:
+        return False
     for i in range(len(ids) - 1):
         s, t = sups[i], trs[i]
         if pks[i] & pks[i + 1] or any(
@@ -396,16 +399,16 @@ def oracle_shortest(complex_, u, v) -> int:
     """Fewest cubes between two vertices, by search over cube moves.
 
     One move jumps from any vertex of a cube to the antipodal vertex:
-    corner m of a cube's record to corner ``~m``.  The moves are read
-    off the cells on every call.  Independent of the optimizer: used to
+    corner m of a cube to corner ``~m``.  The moves are read off the
+    cells' corners on every call.  Independent of the optimizer: used to
     cross-check its output on complexes small enough to build.
     """
     from collections import deque
 
     adj = [set() for _ in range(complex_.n_vertices)]
     for k in range(1, complex_.max_dim + 1):
-        for rec in complex_.cells(k):
-            corners = rec.corners
+        for i in range(complex_.n_cells(k)):
+            corners = complex_.corners(k, i)
             for m, vid in enumerate(corners):
                 adj[vid].add(corners[~m])
     src = complex_.vertex_vid(u)

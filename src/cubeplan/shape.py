@@ -77,18 +77,18 @@ def shape_cube_key(actions, corner_state: frozenset) -> tuple:
 class ShapeFrame:
     """The frame of a shape complex: states are named up to translation.
 
-    Its actions are ``make_action``'s objects, so the cell records and
-    the build's link record share one object per distinct action with
-    every other user of the system's generators.  It numbers them as
-    the plain catalogue does, placements in the order first seen: i's
-    forward action is number 2i and its backward 2i + 1.
+    Its actions are ``make_action``'s objects, so the cells and the
+    build's link record resolve their numbers to one object per distinct
+    action, shared with every other user of the system's generators.  It
+    numbers them as the plain catalogue does, placements in the order
+    first seen: i's forward action is number 2i and its backward 2i + 1.
     """
 
     def __init__(self, system: System):
         self.system = system
         self.lattice = system.workspace.lattice
         self._first: dict = {}  # placement key -> the forward number
-        self._actions: list = []  # number -> action
+        self.actions: list = []  # number -> action
 
     def actions_at(self, shape: frozenset) -> list:
         return shape_actions(self.system, shape)
@@ -96,12 +96,12 @@ class ShapeFrame:
     def canonical(self, state: frozenset) -> frozenset:
         return canonicalize(state, self.lattice)[0]
 
-    def _number(self, act) -> int:
+    def number(self, act) -> int:
         first = self._first.get(act.placement_key)
         if first is None:
-            first = self._first[act.placement_key] = len(self._actions)
+            first = self._first[act.placement_key] = len(self.actions)
             for direction in (FORWARD, BACKWARD):
-                self._actions.append(
+                self.actions.append(
                     make_action(act.generator, act.offset, direction, self.lattice)
                 )
         return first + act.direction
@@ -112,7 +112,7 @@ class ShapeFrame:
         in place of the tuple when no action translates."""
         numbers, reached, shifts = [], [], []
         for act in actions:
-            numbers.append(self._number(act))
+            numbers.append(self.number(act))
             state, shift = canonicalize(apply_action(shape, act), self.lattice)
             reached.append(state)
             shifts.append(shift if any(shift) else None)
@@ -124,7 +124,7 @@ class ShapeFrame:
         no shape this build has reached."""
         out = []
         for n in numbers:
-            gid, offset = self._actions[n].placement_key
+            gid, offset = self.actions[n].placement_key
             first = self._first.get((gid, _shift_offset(offset, shift)))
             if first is None:
                 return None
@@ -132,7 +132,7 @@ class ShapeFrame:
         return tuple(out)
 
     def cell_key(self, numbers, corner_state: frozenset) -> tuple:
-        return shape_cube_key([self._actions[n] for n in numbers], corner_state)
+        return shape_cube_key([self.actions[n] for n in numbers], corner_state)
 
 
 class ShapeComplex(StateComplex):

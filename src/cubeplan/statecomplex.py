@@ -26,6 +26,7 @@ by itself; ``shape`` supplies the translation frame.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -62,16 +63,18 @@ def cube_key(actions, corner_state: frozenset) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class CellRecord:
-    """One cell of a cube complex.
+    """One cell of a cube complex, as ``CubeComplex.cell`` reads it.
 
     ``base`` is the corner whose canonical state has the least state
     key; only a quotient can give two corners the same one, and then the
     one reading the least actions wins.  A vertex's base is its state.
     ``actions`` are expressed from the base, in its frame; they are born
-    sorted (see ``_cell_record``).  ``corners`` lists vertex ids in
-    bitmask order, bit i meaning action i has been applied; ``facets``
-    holds the positions of the 2*dim facets among the (dim-1)-cells, as
-    (near_i, far_i) pairs, flattened.
+    sorted (see ``_store_cube``).  ``corners`` lists vertex ids in
+    bitmask order, bit i meaning action i has been applied, so the base
+    is the state of corner 0; ``facets`` holds the positions of the
+    2*dim facets among the (dim-1)-cells, as (near_i, far_i) pairs,
+    flattened.  A complex keeps no records: ``cell`` builds one on
+    demand, and ``add_cell`` stores one's fields in its arrays.
     """
 
     dim: int
@@ -81,20 +84,44 @@ class CellRecord:
     facets: tuple
 
 
+def _row(column, width: int, i: int) -> tuple:
+    """Cell i's ``width`` entries of a flat column.  A slice past the end
+    would come out short, so that raises ``IndexError``."""
+    row = tuple(column[width * i : width * i + width])
+    if len(row) < width or i < 0:
+        raise IndexError("cell number out of range")
+    return row
+
+
 class CubeComplex:
     """Cells numbered per dimension in the order they were stored.
 
     A cell's number is its position in its dimension: vertex ids are
     the positions of the 0-cells, and facets are positions one
-    dimension down.  Vertices are also found by their states.  A cell is
-    printed by ``name(actions, base)`` read off its record; a cube's
-    key, which merges one cube found from several corners, lives only
-    while the complex is assembled.
+    dimension down.  A vertex is kept as its state alone, and found by
+    it.  The k-cells (k >= 1) are kept column by column in flat integer
+    arrays: 2^k corner vids per cell in ``_corners[k]``, 2k facet
+    numbers in ``_facets[k]`` (an edge's facets are its corners, so
+    ``_facets[1]`` is ``_corners[1]``) and k action numbers in
+    ``_numbers[k]``, which ``actions`` resolves; -1 fills the places of
+    a record stored with fewer actions than its dimension.  A cell's
+    base is the state of its corner 0.  ``cell`` builds a
+    ``CellRecord`` from these on demand.  A cell is printed by
+    ``name(actions, base)``; a cube's key, which merges one cube found
+    from several corners, lives only while the complex is assembled.
+
+    A complex assembled by hand numbers its actions in the order first
+    stored; a built one uses its frame's numbering.
     """
 
     def __init__(self, name=cube_key):
-        self._cells: list[list] = [[]]
+        self._states: list = []
         self._vid: dict = {}
+        self._corners: list = [None]
+        self._facets: list = [None]
+        self._numbers: list = [None]
+        self.actions: list = []  # number -> action
+        self._numbered: dict = {}  # action -> number
         self.name = name
         self.truncated: bool = False
         self.cap: int | None = None
@@ -103,8 +130,8 @@ class CubeComplex:
         self.frame = None
         # derived views, built on first use and dropped on every change;
         # the builder leaves its clique record in ``_links``: per vertex,
-        # its leaving actions and their commute bitmasks, and the cliques
-        # of vertices that have any that span no cube
+        # its leaving actions' numbers and their commute bitmasks, and
+        # the cliques of vertices that have any that span no cube
         self._links: tuple | None = None
         self._names: list | None = None
 
@@ -113,55 +140,110 @@ class CubeComplex:
     def add_vertex(self, state: frozenset) -> int:
         vid = self._vid.get(state)
         if vid is None:
-            vid = self.add_cell(CellRecord(0, state, (), (self.n_vertices,), ()))
+            vid = self._vid[state] = len(self._states)
+            self._states.append(state)
+            self._links = self._names = None
         return vid
 
+    def number(self, action) -> int:
+        """The number ``actions`` holds the action at, given on first use."""
+        n = self._numbered.get(action)
+        if n is None:
+            n = self._numbered[action] = len(self.actions)
+            self.actions.append(action)
+        return n
+
     def add_cell(self, rec: CellRecord) -> int:
-        """Store a cell last in its dimension; returns its position."""
-        while len(self._cells) <= rec.dim:
-            self._cells.append([])
-        cells = self._cells[rec.dim]
-        pos = len(cells)
-        if rec.dim == 0:
-            self._vid[rec.base] = pos
-        cells.append(rec)
-        self._links = None
-        self._names = None
-        return pos
+        """Store a cube last in its dimension; returns its position.
+
+        ``cell`` gives the record back equal.  Its base must be the state
+        of its corner 0, and an edge's facets its corners.
+        """
+        k = rec.dim
+        if not (
+            k >= 1
+            and len(rec.corners) == 1 << k
+            and len(rec.facets) == 2 * k
+            and len(rec.actions) <= k
+            and (k > 1 or tuple(rec.facets) == tuple(rec.corners))
+            and self._states[rec.corners[0]] == rec.base
+        ):
+            raise CubeplanError(
+                "a cube record needs dim >= 1, 2^dim corners (the first its "
+                "base), 2*dim facets (an edge's are its corners) and at most "
+                f"dim actions; got dim {k}"
+            )
+        numbers = [self.number(a) for a in rec.actions]
+        return self._append(k, rec.corners, rec.facets, numbers + [-1] * (k - len(numbers)))
+
+    def _append(self, k: int, corners, facets, numbers) -> int:
+        """Store a k-cell's columns last in its dimension."""
+        while self.max_dim < k:
+            dim, corners_k = len(self._corners), array("i")
+            self._corners.append(corners_k)
+            self._facets.append(corners_k if dim == 1 else array("i"))
+            self._numbers.append(array("i"))
+        self._corners[k].extend(corners)
+        if k > 1:
+            self._facets[k].extend(facets)
+        self._numbers[k].extend(numbers)
+        self._links = self._names = None
+        return (len(self._corners[k]) >> k) - 1
 
     # -- cell access ---------------------------------------------------
 
     @property
     def max_dim(self) -> int:
-        return len(self._cells) - 1
+        return len(self._corners) - 1
 
     def n_cells(self, k: int) -> int:
-        return len(self._cells[k]) if 0 <= k <= self.max_dim else 0
+        if k == 0:
+            return len(self._states)
+        return len(self._corners[k]) >> k if 0 < k <= self.max_dim else 0
+
+    def _read(self, k: int, i: int) -> tuple:
+        """Cell i's actions and base."""
+        acts = self.actions
+        numbers = self._numbers[k][k * i : k * i + k]
+        return (
+            tuple([acts[n] for n in numbers if n >= 0]),
+            self._states[self._corners[k][i << k]],
+        )
 
     def cell_keys(self, k: int) -> list:
         """Printed names in number order: ``name`` read at each cell's
         base corner, rendered once per dimension."""
         if self._names is None:
-            self._names = [
-                [self.name(rec.actions, rec.base) for rec in cells]
-                for cells in self._cells
-            ]
+            name, read = self.name, self._read
+            self._names = [[name((), state) for state in self._states]]
+            for j in range(1, self.max_dim + 1):
+                self._names.append([name(*read(j, i)) for i in range(self.n_cells(j))])
         return list(self._names[k]) if 0 <= k <= self.max_dim else []
 
     def cells(self, k: int) -> list:
-        return list(self._cells[k]) if 0 <= k <= self.max_dim else []
+        return [self.cell(k, i) for i in range(self.n_cells(k))]
 
     def cell(self, k: int, i: int) -> CellRecord:
-        return self._cells[k][i]
+        i = range(self.n_cells(k))[i]
+        if k == 0:
+            return CellRecord(0, self._states[i], (), (i,), ())
+        actions, base = self._read(k, i)
+        corners = self.corners(k, i)
+        # an edge's facets are its corners, in the same order: one tuple
+        facets = corners if k == 1 else self.facets(k, i)
+        return CellRecord(k, base, actions, corners, facets)
+
+    def corners(self, k: int, i: int) -> tuple:
+        return _row(self._corners[k], 1 << k, i) if k else (range(self.n_vertices)[i],)
 
     def facets(self, k: int, i: int) -> tuple:
-        return self._cells[k][i].facets
+        return _row(self._facets[k], 2 * k, i) if k else ()
 
     # -- vertices ------------------------------------------------------
 
     @property
     def n_vertices(self) -> int:
-        return len(self._cells[0])
+        return len(self._states)
 
     def vertex_vid(self, state) -> int:
         state = frozenset(state)
@@ -173,28 +255,28 @@ class CubeComplex:
         return vid
 
     def vertex_state(self, vid: int) -> frozenset:
-        return self._cells[0][vid].base
+        return self._states[vid]
 
     # -- derived views -------------------------------------------------
 
     def edge_endpoints(self, i: int) -> tuple:
         """(base vid, far vid) of edge i, base first."""
-        return self._cells[1][i].corners
+        ends = self._corners[1]
+        return ends[2 * i], ends[2 * i + 1]
 
     def square_boundary(self, i: int) -> list:
         """The four directed edges around square i, as (edge, sign).
 
-        Read from the square's own record: its facets are stored as
+        Read from the square's own columns: its facets are stored as
         (a1 at base, a1 at a0, a0 at base, a0 at a1) and its corners in
         bitmask order.  The traversal runs base -> a0 -> a0+a1 -> a1 ->
         base; the sign is +1 when the step starts at the edge's own base
         corner.
         """
-        rec = self._cells[2][i]
-        f, c = rec.facets, rec.corners
+        f, c = self.facets(2, i), self.corners(2, i)
         walk = ((f[2], c[0]), (f[1], c[1]), (f[3], c[3]), (f[0], c[2]))
-        edges = self._cells[1]
-        return [(e, 1 if edges[e].corners[0] == start else -1) for e, start in walk]
+        ends = self._corners[1]
+        return [(e, 1 if ends[2 * e] == start else -1) for e, start in walk]
 
 
 class PlainFrame:
@@ -204,7 +286,11 @@ class PlainFrame:
         self.system = system
         # an action's number is its position in the catalogue, which lists
         # placement i forward at position 2i, then backward at 2i + 1
-        self.position = {a: i for i, a in enumerate(system.all_actions)}
+        self.actions = system.all_actions
+        self.position = {a: i for i, a in enumerate(self.actions)}
+
+    def number(self, action) -> int:
+        return self.position[action]
 
     def actions_at(self, state: frozenset) -> list:
         return admissible_actions(state, self.system)
@@ -235,6 +321,10 @@ class StateComplex(CubeComplex):
         super().__init__()
         self.system = system
         self.frame = self.frame_type(system)
+        self.actions = self.frame.actions
+
+    def number(self, action) -> int:
+        return self.frame.number(action)
 
 
 def _extend_cliques(adjacency, clique: tuple, candidates: int, size: int, out: list) -> bool:
@@ -273,21 +363,21 @@ def _mask(clique) -> int:
 class _Edges:
     """The edges the closure found, kept while cubes are enumerated.
 
-    ``links`` is the complex's link record: per vertex, its leaving
-    actions and their commute bitmasks.  Parallel to each vertex's
-    actions, ``numbers`` holds their numbers in the frame, ``successors``
-    the vids they reach (None past the cap), and ``shifts`` the
-    translation each applies into its successor's frame (None for none,
-    and None in place of the tuple when no action translates).  A cube
-    is walked by the numbers its actions read at each corner: running
-    one is an integer ``tuple.index`` and one successor look-up.
+    Per vertex, ``numbers`` holds its leaving actions' numbers in the
+    frame, and parallel to them ``successors`` the vids they reach (None
+    past the cap) and ``shifts`` the translation each applies into its
+    successor's frame (None for none, and None in place of the tuple
+    when no action translates).  ``numbers`` outlives the build in the
+    complex's link record.  A cube is walked by the numbers its actions
+    read at each corner: running one is an integer ``tuple.index`` and
+    one successor look-up.
     """
 
-    __slots__ = ("frame", "links", "numbers", "successors", "shifts")
+    __slots__ = ("frame", "numbers", "successors", "shifts")
 
     def __init__(self, frame):
         self.frame = frame
-        self.links, self.numbers, self.successors, self.shifts = [], [], [], []
+        self.numbers, self.successors, self.shifts = [], [], []
 
     def step(self, vid: int, numbers: tuple, b: int) -> tuple | None:
         """The corner action b reaches from the corner at vertex vid where
@@ -335,18 +425,11 @@ class _Edges:
             read.append(corner[1])
         return vids, read
 
-    def read(self, vid: int, numbers: tuple) -> tuple:
-        """The actions leaving vertex vid with these numbers."""
-        actions, own = self.links[vid][0], self.numbers[vid]
-        return tuple([actions[own.index(n)] for n in numbers])
 
-
-def _cell_record(
-    cx: StateComplex, edges: _Edges, rank: list, below: dict, vids: list, numbers: list
-) -> CellRecord:
-    """The record of a new cube from its corners in bitmask order from
-    its all-forward corner: their vids and the numbers its actions read
-    at each, as ``_Edges.corners`` gives them.
+def _store_cube(cx: StateComplex, rank: list, below: dict, vids: list, numbers: list) -> int:
+    """Store a new cube from its corners in bitmask order from its
+    all-forward corner: their vids and the numbers its actions read at
+    each, as ``_Edges.corners`` gives them.  Returns its position.
 
     The base is the corner whose vertex ranks least by state key; only a
     quotient can put two corners on one vertex, and then the one reading
@@ -365,10 +448,10 @@ def _cell_record(
     ranks = [rank[vid] for vid in vids]
     base = ranks.index(min(ranks))
     if vids.count(vids[base]) > 1:
+        acts = cx.actions
         ties = [m for m in range(1 << k) if vids[m] == vids[base]]
-        base = min(ties, key=lambda m: edges.read(vids[m], numbers[m]))
-    corners = tuple([vids[base ^ m] for m in range(1 << k)])
-    # an edge's facets are its corners, in the same order: one tuple
+        base = min(ties, key=lambda m: [acts[n] for n in numbers[m]])
+    corners = [vids[base ^ m] for m in range(1 << k)]
     facets = corners
     if k > 1:
         facets = []
@@ -378,9 +461,7 @@ def _cell_record(
                 sub = numbers[corner][:j] + numbers[corner][j + 1 :]
                 vid = vids[corner]
                 facets.append(below[(vid, *frame.cell_key(sub, cx.vertex_state(vid)))])
-        facets = tuple(facets)
-    acts = edges.read(vids[base], numbers[base])
-    return CellRecord(k, cx.vertex_state(vids[base]), acts, corners, facets)
+    return cx._append(k, corners, facets, numbers[base])
 
 
 # the refused cliques of a vertex whose every clique spans a cube
@@ -407,19 +488,20 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     before its cube.  A clique is walked along the recorded successors:
     first to its all-forward corner, whose vid and placement names (the
     frame's ``cell_key`` of the numbers read there) key the cube, and,
-    for a key not yet stored, to every corner (see ``_cell_record``).
-    No state is rebuilt or canonicalized per corner.  ``stored`` maps
-    the key of each cube stored in the pass to its position, merging a
-    cube found from several corners, and ``below`` the pass before's, to
-    find facets.  The recorded edges, the ranks and the keys die when
-    the build returns.
+    for a key not yet stored, to every corner (see ``_store_cube``),
+    whose columns it appends to the complex's arrays.  No state is
+    rebuilt or canonicalized per corner, and no record is made.
+    ``stored`` maps the key of each cube stored in the pass to its
+    position, merging a cube found from several corners, and ``below``
+    the pass before's, to find facets.  The successors, shifts, ranks
+    and keys die when the build returns.
 
     Each clique of commuting actions at a vertex either spans a cube or
     is refused, so the build leaves its refusals behind as the complex's
-    link record: per vertex, its leaving actions, their commute bitmasks
-    and the cliques that span no cube.  A clique holding one refused at
-    the same vertex is refused unwalked: its cube holds that one's
-    missing corner.  No clique spans two cubes.  A cube is fixed by one
+    link record: per vertex, its leaving actions' numbers, their commute
+    bitmasks and the cliques that span no cube.  A clique holding one
+    refused at the same vertex is refused unwalked: its cube holds that
+    one's missing corner.  No clique spans two cubes.  A cube is fixed by one
     corner and the actions leaving it, so two cubes spanning one clique
     at one vertex are one cube read at two of its corners.  Distinct
     corners hold distinct states, so only a quotient lets them name one
@@ -444,27 +526,27 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
             raise StateError("seed state violates the system's global constraint")
         reach(occ)
 
-    # vertices are expanded in the order they were added
-    edges = _Edges(frame)
-    links = edges.links
-    while len(links) < cx.n_vertices:
-        state = cx.vertex_state(len(links))
+    # vertices are expanded in the order they were added; ``adjacency``
+    # holds each one's commute bitmasks
+    edges, adjacency = _Edges(frame), []
+    while len(adjacency) < cx.n_vertices:
+        state = cx.vertex_state(len(adjacency))
         acts = frame.actions_at(state)
         numbers, reached, shifts = frame.leaving(state, acts)
         edges.successors.append(tuple(map(reach, reached)))
         edges.numbers.append(numbers)
         edges.shifts.append(shifts)
         n = len(acts)
-        adjacency = [0] * n
+        commuting = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
                 if commute_pair(acts[i], acts[j]):
-                    adjacency[i] |= 1 << j
-                    adjacency[j] |= 1 << i
-        links.append((tuple(acts), tuple(adjacency)))
+                    commuting[i] |= 1 << j
+                    commuting[j] |= 1 << i
+        adjacency.append(tuple(commuting))
 
     # the vertex index's own int objects stand for the vids, and for
-    # their ranks in state-key order, so records and ranks add none
+    # their ranks in state-key order, so the ranks add none
     vids = list(vertex.values())
     rank = [0] * len(vids)
     by_key = sorted(vids, key=lambda vid: state_key(cx.vertex_state(vid)))
@@ -481,7 +563,7 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     while alive:
         k, stored, still = k + 1, {}, []
         for vid in alive:
-            cliques, grows = _cliques_of_size(links[vid][1], k)
+            cliques, grows = _cliques_of_size(adjacency[vid], k)
             if grows:
                 still.append(vid)
             numbers, masks = edges.numbers[vid], refused.get(vid)
@@ -499,15 +581,14 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
                         continue
                     corners = edges.corners(f, read)
                     if corners is not None:
-                        stored[key] = cx.add_cell(
-                            _cell_record(cx, edges, rank, below, *corners)
-                        )
+                        stored[key] = _store_cube(cx, rank, below, *corners)
                         continue
                 if masks is None:
                     masks = refused[vid] = set()
                 masks.add(_mask(clique))
         below, alive = stored, still
-    cx._links = (links, {vid: frozenset(masks) for vid, masks in refused.items()})
+    refused = {vid: frozenset(masks) for vid, masks in refused.items()}
+    cx._links = (edges.numbers, adjacency, refused)
     return cx
 
 
@@ -555,10 +636,16 @@ def link(complex_: CubeComplex, vertex_state) -> LinkComplex:
             "links are read from a build's record; this complex was "
             "assembled by hand or changed after its build"
         )
-    commute, refused = complex_._links
+    numbers, adjacency, refused = complex_._links
     state = frozenset(vertex_state)
     vid = complex_.vertex_vid(state)
-    return LinkComplex(state, *commute[vid], refused.get(vid, _NONE_REFUSED))
+    acts = complex_.actions
+    return LinkComplex(
+        state,
+        tuple([acts[n] for n in numbers[vid]]),
+        adjacency[vid],
+        refused.get(vid, _NONE_REFUSED),
+    )
 
 
 @dataclass(frozen=True)

@@ -589,6 +589,19 @@ def test_is_normal_equals_the_set_oracle(name, data):
     assert is_normal(path) == oracle_is_normal(path)
 
 
+def test_empty_steps_are_normal_exactly_when_a_sweep_keeps_them():
+    """A lone empty step is a fixed point of the sweep; an empty first
+    step takes the next step's actions, and an empty last step after
+    another is deleted."""
+    system, seed = grid_fixture()
+    a = frozenset((admissible_actions(seed, system)[0],))
+    empty = frozenset()
+    for steps, normal in (((empty,), True), ((empty, a), False), ((a, empty), False)):
+        path = CubePath(seed, steps, system)
+        assert (shrink_cube_path(path).steps == steps) == normal
+        assert is_normal(path) == oracle_is_normal(path) == normal
+
+
 def assert_sweeps_equal_the_oracle(path):
     """Sweep the path with the coded sweep, each sweep handing its coding
     to the next, and with the set-based oracle, until a sweep changes

@@ -1,6 +1,8 @@
 """Complex construction, canonical cube identity, links."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,6 +17,7 @@ from cubeplan.model import BACKWARD, System, Workspace, apply_action
 from cubeplan.shape import ShapeComplex, build_shape_complex, canonicalize
 from cubeplan.statecomplex import (
     CellRecord,
+    CubeComplex,
     build_complex,
     check_link_condition,
     cube_key,
@@ -495,6 +498,100 @@ def test_plain_records_match_the_cubes_rebuilt_from_states(seed, connected):
 def test_shape_records_match_the_cubes_rebuilt_from_states(seed, kind):
     """Random homogeneous quotients, cut at 20 shapes or whole."""
     assert_records_match_the_oracle(random_quotient(seed, kind))
+
+
+def assert_cells_read_back(cx):
+    """``cells`` and ``cell`` build each record on demand from the
+    complex's columns, field by field the record rebuilt from states;
+    ``corners``, ``facets``, ``edge_endpoints`` and ``cell_keys`` read
+    the same columns."""
+    oracle, _ = oracle_cells(cx)
+    for vid in range(cx.n_vertices):
+        assert cx.cell(0, vid) == CellRecord(0, cx.vertex_state(vid), (), (vid,), ())
+    assert cx.max_dim == len(oracle) - 1
+    for k in range(1, cx.max_dim + 1):
+        records, names = cx.cells(k), cx.cell_keys(k)
+        assert cx.n_cells(k) == len(records) == len(names) == len(oracle[k])
+        for i, want in enumerate(oracle[k]):
+            for got in (records[i], cx.cell(k, i)):
+                assert got.dim == want.dim == k
+                assert got.base == want.base
+                assert got.actions == want.actions
+                assert got.corners == want.corners == cx.corners(k, i)
+                assert got.facets == want.facets == cx.facets(k, i)
+            assert names[i] == cx.name(want.actions, want.base)
+            if k == 1:
+                assert cx.edge_endpoints(i) == want.corners
+        for read in (cx.cell, cx.corners, cx.facets):
+            with pytest.raises(IndexError):
+                read(k, cx.n_cells(k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cells_read_on_demand_equal_the_oracle_on_local_systems(seed):
+    """Random finite local systems, cut at 64 vertices or whole."""
+    assert_cells_read_back(random_build(seed, False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from((lat.SQUARE, lat.HEX, lat.SQUARE_EDGE)))
+def test_cells_read_on_demand_equal_the_oracle_on_quotients(seed, kind):
+    """Random homogeneous quotients, cut at 20 shapes or whole, and the
+    five-module hex shape quotient."""
+    assert_cells_read_back(random_quotient(seed, kind))
+
+
+def test_cells_of_the_five_module_quotient_read_back():
+    assert_cells_read_back(shape_fixture("five-modules"))
+
+
+def test_add_cell_gives_hand_built_records_back(monkeypatch):
+    """Every record the letter-word arm adds comes back equal, as does an
+    edge naming no action added to a built complex; a record whose
+    base is not its corner 0 is refused."""
+    given_ = []
+    add_cell = CubeComplex.add_cell
+
+    def recording(self, rec):
+        pos = add_cell(self, rec)
+        given_.append((rec, pos))
+        return pos
+
+    monkeypatch.setattr(CubeComplex, "add_cell", recording)
+    words = arm_word_complex(3)
+    assert len(given_) == sum(words.n_cells(k) for k in range(1, words.max_dim + 1))
+    for rec, pos in given_:
+        assert words.cell(rec.dim, pos) == rec
+        assert words.cells(rec.dim)[pos] == rec
+    cx = build_fixture(agv_grid_fixture(2, 2))
+    u, v = frozenset(("p0.0", "p1.0")), frozenset(("p0.2", "p1.2"))
+    a, b = cx.vertex_vid(u), cx.vertex_vid(v)
+    rec = CellRecord(1, u, (), (a, b), (a, b))
+    pos = cx.add_cell(rec)
+    assert cx.cell(1, pos) == cx.cells(1)[pos] == rec
+    with pytest.raises(CubeplanError, match="corners"):
+        cx.add_cell(CellRecord(1, v, (), (a, b), (a, b)))
+
+
+def test_hex_local_build_holds_under_three_mib():
+    """The hex-local complex (hex pivots, topology-changing, the radius-2
+    ball, four modules; 14,557 cells) holds at most 3 MiB once built, by
+    tracemalloc after a collection: its cells live in flat integer
+    arrays, not one object each.  The catalogue is enumerated first, as
+    a caller's set-up would."""
+    system = hex_pivot_system(VARIANT_CHANGING, hex_ball(2))
+    system.all_actions
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cx = build_complex(system, [frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})])
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert f_vector(cx) == (3344, 8640, 2559, 14)
+    assert held <= 3 * 2**20
 
 
 def test_links_need_the_build_record():

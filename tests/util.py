@@ -529,7 +529,10 @@ def oracle_link(cx, vertex_state) -> tuple:
     vid = cx.vertex_vid(frozenset(vertex_state))
     simplices: dict = {}
     for k in range(1, cx.max_dim + 1):
-        for rec in cx.cells(k):
+        for i in range(cx.n_cells(k)):
+            if vid not in cx.corners(k, i):
+                continue
+            rec = cx.cell(k, i)
             for mask, corner in enumerate(rec.corners):
                 if corner == vid:
                     simplex = frozenset(corner_actions(cx, rec.base, rec.actions, mask))
@@ -657,7 +660,9 @@ def oracle_shrink_cube_path(path, stats=None):
 
 def oracle_is_normal(path) -> bool:
     """``is_normal`` on sets: no junction lets an action run earlier or
-    shares a placement."""
+    shares a placement, and no empty step ends a path of two or more."""
+    if len(path.steps) > 1 and not path.steps[-1]:
+        return False
     for i in range(len(path.steps) - 1):
         if oracle_commute_sub(path.steps[i], path.steps[i + 1]):
             return False
