@@ -42,12 +42,19 @@ def _err(ln: int, msg: str) -> FormatError:
     return FormatError(f"line {ln}: {msg}")
 
 
+def _int(tok: str, ln: int) -> int:
+    try:  # int() raises ValueError past Python's digit limit
+        return int(tok)
+    except ValueError:
+        raise _err(ln, f"integer of {len(tok)} digits is too long") from None
+
+
 # -- token level ------------------------------------------------------------
 
 def _parse_node_token(tok: str, ln: int):
     """Graph node labels and generator-local labels: int or identifier."""
     if _INT_RE.match(tok):
-        return int(tok)
+        return _int(tok, ln)
     if _NAME_RE.match(tok):
         return tok
     raise _err(ln, f"bad node token {tok!r}")
@@ -68,11 +75,11 @@ def _parse_cell(tok: str, kind: str, ln: int):
         m = _EDGE_CELL_RE.match(tok)
         if not m:
             raise _err(ln, f"bad edge-lattice cell {tok!r}, expected (x,y,h|v)")
-        return (int(m.group(1)), int(m.group(2)), _ORIENT_VALUE[m.group(3)])
+        return (_int(m.group(1), ln), _int(m.group(2), ln), _ORIENT_VALUE[m.group(3)])
     m = _PAIR_RE.match(tok)
     if not m:
         raise _err(ln, f"bad cell {tok!r}, expected (x,y)")
-    return (int(m.group(1)), int(m.group(2)))
+    return (_int(m.group(1), ln), _int(m.group(2), ln))
 
 
 def _fmt_cell(cell, kind: str) -> str:
@@ -446,7 +453,7 @@ def _parse_action(part: str, system: System, gens_by_gid: dict, ln: int):
     else:
         if len(mid) != 2 or not all(_INT_RE.match(t) for t in mid):
             raise _err(ln, f"action for {gid} needs two integer offsets")
-        offset = (int(mid[0]), int(mid[1]))
+        offset = (_int(mid[0], ln), _int(mid[1], ln))
     return make_action(gen, offset, direction, lattice)
 
 
@@ -484,7 +491,7 @@ def parse_path(text: str, system: System) -> CubePath:
             raise _err(ln, "the start line must come first")
         number, body = m.groups()
         index = len(steps) + 1
-        if int(number) != index:
+        if _int(number, ln) != index:
             raise _err(ln, f"expected step {index}, got step {int(number)}")
         step = parsed_steps.get(body)
         if step is None:

@@ -74,7 +74,7 @@ class CellRecord:
     is the state of corner 0; ``facets`` holds the positions of the
     2*dim facets among the (dim-1)-cells, as (near_i, far_i) pairs,
     flattened.  A complex keeps no records: ``cell`` builds one on
-    demand, and ``add_cell`` stores one's fields in its arrays.
+    demand.
     """
 
     dim: int
@@ -103,15 +103,14 @@ class CubeComplex:
     arrays: 2^k corner vids per cell in ``_corners[k]``, 2k facet
     numbers in ``_facets[k]`` (an edge's facets are its corners, so
     ``_facets[1]`` is ``_corners[1]``) and k action numbers in
-    ``_numbers[k]``, which ``actions`` resolves; -1 fills the places of
-    a record stored with fewer actions than its dimension.  A cell's
-    base is the state of its corner 0.  ``cell`` builds a
-    ``CellRecord`` from these on demand.  A cell is printed by
-    ``name(actions, base)``; a cube's key, which merges one cube found
-    from several corners, lives only while the complex is assembled.
+    ``_numbers[k]``, which ``actions`` resolves.  A cell's base is the
+    state of its corner 0.  ``cell`` builds a ``CellRecord`` from these
+    on demand.  A cell is printed by ``name(actions, base)``; a cube's
+    key, which merges one cube found from several corners, lives only
+    while the complex is assembled.
 
-    A complex assembled by hand numbers its actions in the order first
-    stored; a built one uses its frame's numbering.
+    Only its assembler writes a complex, through ``_add_vertex`` and
+    ``_append``; once returned it is read-only.
     """
 
     def __init__(self, name=cube_key):
@@ -121,63 +120,31 @@ class CubeComplex:
         self._facets: list = [None]
         self._numbers: list = [None]
         self.actions: list = []  # number -> action
-        self._numbered: dict = {}  # action -> number
         self.name = name
         self.truncated: bool = False
         self.cap: int | None = None
         # how states and cubes are named; None for a complex assembled
         # by hand, which has no system to move in
         self.frame = None
-        # derived views, built on first use and dropped on every change;
-        # the builder leaves its clique record in ``_links``: per vertex,
-        # its leaving actions' numbers and their commute bitmasks, and
-        # the cliques of vertices that have any that span no cube
+        # derived views: the printed names, built on first use, and the
+        # builder's clique record in ``_links``: per vertex, its leaving
+        # actions' numbers and their commute bitmasks, and the cliques of
+        # vertices that have any that span no cube
         self._links: tuple | None = None
         self._names: list | None = None
 
     # -- construction -------------------------------------------------
 
-    def add_vertex(self, state: frozenset) -> int:
+    def _add_vertex(self, state: frozenset) -> int:
         vid = self._vid.get(state)
         if vid is None:
             vid = self._vid[state] = len(self._states)
             self._states.append(state)
-            self._links = self._names = None
         return vid
 
-    def number(self, action) -> int:
-        """The number ``actions`` holds the action at, given on first use."""
-        n = self._numbered.get(action)
-        if n is None:
-            n = self._numbered[action] = len(self.actions)
-            self.actions.append(action)
-        return n
-
-    def add_cell(self, rec: CellRecord) -> int:
-        """Store a cube last in its dimension; returns its position.
-
-        ``cell`` gives the record back equal.  Its base must be the state
-        of its corner 0, and an edge's facets its corners.
-        """
-        k = rec.dim
-        if not (
-            k >= 1
-            and len(rec.corners) == 1 << k
-            and len(rec.facets) == 2 * k
-            and len(rec.actions) <= k
-            and (k > 1 or tuple(rec.facets) == tuple(rec.corners))
-            and self._states[rec.corners[0]] == rec.base
-        ):
-            raise CubeplanError(
-                "a cube record needs dim >= 1, 2^dim corners (the first its "
-                "base), 2*dim facets (an edge's are its corners) and at most "
-                f"dim actions; got dim {k}"
-            )
-        numbers = [self.number(a) for a in rec.actions]
-        return self._append(k, rec.corners, rec.facets, numbers + [-1] * (k - len(numbers)))
-
     def _append(self, k: int, corners, facets, numbers) -> int:
-        """Store a k-cell's columns last in its dimension."""
+        """Store a k-cell's 2^k corners, 2k facets (an edge's are its
+        corners) and k action numbers last in its dimension."""
         while self.max_dim < k:
             dim, corners_k = len(self._corners), array("i")
             self._corners.append(corners_k)
@@ -187,7 +154,6 @@ class CubeComplex:
         if k > 1:
             self._facets[k].extend(facets)
         self._numbers[k].extend(numbers)
-        self._links = self._names = None
         return (len(self._corners[k]) >> k) - 1
 
     # -- cell access ---------------------------------------------------
@@ -206,7 +172,7 @@ class CubeComplex:
         acts = self.actions
         numbers = self._numbers[k][k * i : k * i + k]
         return (
-            tuple([acts[n] for n in numbers if n >= 0]),
+            tuple([acts[n] for n in numbers]),
             self._states[self._corners[k][i << k]],
         )
 
@@ -289,9 +255,6 @@ class PlainFrame:
         self.actions = system.all_actions
         self.position = {a: i for i, a in enumerate(self.actions)}
 
-    def number(self, action) -> int:
-        return self.position[action]
-
     def actions_at(self, state: frozenset) -> list:
         return admissible_actions(state, self.system)
 
@@ -322,9 +285,6 @@ class StateComplex(CubeComplex):
         self.system = system
         self.frame = self.frame_type(system)
         self.actions = self.frame.actions
-
-    def number(self, action) -> int:
-        return self.frame.number(action)
 
 
 def _extend_cliques(adjacency, clique: tuple, candidates: int, size: int, out: list) -> bool:
@@ -514,7 +474,7 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
 
     def reach(state):
         if cx.n_vertices < cap:
-            return cx.add_vertex(state)
+            return cx._add_vertex(state)
         vid = vertex.get(state)
         if vid is None:
             cx.truncated = True
@@ -628,13 +588,13 @@ def link(complex_: CubeComplex, vertex_state) -> LinkComplex:
     at each corner the cube has on the vertex.
 
     Read from the per-vertex clique record the builder leaves behind.  A
-    complex without one, assembled by hand or changed after its build,
-    is refused with ``CubeplanError``.
+    complex without one, assembled by hand, is refused with
+    ``CubeplanError``.
     """
     if complex_._links is None:
         raise CubeplanError(
             "links are read from a build's record; this complex was "
-            "assembled by hand or changed after its build"
+            "assembled by hand"
         )
     numbers, adjacency, refused = complex_._links
     state = frozenset(vertex_state)

@@ -12,7 +12,7 @@ from itertools import combinations
 from . import lattice as lat
 from .errors import ModelError
 from .model import Generator, System, SystemFile, Workspace
-from .statecomplex import CellRecord, CubeComplex, state_key
+from .statecomplex import CubeComplex, state_key
 
 VARIANT_CHANGING = "topologyChanging"
 VARIANT_PRESERVING = "topologyPreserving"
@@ -242,17 +242,19 @@ def arm_word_complex(n: int) -> CubeComplex:
     state-complex builder is involved, so this is a genuinely separate
     route to the same space.  A cube found from several words is merged
     by ``word_cube_key``, which reads the same at every corner, so it
-    also names the cube in the listing.
+    also names the cube in the listing.  Actions are numbered in sort order.
     """
     if n < 1:
         raise ModelError("the arm needs at least one segment")
     cx = CubeComplex(word_cube_key)
+    cx.actions = sorted([("flip", n)] + [("swap", i) for i in range(1, n)])
+    number = {move: i for i, move in enumerate(cx.actions)}
     words = []
     for r in range(n + 1):
         for combo in combinations(range(1, n + 1), r):
             words.append(frozenset(combo))
     for w in sorted(words, key=state_key):
-        cx.add_vertex(w)
+        cx._add_vertex(w)
     moves_of = []
     for w in words:
         moves = [
@@ -279,16 +281,15 @@ def arm_word_complex(n: int) -> CubeComplex:
                 acts = tuple(sorted(chosen))
                 flips = [_word_touch(m) for m in acts]
                 corners = tuple(cx.vertex_vid(_flipped(base, flips, m)) for m in masks)
-                facets = []
-                for j in range(size):
-                    sub = acts[:j] + acts[j + 1 :]
-                    for corner in (base, base ^ flips[j]):
-                        if size == 1:
-                            facets.append(cx.vertex_vid(corner))
-                        else:
-                            facets.append(index[size - 1][word_cube_key(sub, corner)])
-                rec = CellRecord(size, base, acts, corners, tuple(facets))
-                index[size][key] = cx.add_cell(rec)
+                facets = corners  # an edge's facets are its corners
+                if size > 1:
+                    facets = [
+                        index[size - 1][word_cube_key(acts[:j] + acts[j + 1 :], corner)]
+                        for j in range(size)
+                        for corner in (base, base ^ flips[j])
+                    ]
+                numbers = [number[m] for m in acts]
+                index[size][key] = cx._append(size, corners, facets, numbers)
     return cx
 
 

@@ -177,13 +177,15 @@ def is_orientable_surface(view) -> bool:
     parity: dict = {}
 
     def find(x):
-        if parent.setdefault(x, x) == x:
-            parity.setdefault(x, 0)
-            return x, 0
-        root, p = find(parent[x])
-        parent[x] = root
-        parity[x] ^= p
-        return root, parity[x]
+        path = []  # walked iteratively: a chain can be as long as the input
+        while parent.setdefault(x, x) != x:
+            path.append(x)
+            x = parent[x]
+        p = 0
+        for y in reversed(path):  # hang the path on the root x
+            p ^= parity[y]
+            parent[y], parity[y] = x, p
+        return x, p
 
     def union(x, y, rel) -> bool:
         rx, px = find(x)

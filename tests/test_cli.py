@@ -188,6 +188,23 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_over_long_integers_exit_one(capsys, tmp_path):
+    """A token past Python's 4,300-digit limit for int() is a refused
+    file, not a traceback."""
+    long_ = "1" * 5000
+    system = tmp_path / "sys.txt"
+    system.write_text(f"lattice square2d\nworkspace ({long_},0)\n")
+    script = tmp_path / "s.moves"
+    script.write_text(f"start (0,0,h) (1,0,h)\nstep {long_}: (tipflip, 1, 0, fwd)\n")
+    for argv in (
+        ("stats", "--system", str(system)),
+        ("optimize", "--builtin", "arm", "--n", "2", "--in", str(script)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 2: integer of 5000 digits is too long")
+
+
 MIXED_GENERATOR = (
     "lattice finiteGraph\nnodes 0 1 2\nedges (0,1) (1,2)\nworkspace all\n"
     "generator token\n  support a 1\n  trace a 1\n  occ0 a\n  occ1 1\n"

@@ -334,6 +334,26 @@ def test_a_step_repeating_an_action_reports_its_own_line():
             parse_path(script, sf.system)
 
 
+def test_over_long_integers_are_format_errors():
+    """Every integer the parsers read is refused with its line once it
+    passes Python's 4,300-digit limit for int(): in a cell, a graph
+    node, an action's offsets and a step's number."""
+    long_, too_long = "1" * 5000, "line 2: integer of 5000 digits is too long"
+    expect_error(f"lattice square2d\nworkspace ({long_},0)\n", too_long)
+    expect_error(f"lattice squareEdge2d\nworkspace (0,{long_},h)\n", too_long)
+    expect_error(f"lattice finiteGraph\nnodes 0 {long_}\n", too_long)
+    arm, k5 = arm_system(2).system, graph_agv_system(complete_graph(5), 1).system
+    with pytest.raises(FormatError, match=too_long):
+        parse_state(f"# arm\nstate (0,0,h) ({long_},0,h)\n", arm)
+    for script, system in (
+        (f"start (0,0,h) (1,0,h)\nstep {long_}: (tipflip, 1, 0, fwd)", arm),
+        (f"start (0,0,h) (1,0,h)\nstep 1: (tipflip, {long_}, 0, fwd)", arm),
+        (f"start 0\nstep 1: (token, 0, {long_}, fwd)", k5),
+    ):
+        with pytest.raises(FormatError, match=too_long):
+            parse_path(script, system)
+
+
 def test_a_bad_action_after_a_good_one_reports_its_own_line():
     sf = arm_system(2)
     start = "start (0,0,h) (1,0,h)\nstep 1: (tipflip, 1, 0, fwd)\n"

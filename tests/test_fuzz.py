@@ -68,6 +68,7 @@ TOKENS = (
     "lattice", "workspace", "all", "seed", "constraint", "connected",
     "state", "start", "step", "step 1:", "fwd", "bwd", "p0.0", "(0,0)",
     "(1,0,h)", "(token, p0.0, p0.1, fwd)",
+    "1" * 5000,  # past Python's 4,300-digit limit for int()
 )
 
 INSERT, DELETE, OVERWRITE, REPEAT_LINE = range(4)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import cubeplan.lattice as lat
 from cubeplan import shape, statecomplex
-from cubeplan.cubepaths import oracle_shortest
 from cubeplan.errors import BuildTruncatedError, CubeplanError
 from cubeplan.fileformat import export_complex
 from cubeplan.model import BACKWARD, System, Workspace, apply_action
@@ -294,17 +293,6 @@ def test_seed_must_satisfy_constraint():
         build_complex(system, [frozenset((0, 2))])
 
 
-def test_derived_views_follow_cells_added_after_first_use():
-    cx = build_fixture(agv_grid_fixture(2, 2))
-    u, v = frozenset(("p0.0", "p1.0")), frozenset(("p0.2", "p1.2"))
-    a, b = cx.vertex_vid(u), cx.vertex_vid(v)
-    assert oracle_shortest(cx, u, v) == 2
-    names = cx.cell_keys(1)
-    cx.add_cell(CellRecord(1, u, (), (a, b), (a, b)))
-    assert oracle_shortest(cx, u, v) == 1
-    assert cx.cell_keys(1) == names + [cube_key((), u)]
-
-
 def stacked_bars_complex():
     system, seed = stacked_bars()
     return build_shape_complex(system, [seed])
@@ -546,32 +534,28 @@ def test_cells_of_the_five_module_quotient_read_back():
     assert_cells_read_back(shape_fixture("five-modules"))
 
 
-def test_add_cell_gives_hand_built_records_back(monkeypatch):
-    """Every record the letter-word arm adds comes back equal, as does an
-    edge naming no action added to a built complex; a record whose
-    base is not its corner 0 is refused."""
+def test_hand_built_columns_read_back_as_records(monkeypatch):
+    """Every cube the letter-word arm writes into the columns reads back
+    through ``cell`` and ``cells`` with the corners and facets it wrote
+    (an edge's facets are its corners), the moves its numbers name in
+    sort order, and the state of its first corner as its base."""
     given_ = []
-    add_cell = CubeComplex.add_cell
+    append = CubeComplex._append
 
-    def recording(self, rec):
-        pos = add_cell(self, rec)
-        given_.append((rec, pos))
+    def recording(self, k, corners, facets, numbers):
+        pos = append(self, k, corners, facets, numbers)
+        given_.append((k, pos, tuple(corners), tuple(facets), tuple(numbers)))
         return pos
 
-    monkeypatch.setattr(CubeComplex, "add_cell", recording)
+    monkeypatch.setattr(CubeComplex, "_append", recording)
     words = arm_word_complex(3)
+    assert words.actions == [("flip", 3), ("swap", 1), ("swap", 2)]
     assert len(given_) == sum(words.n_cells(k) for k in range(1, words.max_dim + 1))
-    for rec, pos in given_:
-        assert words.cell(rec.dim, pos) == rec
-        assert words.cells(rec.dim)[pos] == rec
-    cx = build_fixture(agv_grid_fixture(2, 2))
-    u, v = frozenset(("p0.0", "p1.0")), frozenset(("p0.2", "p1.2"))
-    a, b = cx.vertex_vid(u), cx.vertex_vid(v)
-    rec = CellRecord(1, u, (), (a, b), (a, b))
-    pos = cx.add_cell(rec)
-    assert cx.cell(1, pos) == cx.cells(1)[pos] == rec
-    with pytest.raises(CubeplanError, match="corners"):
-        cx.add_cell(CellRecord(1, v, (), (a, b), (a, b)))
+    for k, pos, corners, facets, numbers in given_:
+        moves = tuple(words.actions[n] for n in numbers)
+        assert moves == tuple(sorted(moves)) and len(moves) == k
+        rec = CellRecord(k, words.vertex_state(corners[0]), moves, corners, facets)
+        assert words.cell(k, pos) == words.cells(k)[pos] == rec
 
 
 def test_hex_local_build_holds_under_three_mib():
@@ -595,20 +579,12 @@ def test_hex_local_build_holds_under_three_mib():
 
 
 def test_links_need_the_build_record():
-    """A complex changed after its build, or assembled by hand, has no
-    record to read its links from."""
-    cx = build_fixture(agv_grid_fixture(2, 2))
-    u = frozenset(("p0.0", "p1.0"))
-    assert link_vertices(link(cx, u))
-    a = cx.vertex_vid(u)
-    cx.add_cell(CellRecord(1, u, (), (a, a), (a, a)))
-    with pytest.raises(CubeplanError, match="record"):
-        link(cx, u)
-    with pytest.raises(CubeplanError, match="record"):
-        check_link_condition(cx)
+    """A complex assembled by hand has no record to read its links from."""
     words = arm_word_complex(3)
     with pytest.raises(CubeplanError, match="record"):
         link(words, words.vertex_state(0))
+    with pytest.raises(CubeplanError, match="record"):
+        check_link_condition(words)
 
 
 @settings(max_examples=80, deadline=None)
@@ -688,6 +664,9 @@ def test_hand_built_complexes_print_vertices_by_their_cells():
     words = arm_word_complex(3)
     assert sha(export_complex(words)) == (
         "81c4d84830daac859a1c7876cc533ab045e77b5bc7d33b50a7925b44385d8bac"
+    )
+    assert sha(export_complex(arm_word_complex(5))) == (
+        "07dbcef9222e44ee190f25d109acdbb3dce33ae4429b865af39d0f88c54d1a90"
     )
     assert words.cell_keys(0) == [
         ((), state_key(words.vertex_state(vid))) for vid in range(words.n_vertices)

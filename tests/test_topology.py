@@ -106,6 +106,15 @@ def test_synthetic_torus_and_klein_bottle():
     assert not is_orientable_surface(klein)
 
 
+def test_orientation_survives_long_union_find_chains():
+    """Edges numbered against the grid order hang each square's root
+    under the next, so the parity union-find grows chains as long as the
+    grid; a recursive ``find`` overflowed the stack on these."""
+    assert is_orientable_surface(torus_view(1500, m=3, reverse=True))
+    assert is_orientable_surface(torus_view(1200, m=1, reverse=True))
+    assert not is_orientable_surface(klein_view(1500, m=3, reverse=True))
+
+
 def test_surface_report_rejects_non_surfaces():
     grid = build_fixture(agv_grid_fixture(2, 2))
     report = surface_report(grid)

@@ -119,62 +119,73 @@ class SyntheticSurface:
         return list(self._squares[i])
 
 
-def torus_view(n: int = 3, isolated: int = 0) -> SyntheticSurface:
-    """An n-by-n grid of squares with both directions wrapped around,
-    plus ``isolated`` vertices on no edge, numbered last."""
+def _grid_keys(reverse: bool):
+    """Keys of a wrapped grid's cells; with ``reverse`` the edges' keys
+    sort against the grid order, the squares' not."""
+    return lambda kind, i, j: (kind, -i, -j) if reverse and kind != "s" else (kind, i, j)
+
+
+def torus_view(
+    n: int = 3, isolated: int = 0, m: int | None = None, reverse: bool = False
+) -> SyntheticSurface:
+    """An n-by-m grid of squares (m defaults to n) with both directions
+    wrapped around, plus ``isolated`` vertices on no edge, numbered last.
+    With ``reverse`` the edges are numbered against the grid order."""
+    m, key = n if m is None else m, _grid_keys(reverse)
 
     def vid(i, j):
-        return (i % n) * n + (j % n)
+        return (i % n) * m + (j % m)
 
     edges = {}
     for i in range(n):
-        for j in range(n):
-            edges[("h", i, j)] = (vid(i, j), vid(i + 1, j))
-            edges[("v", i, j)] = (vid(i, j), vid(i, j + 1))
+        for j in range(m):
+            edges[key("h", i, j)] = (vid(i, j), vid(i + 1, j))
+            edges[key("v", i, j)] = (vid(i, j), vid(i, j + 1))
     squares = {}
     for i in range(n):
-        for j in range(n):
-            squares[("s", i, j)] = [
-                (("h", i, j), 1),
-                (("v", (i + 1) % n, j), 1),
-                (("h", i, (j + 1) % n), -1),
-                (("v", i, j), -1),
+        for j in range(m):
+            squares[key("s", i, j)] = [
+                (key("h", i, j), 1),
+                (key("v", (i + 1) % n, j), 1),
+                (key("h", i, (j + 1) % m), -1),
+                (key("v", i, j), -1),
             ]
-    return SyntheticSurface(n * n + isolated, edges, squares)
+    return SyntheticSurface(n * m + isolated, edges, squares)
 
 
-def klein_view(n: int = 3) -> SyntheticSurface:
+def klein_view(n: int = 3, m: int | None = None, reverse: bool = False) -> SyntheticSurface:
     """Like the torus but the horizontal wrap reverses the vertical axis."""
+    m, key = n if m is None else m, _grid_keys(reverse)
 
     def vert(i, j):
         if i >= n:
             i, j = i - n, -j
-        return (i % n) * n + (j % n)
+        return (i % n) * m + (j % m)
 
     edges = {}
     for i in range(n):
-        for j in range(n):
-            edges[("h", i, j)] = (vert(i, j), vert(i + 1, j))
-            edges[("v", i, j)] = (vert(i, j), vert(i, j + 1))
+        for j in range(m):
+            edges[key("h", i, j)] = (vert(i, j), vert(i + 1, j))
+            edges[key("v", i, j)] = (vert(i, j), vert(i, j + 1))
     squares = {}
     for i in range(n):
-        for j in range(n):
+        for j in range(m):
             if i < n - 1:
-                squares[("s", i, j)] = [
-                    (("h", i, j), 1),
-                    (("v", i + 1, j), 1),
-                    (("h", i, (j + 1) % n), -1),
-                    (("v", i, j), -1),
+                squares[key("s", i, j)] = [
+                    (key("h", i, j), 1),
+                    (key("v", i + 1, j), 1),
+                    (key("h", i, (j + 1) % m), -1),
+                    (key("v", i, j), -1),
                 ]
             else:
                 # the wrapped column glues to a v-edge running the other way
-                squares[("s", i, j)] = [
-                    (("h", i, j), 1),
-                    (("v", 0, (-j - 1) % n), -1),
-                    (("h", i, (j + 1) % n), -1),
-                    (("v", i, j), -1),
+                squares[key("s", i, j)] = [
+                    (key("h", i, j), 1),
+                    (key("v", 0, (-j - 1) % m), -1),
+                    (key("h", i, (j + 1) % m), -1),
+                    (key("v", i, j), -1),
                 ]
-    return SyntheticSurface(n * n, edges, squares)
+    return SyntheticSurface(n * m, edges, squares)
 
 
 # -- randomized systems for serialization round trips -----------------------
