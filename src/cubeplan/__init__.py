@@ -40,7 +40,6 @@ from .model import (
 from .statecomplex import (
     CubeComplex,
     LinkConditionReport,
-    StateComplex,
     build_complex,
     check_link_condition,
     link,
@@ -66,7 +65,7 @@ from .cubepaths import (
     time_geodesic,
     validate,
 )
-from .shape import ShapeComplex, build_shape_complex, canonicalize, lift_path, random_shape_path
+from .shape import build_shape_complex, canonicalize, lift_path, random_shape_path
 from .fileformat import (
     export_complex,
     parse_path,

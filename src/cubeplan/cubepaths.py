@@ -278,22 +278,11 @@ def time_geodesic(
     """
     if mode not in MODES:
         raise PathError(f"unknown mode {mode!r}")
-    _require_optimizable(path)
-    cur = path
-    if mode == STOP_ON_LENGTH:
-        while True:
-            before = cur.length
-            cur = shrink_cube_path(cur, stats)
-            if cur.length >= before:
-                break
-    else:
-        while True:
-            nxt = shrink_cube_path(cur, stats)
-            if nxt == cur:
-                break
-            cur = nxt
-    if cur._coding is None:
-        return cur
+    cur, done = path, False
+    while not done:
+        nxt = shrink_cube_path(cur, stats)
+        done = nxt == cur if mode == NORMALIZE else nxt.length >= cur.length
+        cur = nxt
     return CubePath(cur.start, cur.steps, cur.system)
 
 

@@ -28,7 +28,7 @@ from .model import (
     pattern_matches,
     placement_fault,
 )
-from .statecomplex import StateComplex, _build
+from .statecomplex import CubeComplex, _build
 
 # lift_path also gives the placement rule's reasons, imported from model
 REASON_START = "start-invalid"
@@ -135,12 +135,6 @@ class ShapeFrame:
         return shape_cube_key([self.actions[n] for n in numbers], corner_state)
 
 
-class ShapeComplex(StateComplex):
-    """Cube complex over canonical shapes of one system."""
-
-    frame_type = ShapeFrame
-
-
 def _require_homogeneous(system: System) -> None:
     ws = system.workspace
     if ws.is_finite or ws.obstacles or ws.excluded:
@@ -193,10 +187,11 @@ def shape_actions(system: System, shape: frozenset) -> list:
     return out
 
 
-def build_shape_complex(system: System, seed_shapes, cap: int = 1_000_000) -> ShapeComplex:
-    """Close seed shapes under moves-up-to-translation, then add cubes."""
+def build_shape_complex(system: System, seed_shapes, cap: int = 1_000_000) -> CubeComplex:
+    """Close seed shapes under moves-up-to-translation, then add cubes.
+    The complex's frame is a ``ShapeFrame``."""
     _require_homogeneous(system)
-    return _build(ShapeComplex(system), seed_shapes, cap)
+    return _build(ShapeFrame(system), seed_shapes, cap)
 
 
 def random_shape_path(system: System, shape, length: int, rng):

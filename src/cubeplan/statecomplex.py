@@ -21,7 +21,8 @@ it how states are named: which actions leave a state, which canonical
 representative stands for a state, how actions are numbered and what
 translation carries them into the frame of the state they reach, and
 how a cube's placements are named.  The plain frame names every state
-by itself; ``shape`` supplies the translation frame.
+by itself; ``shape`` supplies the translation frame.  Either way the
+result is a ``CubeComplex`` that keeps its frame.
 """
 
 from __future__ import annotations
@@ -84,15 +85,6 @@ class CellRecord:
     facets: tuple
 
 
-def _row(column, width: int, i: int) -> tuple:
-    """Cell i's ``width`` entries of a flat column.  A slice past the end
-    would come out short, so that raises ``IndexError``."""
-    row = tuple(column[width * i : width * i + width])
-    if len(row) < width or i < 0:
-        raise IndexError("cell number out of range")
-    return row
-
-
 class CubeComplex:
     """Cells numbered per dimension in the order they were stored.
 
@@ -105,12 +97,16 @@ class CubeComplex:
     ``_facets[1]`` is ``_corners[1]``) and k action numbers in
     ``_numbers[k]``, which ``actions`` resolves.  A cell's base is the
     state of its corner 0.  ``cell`` builds a ``CellRecord`` from these
-    on demand.  A cell is printed by ``name(actions, base)``; a cube's
-    key, which merges one cube found from several corners, lives only
-    while the complex is assembled.
+    on demand.  ``cell``, ``corners`` and ``facets`` read cell i as
+    ``range(n_cells(k))[i]`` does: a negative i counts from the end, and
+    an i or k out of range raises ``IndexError``.  A cell is printed by
+    ``name(actions, base)``; a cube's key, which merges one cube found
+    from several corners, lives only while the complex is assembled.
 
     Only its assembler writes a complex, through ``_add_vertex`` and
-    ``_append``; once returned it is read-only.
+    ``_append``; once returned it is read-only.  The builder also hands
+    it its ``frame``, whose ``system`` the complex moves in, and the
+    frame's action list as ``actions``.
     """
 
     def __init__(self, name=cube_key):
@@ -122,7 +118,6 @@ class CubeComplex:
         self.actions: list = []  # number -> action
         self.name = name
         self.truncated: bool = False
-        self.cap: int | None = None
         # how states and cubes are named; None for a complex assembled
         # by hand, which has no system to move in
         self.frame = None
@@ -200,10 +195,12 @@ class CubeComplex:
         return CellRecord(k, base, actions, corners, facets)
 
     def corners(self, k: int, i: int) -> tuple:
-        return _row(self._corners[k], 1 << k, i) if k else (range(self.n_vertices)[i],)
+        i = range(self.n_cells(k))[i]
+        return tuple(self._corners[k][i << k : (i + 1) << k]) if k else (i,)
 
     def facets(self, k: int, i: int) -> tuple:
-        return _row(self._facets[k], 2 * k, i) if k else ()
+        i = range(self.n_cells(k))[i]
+        return tuple(self._facets[k][2 * k * i : 2 * k * (i + 1)]) if k else ()
 
     # -- vertices ------------------------------------------------------
 
@@ -224,11 +221,6 @@ class CubeComplex:
         return self._states[vid]
 
     # -- derived views -------------------------------------------------
-
-    def edge_endpoints(self, i: int) -> tuple:
-        """(base vid, far vid) of edge i, base first."""
-        ends = self._corners[1]
-        return ends[2 * i], ends[2 * i + 1]
 
     def square_boundary(self, i: int) -> list:
         """The four directed edges around square i, as (edge, sign).
@@ -273,18 +265,6 @@ class PlainFrame:
         """A cube's placements named by the numbers its actions read at
         its all-forward corner, all even there."""
         return numbers
-
-
-class StateComplex(CubeComplex):
-    """Cube complex of a specific system, built from seed states."""
-
-    frame_type = PlainFrame
-
-    def __init__(self, system: System):
-        super().__init__()
-        self.system = system
-        self.frame = self.frame_type(system)
-        self.actions = self.frame.actions
 
 
 def _extend_cliques(adjacency, clique: tuple, candidates: int, size: int, out: list) -> bool:
@@ -386,7 +366,7 @@ class _Edges:
         return vids, read
 
 
-def _store_cube(cx: StateComplex, rank: list, below: dict, vids: list, numbers: list) -> int:
+def _store_cube(cx: CubeComplex, rank: list, below: dict, vids: list, numbers: list) -> int:
     """Store a new cube from its corners in bitmask order from its
     all-forward corner: their vids and the numbers its actions read at
     each, as ``_Edges.corners`` gives them.  Returns its position.
@@ -428,12 +408,12 @@ def _store_cube(cx: StateComplex, rank: list, below: dict, vids: list, numbers: 
 _NONE_REFUSED = frozenset()
 
 
-def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
+def _build(frame, seeds, cap: int) -> CubeComplex:
     """Breadth-first closure of the seeds, then cube enumeration.
 
-    States are named through the complex's frame.  Stops discovering new
-    states at ``cap`` vertices and marks the result truncated; cubes are
-    then restricted to fully-visited corner sets.
+    States are named through the frame, which the complex keeps.  Stops
+    discovering new states at ``cap`` vertices and marks the result
+    truncated; cubes are then restricted to fully-visited corner sets.
 
     The closure records every edge it finds (see ``_Edges``): per
     vertex, its leaving actions' numbers, the vids they reach and, in a
@@ -469,8 +449,9 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     the cube's finite corner set onto itself, which no nonzero
     translation of Z^2 does.
     """
-    system, frame, vertex = cx.system, cx.frame, cx._vid
-    cx.cap = cap
+    cx = CubeComplex()
+    cx.frame, cx.actions = frame, frame.actions
+    system, vertex = frame.system, cx._vid
 
     def reach(state):
         if cx.n_vertices < cap:
@@ -552,7 +533,7 @@ def _build(cx: StateComplex, seeds, cap: int) -> StateComplex:
     return cx
 
 
-def build_complex(system: System, seeds, max_vertices: int = 1_000_000) -> StateComplex:
+def build_complex(system: System, seeds, max_vertices: int = 1_000_000) -> CubeComplex:
     """Build the state complex reachable from the seeds.
 
     Stops discovering new states at ``max_vertices`` and marks the
@@ -560,7 +541,7 @@ def build_complex(system: System, seeds, max_vertices: int = 1_000_000) -> State
     """
     if not system.workspace.is_finite:
         raise ModelError("WorkspaceNotFinite: complex building needs a finite workspace")
-    return _build(StateComplex(system), seeds, max_vertices)
+    return _build(PlainFrame(system), seeds, max_vertices)
 
 
 @dataclass(frozen=True)

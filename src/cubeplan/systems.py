@@ -246,7 +246,7 @@ def arm_word_complex(n: int) -> CubeComplex:
     """
     if n < 1:
         raise ModelError("the arm needs at least one segment")
-    cx = CubeComplex(word_cube_key)
+    cx = CubeComplex(name=word_cube_key)
     cx.actions = sorted([("flip", n)] + [("swap", i) for i in range(1, n)])
     number = {move: i for i, move in enumerate(cx.actions)}
     words = []

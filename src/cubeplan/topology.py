@@ -7,8 +7,9 @@ Functions here take any complex exposing the small view protocol used by
 a facet may repeat and incidence counts multiplicity) and
 ``cell_keys(k)`` (one sortable printed name per cell in number order,
 which orders the collapse and names cells in exports).  The surface
-checks also need ``n_vertices``, ``edge_endpoints(i)`` (edge i's vertex
-numbers) and ``square_boundary(i)`` (square i's edges as (number, sign)).
+checks also need ``n_vertices`` and ``square_boundary(i)`` (square i's
+edges as (number, sign)); an edge's facets are its two vertex numbers,
+base first.
 Ranks are computed over the two-element field with bitset elimination,
 which is enough to decide every invariant used here; orientability is
 decided combinatorially instead of via integral homology.
@@ -114,7 +115,7 @@ def surface_report(view) -> SurfaceReport:
         for i, (e, sign) in enumerate(cycle):
             usage[e] += 1
             nxt, nsign = cycle[(i + 1) % len(cycle)]
-            head_vid = view.edge_endpoints(e)[1 if sign > 0 else 0]
+            head_vid = view.facets(1, e)[1 if sign > 0 else 0]
             head_end = (e, 1 if sign > 0 else 0)
             tail_end = (nxt, 0 if nsign > 0 else 1)
             corner_pairs.setdefault(head_vid, []).append((head_end, tail_end))
@@ -123,7 +124,7 @@ def surface_report(view) -> SurfaceReport:
             return SurfaceReport(False, f"an edge lies in {count} squares")
     ends_at = [set() for _ in range(view.n_vertices)]
     for e in range(view.n_cells(1)):
-        v0, v1 = view.edge_endpoints(e)
+        v0, v1 = view.facets(1, e)
         ends_at[v0].add((e, 0))
         ends_at[v1].add((e, 1))
     for vid in range(view.n_vertices):

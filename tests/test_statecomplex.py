@@ -13,7 +13,7 @@ from cubeplan import shape, statecomplex
 from cubeplan.errors import BuildTruncatedError, CubeplanError
 from cubeplan.fileformat import export_complex
 from cubeplan.model import BACKWARD, System, Workspace, apply_action
-from cubeplan.shape import ShapeComplex, build_shape_complex, canonicalize
+from cubeplan.shape import ShapeFrame, build_shape_complex, canonicalize
 from cubeplan.statecomplex import (
     CellRecord,
     CubeComplex,
@@ -154,7 +154,7 @@ def test_cube_key_is_corner_independent(name):
     cx = CORNER_COMPLEXES[name]()
     assert cx.n_cells(2) > 0
     assert_every_corner_reads_the_key(cx)
-    if isinstance(cx, ShapeComplex):
+    if isinstance(cx.frame, ShapeFrame):
         return
     # a plain cube's printed name reads the same from its far corner
     for rec in cx.cells(2):
@@ -175,7 +175,7 @@ def test_square_boundary_is_a_closed_cycle(name):
         # walk the directed edges; each step must start where the last ended
         walk = []
         for e, sign in cycle:
-            v0, v1 = cx.edge_endpoints(e)
+            v0, v1 = cx.facets(1, e)
             walk.append((v0, v1) if sign > 0 else (v1, v0))
         for (_, head), (tail, _) in zip(walk, walk[1:] + walk[:1]):
             assert head == tail
@@ -245,7 +245,7 @@ def test_non_local_cubes_require_all_corners(name):
     """Stored cubes of a constrained system never have a bad corner."""
     cx = NON_LOCAL_COMPLEXES[name]()
     assert cx.max_dim >= 3
-    system = cx.system
+    system = cx.frame.system
     for k in range(1, cx.max_dim + 1):
         for rec in cx.cells(k):
             for vid in rec.corners:
@@ -491,8 +491,11 @@ def test_shape_records_match_the_cubes_rebuilt_from_states(seed, kind):
 def assert_cells_read_back(cx):
     """``cells`` and ``cell`` build each record on demand from the
     complex's columns, field by field the record rebuilt from states;
-    ``corners``, ``facets``, ``edge_endpoints`` and ``cell_keys`` read
-    the same columns."""
+    ``corners``, ``facets`` (an edge's are its corners) and
+    ``cell_keys`` read the same columns.  ``cell``, ``corners`` and
+    ``facets`` share one bounds rule, ``range(n_cells(k))[i]``'s: -1
+    reads the last cell, and a cell number or dimension out of range
+    raises ``IndexError``."""
     oracle, _ = oracle_cells(cx)
     for vid in range(cx.n_vertices):
         assert cx.cell(0, vid) == CellRecord(0, cx.vertex_state(vid), (), (vid,), ())
@@ -509,10 +512,17 @@ def assert_cells_read_back(cx):
                 assert got.facets == want.facets == cx.facets(k, i)
             assert names[i] == cx.name(want.actions, want.base)
             if k == 1:
-                assert cx.edge_endpoints(i) == want.corners
-        for read in (cx.cell, cx.corners, cx.facets):
+                assert cx.facets(1, i) == want.corners
+    for read in (cx.cell, cx.corners, cx.facets):
+        for k in range(cx.max_dim + 1):
+            n = cx.n_cells(k)
+            assert read(k, -1) == read(k, n - 1)
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    read(k, i)
+        for k in (-1, cx.max_dim + 1):
             with pytest.raises(IndexError):
-                read(k, cx.n_cells(k))
+                read(k, 0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -232,7 +232,7 @@ def test_plain_complexes_hold_the_catalogue_actions(argv):
     2i + 1, and every action a plain complex keeps, in its cell records
     and its link record, is the catalogue's own object."""
     cx = build_builtin(argv)
-    catalogue = cx.system.all_actions
+    catalogue = cx.frame.system.all_actions
     assert len(catalogue) % 2 == 0
     for fwd, bwd in zip(catalogue[::2], catalogue[1::2]):
         assert fwd.direction == 0 and fwd.reverse() == bwd

@@ -38,7 +38,7 @@ from cubeplan.model import (
     pattern_matches,
     placement_fault,
 )
-from cubeplan.shape import ShapeComplex, canonicalize
+from cubeplan.shape import ShapeFrame, canonicalize
 from cubeplan.statecomplex import CellRecord, _mask, state_key
 from cubeplan.systems import (
     VARIANT_CHANGING,
@@ -111,9 +111,6 @@ class SyntheticSurface:
         if k == 1:
             return self._edges[i]
         return tuple(e for e, _ in self._squares[i])
-
-    def edge_endpoints(self, i):
-        return self._edges[i]
 
     def square_boundary(self, i):
         return list(self._squares[i])
@@ -363,8 +360,8 @@ def corner_actions(cx, base, actions, mask) -> list:
     for i, act in enumerate(actions):
         if (mask >> i) & 1:
             corner = apply_action(corner, act)
-    lattice = cx.system.workspace.lattice
-    dx, dy = canonicalize(corner, lattice)[1] if isinstance(cx, ShapeComplex) else (0, 0)
+    lattice = cx.frame.system.workspace.lattice
+    dx, dy = canonicalize(corner, lattice)[1] if isinstance(cx.frame, ShapeFrame) else (0, 0)
     return [
         make_action(
             a.generator,
