@@ -542,10 +542,11 @@ def export_complex(view) -> str:
     lines.append("fvec: " + " ".join(str(n) for n in fvec))
     for k in range(view.max_dim + 1):
         lines.append(f"dim {k}")
+        column = view.facet_column(k)
         for i, key in enumerate(view.cell_keys(k)):
             if k == 0:
                 lines.append(f"cell {i}: {key!r}")
             else:
-                refs = " ".join(map(str, view.facets(k, i)))
+                refs = " ".join(map(str, column[2 * k * i : 2 * k * (i + 1)]))
                 lines.append(f"cell {i}: {key!r} facets {refs}")
     return "\n".join(lines) + "\n"

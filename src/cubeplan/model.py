@@ -320,7 +320,8 @@ class System:
         action's source pattern; actions with an empty source pattern sit
         under ``NO_SOURCE``.  An action matches only a state holding its
         whole source pattern, so the positions under a state's cells and
-        ``NO_SOURCE`` include every action admissible there."""
+        ``NO_SOURCE`` include every action admissible there, and
+        ``admissible_actions`` tests those whose whole pattern it holds."""
         out: dict = {}
         for i, act in enumerate(self.all_actions):
             key = min(act.src_occ) if act.src_occ else NO_SOURCE
@@ -448,17 +449,24 @@ def pattern_matches(state: frozenset, action: Action) -> bool:
     return state & action.support == action.src_occ
 
 
+def _rewrite(state: frozenset, action: Action) -> frozenset:
+    """The action's rewrite of a state its source pattern matches."""
+    return (state - action.support) | action.dst_occ
+
+
 def apply_action(state: frozenset, action: Action) -> frozenset:
     """Rewrite the state by one action.
 
     The state is unchanged off the placed support and carries the target
     pattern on it.  Applying an action and then its reverse is a no-op.
+    The match is checked first, for callers holding an action no test
+    has passed; the builder rewrites admitted actions without it.
     """
     if not pattern_matches(state, action):
         raise NotAdmissibleError(
             f"NotAdmissible: {action.gid} at {action.offset} does not match"
         )
-    return (state - action.support) | action.dst_occ
+    return _rewrite(state, action)
 
 
 def is_admissible(state: frozenset, action: Action, system: System) -> bool:
@@ -471,19 +479,21 @@ def is_admissible(state: frozenset, action: Action, system: System) -> bool:
         return False
     if system.constraint_name is None:
         return True
-    return system.constraint_holds((state - action.support) | action.dst_occ)
+    return system.constraint_holds(_rewrite(state, action))
 
 
 def admissible_actions(state: frozenset, system: System) -> list:
     """All admissible actions at a state, sorted and duplicate-free.
 
-    Only the actions whose source pattern's least cell the state holds,
-    and those with an empty source pattern, are tested.
+    Candidates are indexed by their source pattern's least cell
+    (``System.actions_by_cell``), then filtered on the whole source
+    pattern, so ``is_admissible`` tests only actions the state can match.
     """
     catalogue, by_cell = system.all_actions, system.actions_by_cell
-    candidates = list(by_cell.get(NO_SOURCE, ()))
-    for cell in state:
-        candidates.extend(by_cell.get(cell, ()))
+    candidates = [
+        i for cell in state for i in by_cell.get(cell, ()) if catalogue[i].src_occ <= state
+    ]
+    candidates += by_cell.get(NO_SOURCE, ())
     candidates.sort()
     return [
         catalogue[i] for i in candidates if is_admissible(state, catalogue[i], system)
@@ -492,7 +502,7 @@ def admissible_actions(state: frozenset, system: System) -> list:
 
 def commute_pair(a: Action, b: Action) -> bool:
     """Neither action's trace meets the other's support."""
-    return not (a.trace & b.support) and not (b.trace & a.support)
+    return a.trace.isdisjoint(b.support) and b.trace.isdisjoint(a.support)
 
 
 def commute(actions) -> bool:

@@ -22,6 +22,7 @@ from .model import (
     REASON_OBSTACLE,
     REASON_WORKSPACE,
     System,
+    _rewrite,
     apply_action,
     commute,
     make_action,
@@ -113,7 +114,7 @@ class ShapeFrame:
         numbers, reached, shifts = [], [], []
         for act in actions:
             numbers.append(self.number(act))
-            state, shift = canonicalize(apply_action(shape, act), self.lattice)
+            state, shift = canonicalize(_rewrite(shape, act), self.lattice)
             reached.append(state)
             shifts.append(shift if any(shift) else None)
         return tuple(numbers), reached, tuple(shifts) if any(shifts) else None
@@ -131,8 +132,8 @@ class ShapeFrame:
             out.append(first + (n & 1))
         return tuple(out)
 
-    def cell_key(self, numbers, corner_state: frozenset) -> tuple:
-        return shape_cube_key([self.actions[n] for n in numbers], corner_state)
+    def cube_key(self, states: list, vid: int, numbers: tuple) -> tuple:
+        return vid, shape_cube_key([self.actions[n] for n in numbers], states[vid])
 
 
 def _require_homogeneous(system: System) -> None:
@@ -180,7 +181,7 @@ def shape_actions(system: System, shape: frozenset) -> list:
                     continue
                 act = make_action(gen, off, direction, lattice)
                 if pattern_matches(shape, act) and system.constraint_holds(
-                    apply_action(shape, act)
+                    _rewrite(shape, act)
                 ):
                     out.append(act)
     out.sort()

@@ -38,8 +38,8 @@ from .errors import (
 )
 from .model import (
     System,
+    _rewrite,
     admissible_actions,
-    apply_action,
     commute_pair,
 )
 
@@ -202,6 +202,12 @@ class CubeComplex:
         i = range(self.n_cells(k))[i]
         return tuple(self._facets[k][2 * k * i : 2 * k * (i + 1)]) if k else ()
 
+    def facet_column(self, k: int) -> memoryview:
+        """Every k-cell's ``facets``, read-only: cell i's are items 2k*i
+        to 2k*(i + 1).  Empty for k with no facets or no cells."""
+        column = self._facets[k] if 0 < k <= self.max_dim else array("i")
+        return memoryview(column).toreadonly()
+
     # -- vertices ------------------------------------------------------
 
     @property
@@ -256,15 +262,15 @@ class PlainFrame:
     def leaving(self, state: frozenset, actions) -> tuple:
         """The actions' numbers, the states they reach and the
         translations into those states' frames: None, since every plain
-        state is its own frame."""
+        state is its own frame.  ``actions_at`` admitted the actions."""
         position = self.position
         numbers = tuple([position[a] for a in actions])
-        return numbers, [apply_action(state, a) for a in actions], None
+        return numbers, [_rewrite(state, a) for a in actions], None
 
-    def cell_key(self, numbers: tuple, corner_state: frozenset) -> tuple:
-        """A cube's placements named by the numbers its actions read at
-        its all-forward corner, all even there."""
-        return numbers
+    def cube_key(self, states: list, vid: int, numbers: tuple) -> tuple:
+        """The key of the cube whose actions read ``numbers`` at its
+        all-forward corner, vertex vid; no state is read."""
+        return vid, numbers
 
 
 def _extend_cliques(adjacency, clique: tuple, candidates: int, size: int, out: list) -> bool:
@@ -383,7 +389,7 @@ def _store_cube(cx: CubeComplex, rank: list, below: dict, vids: list, numbers: l
     keys of the cubes one dimension down: its corners are the cube's,
     all vertices, so the pass before stored it.
     """
-    frame = cx.frame
+    cube_key, states = cx.frame.cube_key, cx._states
     k = len(numbers[0])
     ranks = [rank[vid] for vid in vids]
     base = ranks.index(min(ranks))
@@ -399,8 +405,7 @@ def _store_cube(cx: CubeComplex, rank: list, below: dict, vids: list, numbers: l
             bit = 1 << j
             for corner in (base & bit, ~base & bit):
                 sub = numbers[corner][:j] + numbers[corner][j + 1 :]
-                vid = vids[corner]
-                facets.append(below[(vid, *frame.cell_key(sub, cx.vertex_state(vid)))])
+                facets.append(below[cube_key(states, vids[corner], sub)])
     return cx._append(k, corners, facets, numbers[base])
 
 
@@ -426,8 +431,8 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
     Cubes are then enumerated one dimension at a time, each vertex's
     k-cliques of commuting actions in pass k, so every facet is stored
     before its cube.  A clique is walked along the recorded successors:
-    first to its all-forward corner, whose vid and placement names (the
-    frame's ``cell_key`` of the numbers read there) key the cube, and,
+    first to its all-forward corner, where the frame's ``cube_key`` of
+    its vid and the numbers read there keys the cube, and,
     for a key not yet stored, to every corner (see ``_store_cube``),
     whose columns it appends to the complex's arrays.  No state is
     rebuilt or canonicalized per corner, and no record is made.
@@ -499,7 +504,7 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
     # satisfies it at every corner.  ``refused`` keeps, per vertex, the
     # cliques that span no cube; pass k visits the vertices with k-cliques
     refused: dict = {}
-    all_forward = edges.all_forward
+    all_forward, cube_key, states = edges.all_forward, frame.cube_key, cx._states
     k, below, alive = 0, None, vids
     while alive:
         k, stored, still = k + 1, {}, []
@@ -516,11 +521,10 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
                         continue
                 corner = all_forward(vid, tuple(map(numbers.__getitem__, clique)))
                 if corner is not None:
-                    f, read = corner
-                    key = (f, *frame.cell_key(read, cx.vertex_state(f)))
+                    key = cube_key(states, *corner)
                     if key in stored:
                         continue
-                    corners = edges.corners(f, read)
+                    corners = edges.corners(*corner)
                     if corners is not None:
                         stored[key] = _store_cube(cx, rank, below, *corners)
                         continue

@@ -3,13 +3,14 @@
 Functions here take any complex exposing the small view protocol used by
 ``CubeComplex``, in which cells are numbered per dimension from 0:
 ``max_dim``, ``n_cells(k)``, ``truncated`` (the build stopped early),
-``facets(k, i)`` (the numbers of cell i's facets among the (k-1)-cells;
-a facet may repeat and incidence counts multiplicity) and
-``cell_keys(k)`` (one sortable printed name per cell in number order,
-which orders the collapse and names cells in exports).  The surface
-checks also need ``n_vertices`` and ``square_boundary(i)`` (square i's
-edges as (number, sign)); an edge's facets are its two vertex numbers,
-base first.
+``facet_column(k)`` (the k-cells' facets as one flat sequence, 2k
+numbers among the (k-1)-cells per cell in number order; a facet may
+repeat and incidence counts multiplicity) and ``cell_keys(k)`` (one
+sortable printed name per cell in number order, which orders the
+collapse and names cells in exports).  The surface checks also need
+``n_vertices`` and ``square_boundary(i)`` (square i's edges as
+(number, sign)); an edge's facets are its two vertex numbers, base
+first.
 Ranks are computed over the two-element field with bitset elimination,
 which is enough to decide every invariant used here; orientability is
 decided combinatorially instead of via integral homology.
@@ -60,15 +61,15 @@ def _gf2_rank(columns) -> int:
 
 
 def boundary_matrix(view, k: int) -> list:
-    """Columns of the mod-2 boundary map from k-cells to (k-1)-cells.
+    """Columns of the mod-2 boundary map from k-cells (k >= 1) to (k-1)-cells.
 
     Each column is an int bitset over the (k-1)-cells by number; a
     facet listed an even number of times cancels out.
     """
     cols = []
-    for i in range(view.n_cells(k)):
+    for facets in zip(*[iter(view.facet_column(k))] * (2 * k)):
         col = 0
-        for f in view.facets(k, i):
+        for f in facets:
             col ^= 1 << f
         cols.append(col)
     return cols
@@ -109,13 +110,14 @@ def surface_report(view) -> SurfaceReport:
     if view.max_dim != 2 or view.n_cells(2) == 0:
         return SurfaceReport(False, "complex is not 2-dimensional")
     usage = [0] * view.n_cells(1)
+    endpoints = view.facet_column(1)
     corner_pairs: dict = {}
     for s in range(view.n_cells(2)):
         cycle = view.square_boundary(s)
         for i, (e, sign) in enumerate(cycle):
             usage[e] += 1
             nxt, nsign = cycle[(i + 1) % len(cycle)]
-            head_vid = view.facets(1, e)[1 if sign > 0 else 0]
+            head_vid = endpoints[2 * e + (1 if sign > 0 else 0)]
             head_end = (e, 1 if sign > 0 else 0)
             tail_end = (nxt, 0 if nsign > 0 else 1)
             corner_pairs.setdefault(head_vid, []).append((head_end, tail_end))
@@ -124,9 +126,8 @@ def surface_report(view) -> SurfaceReport:
             return SurfaceReport(False, f"an edge lies in {count} squares")
     ends_at = [set() for _ in range(view.n_vertices)]
     for e in range(view.n_cells(1)):
-        v0, v1 = view.facets(1, e)
-        ends_at[v0].add((e, 0))
-        ends_at[v1].add((e, 1))
+        ends_at[endpoints[2 * e]].add((e, 0))
+        ends_at[endpoints[2 * e + 1]].add((e, 1))
     for vid in range(view.n_vertices):
         ends = ends_at[vid]
         if not ends:
@@ -232,9 +233,10 @@ def collapse_subcomplex(view) -> list:
     alive = [set(range(len(rank))) for rank in ranks]
     counts = [[0] * len(rank) for rank in ranks]
     cofaces = [[[] for _ in rank] for rank in ranks]
+    columns = [view.facet_column(k) for k in range(len(ranks))]
     for k in range(1, len(ranks)):
-        for i in range(len(ranks[k])):
-            for f in view.facets(k, i):
+        for i, facets in enumerate(zip(*[iter(columns[k])] * (2 * k))):
+            for f in facets:
                 counts[k - 1][f] += 1
                 cofaces[k - 1][f].append(i)
     free = [
@@ -249,7 +251,7 @@ def collapse_subcomplex(view) -> list:
         alive[k].remove(i)
         if k:
             below = counts[k - 1]
-            for f in view.facets(k, i):
+            for f in columns[k][2 * k * i : 2 * k * (i + 1)]:
                 below[f] -= 1
                 if below[f] == 1:
                     heapq.heappush(free, (1 - k, ranks[k - 1][f], f))

@@ -390,6 +390,22 @@ def test_commutation_is_about_traces_meeting_supports():
     assert commute((a,)) and commute(())
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_commute_pair_is_the_set_intersection_rule(seed, data):
+    """``commute_pair`` tests disjointness without building a set; on
+    action pairs of random catalogues it equals the definition, empty
+    intersections of each trace with the other's support, and is
+    symmetric."""
+    sf = random_system(random.Random(seed))
+    assume(sf.system.workspace.is_finite and sf.system.all_actions)
+    pick = st.sampled_from(sf.system.all_actions)
+    for _ in range(30):
+        a, b = data.draw(pick), data.draw(pick)
+        defined = not (a.trace & b.support) and not (b.trace & a.support)
+        assert commute_pair(a, b) == defined == commute_pair(b, a)
+
+
 def test_graph_embeddings_identify_symmetric_placements():
     # on an edge, the two injections of a token generator give one
     # placement per edge, not two

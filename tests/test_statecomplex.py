@@ -492,10 +492,11 @@ def assert_cells_read_back(cx):
     """``cells`` and ``cell`` build each record on demand from the
     complex's columns, field by field the record rebuilt from states;
     ``corners``, ``facets`` (an edge's are its corners) and
-    ``cell_keys`` read the same columns.  ``cell``, ``corners`` and
-    ``facets`` share one bounds rule, ``range(n_cells(k))[i]``'s: -1
-    reads the last cell, and a cell number or dimension out of range
-    raises ``IndexError``."""
+    ``cell_keys`` read the same columns, and ``facet_column`` hands out
+    each dimension's facets whole and read-only (empty where there are
+    none).  ``cell``, ``corners`` and ``facets`` share one bounds rule,
+    ``range(n_cells(k))[i]``'s: -1 reads the last cell, and a cell
+    number or dimension out of range raises ``IndexError``."""
     oracle, _ = oracle_cells(cx)
     for vid in range(cx.n_vertices):
         assert cx.cell(0, vid) == CellRecord(0, cx.vertex_state(vid), (), (vid,), ())
@@ -513,6 +514,11 @@ def assert_cells_read_back(cx):
             assert names[i] == cx.name(want.actions, want.base)
             if k == 1:
                 assert cx.facets(1, i) == want.corners
+        column = cx.facet_column(k)
+        assert column.readonly
+        assert list(column) == [f for i in range(cx.n_cells(k)) for f in cx.facets(k, i)]
+    for k in (-1, 0, cx.max_dim + 1):
+        assert len(cx.facet_column(k)) == 0
     for read in (cx.cell, cx.corners, cx.facets):
         for k in range(cx.max_dim + 1):
             n = cx.n_cells(k)

@@ -204,26 +204,47 @@ def test_certificate_and_collapse_reach_their_module_globals(monkeypatch):
     assert calls == {"link": cx.n_vertices, "collapse": 1}
 
 
-def test_build_reaches_the_admissibility_module_globals(monkeypatch):
-    """The benchmark's tracer wraps ``model.admissible_actions`` and
-    ``model.is_admissible`` at every module attribute bound to them; a
-    build must reach both there, and tests fewer actions than a scan of
-    the whole catalogue at every state would."""
-    calls = {"admissible_actions": 0, "is_admissible": 0}
-    for name in calls:
+def _count_hex_build(monkeypatch, constraint) -> tuple:
+    """Build the hex radius-2 ball from the 4-module seed with
+    ``model.admissible_actions`` and ``model.is_admissible`` counted at
+    every module attribute bound to them, as the benchmark's tracer
+    wraps them; returns the calls, the admissibility hits and the
+    complex."""
+    calls = {"admissible_actions": 0, "is_admissible": 0, "hits": 0}
+    for name in ("admissible_actions", "is_admissible"):
         original = getattr(model, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
-            return original(*args)
+            out = original(*args)
+            if name == "is_admissible":
+                calls["hits"] += bool(out)
+            return out
 
         for mod in (cubeplan, model, statecomplex):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
-    system = hex_pivot_system(VARIANT_CHANGING, hex_ball(2), constraint_name="connected")
-    cx = build_complex(system, [frozenset([(0, 0), (1, 0), (0, 1), (1, 1)])])
-    assert calls["admissible_actions"] == cx.n_vertices
-    assert 0 < calls["is_admissible"] < cx.n_vertices * len(system.all_actions)
+    system = hex_pivot_system(VARIANT_CHANGING, hex_ball(2), constraint_name=constraint)
+    return calls, build_complex(system, [frozenset([(0, 0), (1, 0), (0, 1), (1, 1)])])
+
+
+def test_build_reaches_the_admissibility_module_globals(monkeypatch):
+    """A build must reach both traced functions where the tracer wraps
+    them, under a global constraint too, and test only the actions
+    whose whole source pattern the state holds."""
+    calls, cx = _count_hex_build(monkeypatch, "connected")
+    assert calls == {"admissible_actions": cx.n_vertices, "is_admissible": 3_984, "hits": 2_052}
+
+
+def test_build_tests_only_actions_whose_source_pattern_the_state_holds(monkeypatch):
+    """On the local hex radius-2 ball ``is_admissible`` runs 19,584
+    times for 17,280 hits; testing every action indexed under a state's
+    cells by its source pattern's least cell made 103,320 tests.  Every
+    seed of this local system reaches the same complex, so the counts
+    do not depend on the start."""
+    calls, cx = _count_hex_build(monkeypatch, None)
+    assert cx.n_vertices == 3_344
+    assert calls == {"admissible_actions": 3_344, "is_admissible": 19_584, "hits": 17_280}
 
 
 @pytest.mark.parametrize("argv", sorted(BUILTINS), ids=" ".join)

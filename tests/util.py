@@ -107,10 +107,12 @@ class SyntheticSurface:
     def cell_keys(self, k):
         return list(self._keys[k])
 
-    def facets(self, k, i):
+    def facet_column(self, k):
         if k == 1:
-            return self._edges[i]
-        return tuple(e for e, _ in self._squares[i])
+            return tuple(v for edge in self._edges for v in edge)
+        if k == 2:
+            return tuple(e for square in self._squares for e, _ in square)
+        return ()
 
     def square_boundary(self, i):
         return list(self._squares[i])
