@@ -23,16 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PathError, StateError
-from .lattice import GRAPH
 from .model import (
     System,
-    _graph_embeddings,
+    _rewrite,
     admissible_actions,
     apply_action,
     commute,
     is_admissible,
     pattern_matches,
-    placement_fault,
 )
 
 STOP_ON_LENGTH = "stopOnLength"
@@ -312,24 +310,6 @@ class PathReport:
     reason: str | None = None
 
 
-def _placement_fault(act, system: System) -> str | None:
-    """Why the action is not a placement of the system, or None.
-
-    On a finite graph the offset must also be one the catalogue lists,
-    in its node order; ``System.graph_embeddings`` keeps each
-    generator's offsets from the first check of its gid.
-    """
-    ws = system.workspace
-    fault = placement_fault(act, ws)
-    if fault is None and ws.lattice.kind == GRAPH:
-        embeddings = system.graph_embeddings
-        if act.gid not in embeddings:
-            embeddings[act.gid] = frozenset(_graph_embeddings(act.generator, ws))
-        if act.offset not in embeddings[act.gid]:
-            fault = "not-an-embedding"
-    return fault
-
-
 def validate(path: CubePath) -> PathReport:
     """Check the structural invariants of a cube path.
 
@@ -338,9 +318,10 @@ def validate(path: CubePath) -> PathReport:
     global constraint when the path carries a non-local system).  When
     the path carries a system, its start must fit the workspace and
     satisfy the global constraint (index -1 if not), and every action
-    must be one of its placements.  Admissibility is tested at every
-    move, the rest once per distinct step (one met again passed them);
-    a step's actions commute, so the state advances by their rewrites.
+    must pass ``System.placement_fault``, the system's own check of its
+    placements.  Admissibility is tested at every move, the rest once
+    per distinct step (one met again passed them); a step's actions
+    commute, so the state advances by their rewrites.
     """
     cur = path.start
     system = path.system
@@ -366,7 +347,7 @@ def validate(path: CubePath) -> PathReport:
             if system is None:
                 ok = pattern_matches(cur, act)
             else:
-                fault = _placement_fault(act, system) if fresh else None
+                fault = system.placement_fault(act) if fresh else None
                 if fault is not None:
                     why = f"is not a placement of the system ({fault})"
                     return PathReport(
@@ -377,7 +358,7 @@ def validate(path: CubePath) -> PathReport:
                 return PathReport(
                     False, i, f"action {act.gid} at {act.offset} not admissible"
                 )
-            nxt = (nxt - act.support) | act.dst_occ
+            nxt = _rewrite(nxt, act)
         cur = nxt
         if system is not None and not system.constraint_holds(cur):
             return PathReport(False, i, "state violates the global constraint")

@@ -36,6 +36,8 @@ _ORIENT_LETTER = {lat.HORIZONTAL: "h", lat.VERTICAL: "v"}
 _ORIENT_VALUE = {"h": lat.HORIZONTAL, "v": lat.VERTICAL}
 
 _GENERATOR_FIELDS = ("support", "trace", "occ0", "occ1", "edges")
+# system-file directives that may appear at most once
+_SINGLE_DIRECTIVES = ("lattice", "nodes", "edges", "workspace", "constraint")
 
 
 def _err(ln: int, msg: str) -> FormatError:
@@ -138,6 +140,7 @@ def parse_system_file(text: str) -> SystemFile:
     generators = []
     gid_lines = {}
     seeds = []  # (frozenset, line)
+    seen = set()  # the single directives met so far
     block = None  # (gid, start_line, {field: cells})
 
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -177,10 +180,12 @@ def parse_system_file(text: str) -> SystemFile:
 
         if kind is None and head != "lattice":
             raise _err(ln, "the lattice must be declared first")
+        if head in _SINGLE_DIRECTIVES:
+            if head in seen:
+                raise _err(ln, f"duplicate {head} line")
+            seen.add(head)
 
         if head == "lattice":
-            if kind is not None:
-                raise _err(ln, "duplicate lattice line")
             if len(args) != 1 or args[0] not in lat.KINDS:
                 raise _err(
                     ln, f"lattice kind must be one of {', '.join(lat.KINDS)}"
@@ -189,20 +194,13 @@ def parse_system_file(text: str) -> SystemFile:
         elif head == "nodes":
             if kind != lat.GRAPH:
                 raise _err(ln, "nodes line applies only to finite graphs")
-            if nodes is not None:
-                raise _err(ln, "duplicate nodes line")
             nodes = tuple(_parse_node_token(t, ln) for t in args)
-            _homogeneous(nodes, ln, "node labels")
             nodes_ln = ln
         elif head == "edges":
             if kind != lat.GRAPH:
                 raise _err(ln, "edges line applies only to finite graphs")
-            if graph_edges is not None:
-                raise _err(ln, "duplicate edges line")
             graph_edges = tuple(_parse_graph_pair(t, ln) for t in args)
         elif head == "workspace":
-            if ws_tokens is not None:
-                raise _err(ln, "duplicate workspace line")
             ws_tokens, ws_ln = args, ln
         elif head == "exclude":
             excluded.update(_parse_cell(t, kind, ln) for t in args)
@@ -214,8 +212,6 @@ def parse_system_file(text: str) -> SystemFile:
                 (_parse_cell(args[0], kind, ln), args[1] == "occupied", ln)
             )
         elif head == "constraint":
-            if constraint is not None:
-                raise _err(ln, "duplicate constraint line")
             if len(args) != 1:
                 raise _err(ln, "constraint takes one name")
             if args[0] not in CONSTRAINTS:
@@ -251,8 +247,6 @@ def parse_system_file(text: str) -> SystemFile:
         except ModelError as e:
             raise _err(nodes_ln, str(e)) from e
     else:
-        if nodes is not None or graph_edges is not None:
-            raise _err(kind_ln, "nodes/edges apply only to finite graphs")
         lattice = lat.Lattice(kind)
 
     if ws_tokens is None:

@@ -64,6 +64,8 @@ class Lattice:
             node_set = set(self.nodes)
             if len(node_set) != len(self.nodes):
                 raise ModelError("duplicate graph nodes")
+            if len({type(n) for n in node_set}) > 1:
+                raise ModelError("node labels mix integer and string labels")
             norm = []
             for e in self.edges:
                 if len(e) != 2 or e[0] == e[1]:

@@ -20,9 +20,10 @@ from .errors import ModelError, NotAdmissibleError, StateError
 FORWARD = 0
 BACKWARD = 1
 
-# why an action is not a placement in a workspace
+# why an action is not a placement (``placement_fault``, ``System.placement_fault``)
 REASON_WORKSPACE = "out-of-workspace"
 REASON_OBSTACLE = "obstacle-trace"
+REASON_EMBEDDING = "not-an-embedding"
 
 
 @dataclass(frozen=True)
@@ -272,6 +273,8 @@ class System:
     workspace: Workspace
     catalogue: tuple
     constraint_name: str | None = None
+    # generator -> frozenset of its graph embeddings, for placement_fault
+    _embeddings: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "catalogue", tuple(self.catalogue))
@@ -328,11 +331,25 @@ class System:
             out.setdefault(key, []).append(i)
         return out
 
-    @cached_property
-    def graph_embeddings(self) -> dict:
-        """Generator id -> frozenset of its ``_graph_embeddings`` offsets
-        on a finite graph, each filled on its first use by a check."""
-        return {}
+    def placement_fault(self, action: Action) -> str | None:
+        """Why the action is not a placement of this system, or None.
+
+        The workspace rule of ``placement_fault``, and on a finite graph
+        the offset must also be one of the action's generator's
+        embeddings, in its node order.  Each generator's embeddings are
+        enumerated on its first check and kept by generator value, so a
+        generator the catalogue lacks is checked against its own.
+        """
+        ws = self.workspace
+        fault = placement_fault(action, ws)
+        if fault is None and ws.lattice.kind == lat.GRAPH:
+            gen = action.generator
+            offsets = self._embeddings.get(gen)
+            if offsets is None:
+                offsets = self._embeddings[gen] = frozenset(_graph_embeddings(gen, ws))
+            if action.offset not in offsets:
+                fault = REASON_EMBEDDING
+        return fault
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .model import (
     commute,
     make_action,
     pattern_matches,
-    placement_fault,
 )
 from .statecomplex import CubeComplex, _build
 
@@ -236,13 +235,14 @@ def lift_path(shape_path, base_offset: tuple, system: System) -> LiftResult:
     """Re-place a shape path into the system's workspace.
 
     The path's start shape goes in at ``base_offset``; each step is then
-    translated along, checking workspace containment, obstacle traces,
-    pattern match against the real state (occupied obstacles included),
-    and the global constraint, in that order.  A step is read in the
-    frame of the canonical shape of the modules it acts on: traces never
-    touch obstacle cells, so the modules are the state minus its
-    occupied obstacles.  A finite graph has no translations to carry
-    the frame along, so it raises ``ModelError``.
+    translated along, checking ``System.placement_fault`` (workspace
+    containment, obstacle traces), pattern match against the real state
+    (occupied obstacles included), and the global constraint, in that
+    order.  A step is read in the frame of the canonical shape of the
+    modules it acts on: traces never touch obstacle cells, so the
+    modules are the state minus its occupied obstacles.  A finite graph
+    has no translations to carry the frame along, so it raises
+    ``ModelError``.
     """
     ws = system.workspace
     lattice = ws.lattice
@@ -266,7 +266,7 @@ def lift_path(shape_path, base_offset: tuple, system: System) -> LiftResult:
             cact = make_action(
                 act.generator, _shift_offset(act.offset, t), act.direction, lattice
             )
-            fault = placement_fault(cact, ws)
+            fault = system.placement_fault(cact)
             if fault is not None:
                 return LiftResult(False, None, i, fault)
             if not pattern_matches(state, cact):

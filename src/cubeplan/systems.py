@@ -131,15 +131,6 @@ def sliding_generators(kmax: int) -> tuple:
     return tuple(gens)
 
 
-def sliding_squares_system(kmax: int, cells, obstacles=()) -> System:
-    workspace = Workspace(
-        lat.square_lattice(),
-        None if cells is None else frozenset(cells),
-        tuple(obstacles),
-    )
-    return System(workspace, sliding_generators(kmax))
-
-
 def sliding_ring_fixture(p: int, q: int) -> SystemFile:
     """Two free squares hugging a p-by-q wall of pinned squares.
 
@@ -323,12 +314,6 @@ def token_generator() -> Generator:
 def complete_graph(n: int) -> lat.Lattice:
     nodes = tuple(range(n))
     edges = tuple(combinations(nodes, 2))
-    return lat.graph_lattice(nodes, edges)
-
-
-def path_graph(n: int) -> lat.Lattice:
-    nodes = tuple(range(n))
-    edges = tuple((i, i + 1) for i in range(n - 1))
     return lat.graph_lattice(nodes, edges)
 
 

@@ -99,58 +99,72 @@ class SurfaceReport:
     reason: str | None = None
 
 
+def _find(parent: dict, parity: dict, x) -> tuple:
+    """x's root in a parity union-find and x's parity relative to it."""
+    path = []  # walked iteratively: a chain can be as long as the input
+    while parent.setdefault(x, x) != x:
+        path.append(x)
+        x = parent[x]
+    p = 0
+    for y in reversed(path):  # hang the path on the root x
+        p ^= parity[y]
+        parent[y], parity[y] = x, p
+    return x, p
+
+
+def _union(parent: dict, parity: dict, x, y, rel) -> bool:
+    """Join x and y with parity ``rel`` between them; False if they are
+    already joined with the other parity."""
+    rx, px = _find(parent, parity, x)
+    ry, py = _find(parent, parity, y)
+    if rx == ry:
+        return (px ^ py) == rel
+    parent[ry] = rx
+    parity[ry] = px ^ py ^ rel
+    return True
+
+
+def _edge_uses(view) -> list:
+    """Per edge, each time a square's boundary runs along it, as
+    (square, sign, next edge around that boundary, its sign)."""
+    uses = [[] for _ in range(view.n_cells(1))]
+    for s in range(view.n_cells(2)):
+        cycle = view.square_boundary(s)
+        for i, (e, sign) in enumerate(cycle):
+            uses[e].append((s, sign, *cycle[(i + 1) % len(cycle)]))
+    return uses
+
+
 def surface_report(view) -> SurfaceReport:
     """Decide whether the complex is a closed 2-dimensional surface.
 
     Requires a pure 2-complex where every edge lies in exactly two
     squares (counted with multiplicity) and the edge-ends around every
-    vertex close up into a single cycle.
+    vertex close up into a single cycle.  Each corner of a square joins
+    the head of one boundary edge to the tail of the next, so a vertex's
+    link cycles are the union-find classes of its edge-ends; once every
+    edge lies in two squares, every edge-end lies in two corners.
     """
     _require_full(view)
     if view.max_dim != 2 or view.n_cells(2) == 0:
         return SurfaceReport(False, "complex is not 2-dimensional")
-    usage = [0] * view.n_cells(1)
-    endpoints = view.facet_column(1)
-    corner_pairs: dict = {}
-    for s in range(view.n_cells(2)):
-        cycle = view.square_boundary(s)
-        for i, (e, sign) in enumerate(cycle):
-            usage[e] += 1
-            nxt, nsign = cycle[(i + 1) % len(cycle)]
-            head_vid = endpoints[2 * e + (1 if sign > 0 else 0)]
-            head_end = (e, 1 if sign > 0 else 0)
-            tail_end = (nxt, 0 if nsign > 0 else 1)
-            corner_pairs.setdefault(head_vid, []).append((head_end, tail_end))
-    for count in usage:
-        if count != 2:
-            return SurfaceReport(False, f"an edge lies in {count} squares")
-    ends_at = [set() for _ in range(view.n_vertices)]
-    for e in range(view.n_cells(1)):
-        ends_at[endpoints[2 * e]].add((e, 0))
-        ends_at[endpoints[2 * e + 1]].add((e, 1))
-    for vid in range(view.n_vertices):
-        ends = ends_at[vid]
+    uses = _edge_uses(view)
+    for edge in uses:
+        if len(edge) != 2:
+            return SurfaceReport(False, f"an edge lies in {len(edge)} squares")
+    # edge-end 2e + b is edge e's end at its facet b; a step runs from
+    # facet 0 to facet 1 when its sign is positive
+    parent, parity = {}, {}
+    for e, edge in enumerate(uses):
+        for _, sign, nxt, nsign in edge:
+            _union(parent, parity, 2 * e + (sign > 0), 2 * nxt + (nsign < 0), 0)
+    ends_at = [[] for _ in range(view.n_vertices)]
+    for end, vid in enumerate(view.facet_column(1)):
+        ends_at[vid].append(end)
+    for ends in ends_at:
         if not ends:
             return SurfaceReport(False, "isolated vertex")
-        degree = {e: 0 for e in ends}
-        adj = {e: [] for e in ends}
-        for a, b in corner_pairs.get(vid, ()):
-            degree[a] += 1
-            degree[b] += 1
-            adj[a].append(b)
-            adj[b].append(a)
-        if any(d != 2 for d in degree.values()):
-            return SurfaceReport(False, "vertex link is not a cycle")
-        start = next(iter(ends))
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nb in adj[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(ends):
+        if len({_find(parent, parity, end)[0] for end in ends}) > 1:
             return SurfaceReport(False, "vertex link has several cycles")
     return SurfaceReport(True, None)
 
@@ -162,52 +176,19 @@ def is_closed_surface(view) -> bool:
 def is_orientable_surface(view) -> bool:
     """Try to orient all squares consistently across shared edges.
 
-    Works by 2-coloring with a parity union-find: two squares inducing
-    the same direction on a shared edge must take opposite orientations.
-    A square meeting an edge twice in the same direction is its own
+    Works by 2-coloring with the parity union-find: two squares inducing
+    the same direction on a shared edge must take opposite orientations,
+    so a square meeting an edge twice in the same direction is its own
     contradiction.
     """
     report = surface_report(view)
     if not report.ok:
         raise CubeplanError(f"not a closed surface: {report.reason}")
-    usages = [[] for _ in range(view.n_cells(1))]
-    for s in range(view.n_cells(2)):
-        for e, sign in view.square_boundary(s):
-            usages[e].append((s, sign))
-
-    parent: dict = {}
-    parity: dict = {}
-
-    def find(x):
-        path = []  # walked iteratively: a chain can be as long as the input
-        while parent.setdefault(x, x) != x:
-            path.append(x)
-            x = parent[x]
-        p = 0
-        for y in reversed(path):  # hang the path on the root x
-            p ^= parity[y]
-            parent[y], parity[y] = x, p
-        return x, p
-
-    def union(x, y, rel) -> bool:
-        rx, px = find(x)
-        ry, py = find(y)
-        if rx == ry:
-            return (px ^ py) == rel
-        parent[ry] = rx
-        parity[ry] = px ^ py ^ rel
-        return True
-
-    for (s1, d1), (s2, d2) in usages:
-        same_direction = d1 == d2
-        if s1 == s2:
-            if same_direction:
-                return False
-            continue
-        # same induced direction forces opposite orientations
-        if not union(s1, s2, 1 if same_direction else 0):
-            return False
-    return True
+    parent, parity = {}, {}
+    return all(
+        _union(parent, parity, s1, s2, int(d1 == d2))
+        for (s1, d1, *_), (s2, d2, *_) in _edge_uses(view)
+    )
 
 
 def collapse_subcomplex(view) -> list:

@@ -45,7 +45,6 @@ from cubeplan.systems import (
     hex_ball,
     hex_connectivity_trap,
     hex_pivot_system,
-    path_graph,
     token_generator,
 )
 from cubeplan.topology import greedy_collapse
@@ -56,6 +55,7 @@ from util import (
     oracle_is_normal,
     oracle_shrink_cube_path,
     oracle_validate,
+    path_graph,
     trap_step,
     two_token_l_path,
     walkable_system,
@@ -377,6 +377,38 @@ def test_validate_reads_a_foreign_generator_like_the_oracle():
         move = make_action(hop, offset, FORWARD, lattice)
         path = CubePath(sf.seeds[0], (frozenset((move,)),), sf.system)
         assert validate(path) == oracle_validate(path)
+
+
+def test_validate_reads_each_move_alike_whatever_ran_before():
+    """Graph embeddings are kept per generator, not per generator id: a
+    move of a second ``token`` generator over three nodes and the
+    catalogue's own token move, validated one after the other on one
+    system in either order, each get the report they get alone on a
+    fresh system."""
+
+    def moves(system):
+        lattice = system.workspace.lattice
+        wide = Generator(
+            "token", ("a", "b", "c"), frozenset("ab"), frozenset("a"), frozenset("b"),
+            (("a", "b"), ("b", "c")),
+        )
+        return (
+            make_action(token_generator(), ("p0.0", "p0.1"), FORWARD, lattice),
+            make_action(wide, ("p0.0", "p0.1", "p0.2"), FORWARD, lattice),
+        )
+
+    def report(sf, move):
+        return validate(CubePath(sf.seeds[0], (frozenset((move,)),), sf.system))
+
+    alone = []
+    for i in range(2):
+        sf = agv_grid_fixture(2, 2)
+        alone.append(report(sf, moves(sf.system)[i]))
+    assert alone[0].ok
+    for order in ((0, 1), (1, 0)):
+        sf = agv_grid_fixture(2, 2)
+        both = moves(sf.system)
+        assert [report(sf, both[i]) for i in order] == [alone[i] for i in order]
 
 
 @pytest.mark.parametrize("name", sorted(NOT_PLACEMENTS))

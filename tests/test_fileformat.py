@@ -104,9 +104,16 @@ def test_cell_syntax_is_lattice_specific():
 
 
 def test_graph_node_labels_must_be_homogeneous():
+    """The lattice refuses the labels; the parser reports its error at
+    the nodes line once it has read the file, so a fault on a later
+    line is reported first."""
     expect_error(
         "lattice finiteGraph\nnodes a 3\nworkspace all\n",
-        r"line 2: .*node labels",
+        r"^line 2: node labels mix integer and string labels$",
+    )
+    expect_error(
+        "lattice finiteGraph\nnodes a 3\nworkspace all\nflavor blue\n",
+        r"^line 4: unknown directive 'flavor'$",
     )
 
 
@@ -129,6 +136,9 @@ def test_duplicate_and_malformed_directives():
     expect_error(base + "obstacle (0,0) yes\n", r"line 3: obstacle takes")
     expect_error(base + "obstacle (5,5) empty\n", r"line 3: .*outside")
     expect_error(base + "constraint connected\nconstraint connected\n", r"line 4: duplicate")
+    graph = "lattice finiteGraph\nnodes 0 1\nedges (0,1)\n"
+    expect_error(graph + "nodes 0 1\n", r"^line 4: duplicate nodes line$")
+    expect_error(graph + "edges (0,1)\n", r"^line 4: duplicate edges line$")
     expect_error(base + "constraint gravity\n", r"line 3: unknown constraint")
 
 

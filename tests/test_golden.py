@@ -7,13 +7,16 @@ complex also pins the sha256 of its ``export_complex`` text, which
 prints each cell's name as read at its base corner, so that listing
 stays byte-stable.  Any change to the builder that alters one of these
 values changes the complex.
+
+The command line is pinned the same way: the sha256 of the stdout and
+stderr of a fixed sequence of CLI runs, with their exit codes.
 """
 
 import hashlib
 
 import pytest
 
-from cubeplan.cli import _build, build_parser
+from cubeplan.cli import _build, build_parser, main
 from cubeplan.fileformat import export_complex
 from cubeplan.shape import build_shape_complex
 from cubeplan.statecomplex import state_key
@@ -21,8 +24,9 @@ from cubeplan.systems import (
     VARIANT_CHANGING,
     VARIANT_PRESERVING,
     hex_pivot_system,
-    sliding_squares_system,
 )
+
+from util import NOT_PLACEMENTS, sliding_squares_system
 
 TRIANGLE = frozenset([(0, 0), (1, 0), (0, 1)])
 
@@ -175,3 +179,91 @@ def test_shape_complexes_match_their_golden_digests(name):
     assert cx.truncated is truncated
     assert complex_digest(cx) == digest
     assert sha(export_complex(cx)) == export
+
+
+AGV_K5 = ("--builtin", "agv-k5", "--n", "2")
+ARM = ("--builtin", "arm", "--n", "6")
+HEX_PRESERVING = ("--builtin", "hex", "--variant", "preserving")
+HEX_SHAPES = (*HEX_PRESERVING, "--unbounded", "--shapes")
+MISSING_EDGE = "token-on-a-missing-edge"
+EMPTY = sha("")
+
+# run name -> (CLI arguments, exit code, sha256 of stdout, sha256 of
+# stderr), run in this order; an argument "@NAME" is a file holding the
+# stdout of run NAME, or the script of ``NOT_PLACEMENTS[NAME]``
+CLI_RUNS = {
+    "homology-agv-k5": (
+        ("homology", *AGV_K5),
+        0, "ef7afacca90cebaa790ef58b55ee79a0c4cdf53302231fcca079e216b6d65c92", EMPTY,
+    ),
+    "homology-sliding-ring": (
+        ("homology", "--builtin", "sliding-ring", "--p", "2", "--q", "3"),
+        0, "f0b773ee9a7bb4679f8c500bd229ec8715759cb9daf02903ef2de98a0e009e3e", EMPTY,
+    ),
+    "check-npc-hex-trap": (
+        ("check-npc", "--builtin", "hex-trap"),
+        0, "235930788170856f8e3cd0119e59800fdc2812bbc7ed3df84ade48f764d85448", EMPTY,
+    ),
+    "check-npc-hex": (
+        ("check-npc", "--builtin", "hex", "--radius", "2"),
+        0, "a12b7cb43c9d9134b5bb1b35e9096b66775d9e92e7611d1cc92b02edd6782a87", EMPTY,
+    ),
+    "stats-hex-shapes": (
+        ("stats", *HEX_SHAPES, "--cap", "200"),
+        0, "9ab9db400bda3adc0eaaf7180a845160d2a639e1500d14403a1160b87abfb27e", EMPTY,
+    ),
+    "random-path-agv-k5": (
+        ("random-path", *AGV_K5, "--length", "40", "--rng-seed", "5"),
+        0, "4da05fe0276d9671c2833e644192fd22f1e846082bd32885e7ae25f42857fac7", EMPTY,
+    ),
+    "optimize-agv-k5": (
+        ("optimize", *AGV_K5, "--in", "@random-path-agv-k5"),
+        0, "5be96fcaed9a1393aff18a3698c7c2feb142926387d8140d9d0cde8e9fa0eaae", EMPTY,
+    ),
+    "normalize-agv-k5": (
+        ("normalize", *AGV_K5, "--in", "@random-path-agv-k5"),
+        0, "270161575b801c03d6e80f3d1af56c62dc9e05d441b4684aa058464d1bf6a4b8", EMPTY,
+    ),
+    "random-path-arm": (
+        ("random-path", *ARM, "--length", "80", "--rng-seed", "2"),
+        0, "93a32b4d2c1aee6390c0bc46ada520f4273f5c644737f88b3123fccaf6ba8dfb", EMPTY,
+    ),
+    "optimize-arm": (
+        ("optimize", *ARM, "--in", "@random-path-arm"),
+        0, "4ff466ed3601a98f851f9ec2c5d8369d433b70e19e9eea516a638643f65369d9", EMPTY,
+    ),
+    "normalize-arm": (
+        ("normalize", *ARM, "--in", "@random-path-arm"),
+        0, "afcad20b183e4a261c163bacee1cbef3e2464a19a84eda2de3a704c313098105", EMPTY,
+    ),
+    "export-agv-grid": (
+        ("export", "--builtin", "agv-grid", "--what", "system"),
+        0, "cb577be29a883fe5b8887506ed5d40dbc1564f4f04c19859c792f88861e5e821", EMPTY,
+    ),
+    "random-path-hex-shapes": (
+        ("random-path", *HEX_SHAPES, "--length", "6", "--rng-seed", "1"),
+        0, "2e4bb6a08148cbed7fe51b906427849fa21f32e4541253e796e9cff8b2fa4493", EMPTY,
+    ),
+    "lift-hex": (
+        ("lift", *HEX_PRESERVING, "--radius", "6", "--in", "@random-path-hex-shapes",
+         "--base", "(1,1)"),
+        0, "9f147abc633adffe8f39cfdfd18b2423082a63ab6c97b6fe44e106e14f3101bc", EMPTY,
+    ),
+    "optimize-not-an-embedding": (
+        ("optimize", *NOT_PLACEMENTS[MISSING_EDGE][0], "--in", f"@{MISSING_EDGE}"),
+        1, EMPTY,
+        "de3c4d804f2fbdebcffcbd81bc5b786b0cd499eaf15d28d148057c048d5dd37e",
+    ),
+}
+
+
+def test_cli_outputs_match_their_golden_digests(capsys, tmp_path):
+    (tmp_path / MISSING_EDGE).write_text(NOT_PLACEMENTS[MISSING_EDGE][2])
+    got = {}
+    for name, (argv, *_) in CLI_RUNS.items():
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        (tmp_path / name).write_text(out)
+        got[name] = (code, sha(out), sha(err))
+    assert got == {name: tuple(run[1:]) for name, run in CLI_RUNS.items()}

@@ -117,6 +117,15 @@ def test_graph_lattice_normalizes_and_validates():
         lat.Lattice("triangular")
 
 
+def test_mixed_node_labels_are_a_model_error():
+    """Integer and string labels do not order against each other, so a
+    graph mixing them is refused before its nodes and edges are sorted,
+    not with the ``TypeError`` of a failed sort."""
+    for edges in ((), ((1, "a"),)):
+        with pytest.raises(ModelError, match="^node labels mix integer and string labels$"):
+            lat.graph_lattice((1, "a"), edges)
+
+
 def test_graph_has_no_translations():
     g = lat.graph_lattice((0, 1), ((0, 1),))
     assert g.translate(0, ()) == 0

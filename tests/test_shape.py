@@ -50,12 +50,11 @@ from cubeplan.systems import (
     hex_ball,
     hex_connectivity_trap,
     hex_pivot_system,
-    sliding_squares_system,
     token_generator,
 )
 from cubeplan.topology import betti_mod2, euler_characteristic, f_vector
 
-from util import link_vertices, oracle_shape_actions, trap_step
+from util import link_vertices, oracle_shape_actions, sliding_squares_system, trap_step
 
 TRIANGLE = frozenset([(0, 0), (1, 0), (0, 1)])
 

@@ -35,7 +35,6 @@ from cubeplan.systems import (
     hex_ball,
     hex_connectivity_trap,
     hex_pivot_system,
-    path_graph,
     token_generator,
 )
 from cubeplan.topology import f_vector
@@ -53,6 +52,7 @@ from util import (
     oracle_cells,
     oracle_link,
     oracle_violations,
+    path_graph,
     random_system,
 )
 

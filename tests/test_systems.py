@@ -23,12 +23,13 @@ from cubeplan.systems import (
     hex_connectivity_trap,
     hex_pivot_generators,
     hex_pivot_system,
-    path_graph,
     sliding_generators,
     sliding_ring_fixture,
     word_edges,
 )
 from cubeplan.topology import f_vector
+
+from util import path_graph
 
 
 def test_hex_pivot_generators_are_six_rotations():

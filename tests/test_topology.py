@@ -33,7 +33,14 @@ from cubeplan.topology import (
 )
 
 from test_golden import BUILTINS, build_builtin
-from util import SyntheticSurface, klein_view, torus_view
+from util import (
+    SyntheticSurface,
+    klein_view,
+    oracle_is_orientable_surface,
+    oracle_surface_report,
+    torus_view,
+    wedge_view,
+)
 
 
 def build_fixture(sf):
@@ -129,13 +136,62 @@ def test_surface_report_rejects_non_surfaces():
 
 def test_surface_report_names_bad_vertices():
     """One square glued a b a b around one vertex: every edge lies in
-    two squares, but the vertex's corners close up into two cycles.  A
-    torus with a vertex on no edge has an isolated vertex."""
-    pinched = SyntheticSurface(
+    two squares, but the vertex's corners close up into two cycles, as
+    they do where two tori meet at one vertex.  A torus with a vertex on
+    no edge has an isolated vertex."""
+    several = SurfaceReport(False, "vertex link has several cycles")
+    assert surface_report(pinched_square()) == several
+    assert surface_report(wedge_view(torus_view(3), torus_view(3))) == several
+    assert surface_report(torus_view(3, isolated=1)) == SurfaceReport(False, "isolated vertex")
+
+
+def pinched_square():
+    return SyntheticSurface(
         1, {"a": (0, 0), "b": (0, 0)}, {"s": [("a", 1), ("b", 1), ("a", 1), ("b", 1)]}
     )
-    assert surface_report(pinched) == SurfaceReport(False, "vertex link has several cycles")
-    assert surface_report(torus_view(3, isolated=1)) == SurfaceReport(False, "isolated vertex")
+
+
+def surface_views():
+    """Tori and Klein bottles of every size up to 5 by 4 in both edge
+    numberings, tori with isolated vertices, the pinched square, wedges
+    of two surfaces, and built complexes that are surfaces or not."""
+    views = {}
+    for n in range(1, 6):
+        for m in range(1, 5):
+            for reverse in (False, True):
+                views[f"torus-{n}x{m}-{reverse}"] = torus_view(n, m=m, reverse=reverse)
+                views[f"klein-{n}x{m}-{reverse}"] = klein_view(n, m=m, reverse=reverse)
+    for n, isolated in ((1, 1), (2, 1), (3, 1), (3, 2)):
+        views[f"torus-{n}-isolated-{isolated}"] = torus_view(n, isolated=isolated)
+    views["pinched-square"] = pinched_square()
+    views["wedge-of-tori"] = wedge_view(torus_view(3), torus_view(3))
+    views["wedge-of-torus-and-klein"] = wedge_view(torus_view(2, m=3), klein_view(3))
+    views["wedge-of-small-tori"] = wedge_view(torus_view(1), torus_view(2, m=1))
+    for name, sf in (
+        ("agv-k5-2", graph_agv_system(complete_graph(5), 2)),
+        ("agv-k5-3", graph_agv_system(complete_graph(5), 3)),
+        ("agv-grid", agv_grid_fixture(2, 3)),
+        ("arm-4", arm_system(4)),
+        ("sliding-ring-1x1", sliding_ring_fixture(1, 1)),
+        ("sliding-ring-2x3", sliding_ring_fixture(2, 3)),
+    ):
+        views[name] = build_fixture(sf)
+    return views
+
+
+def test_surface_checks_match_their_oracles():
+    """The one union-find over edge-ends and squares reads every view as
+    the degree count, link search and nested orientation union-find do."""
+    views = surface_views()
+    assert len(views) == 94
+    for name, view in views.items():
+        report = surface_report(view)
+        assert report == oracle_surface_report(view), name
+        if report.ok:
+            assert is_orientable_surface(view) == oracle_is_orientable_surface(view), name
+        else:
+            with pytest.raises(CubeplanError, match=report.reason):
+                is_orientable_surface(view)
 
 
 def test_collapse_is_deterministic_and_facet_closed():

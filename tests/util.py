@@ -1,11 +1,14 @@
-"""Shared fixtures: synthetic quotient surfaces, randomized systems,
+"""Shared fixtures: synthetic quotient surfaces and their wedges, the
+systems only tests use (sliding squares, path graphs), randomized systems,
 move scripts that name moves their system does not have, the step that
 springs the connectivity trap, the two-token L-path, and oracles:
 the cube enumeration from states, the incident-cell link and the
 views derived from a link record, the full-catalogue admissibility scan, the breadth-first connectivity
 search, the union-based junction tests of the shrink sweep, the sweep
 and the normality test on sets, the build-every-candidate shape
-enumeration and path validation with no per-step memo.
+enumeration, path validation with no per-step memo, and the surface
+checks by degree count and link search with a nested orientation
+union-find.
 
 The surfaces implement the small view protocol the topology functions
 consume, with hand-wired identifications, so orientability is exercised
@@ -45,7 +48,9 @@ from cubeplan.systems import (
     agv_grid_fixture,
     hex_ball,
     hex_pivot_system,
+    sliding_generators,
 )
+from cubeplan.topology import SurfaceReport, _require_full
 
 # Move scripts whose actions are not placements of their system:
 # name -> (CLI system arguments, the same system, script, index of the
@@ -185,6 +190,38 @@ def klein_view(n: int = 3, m: int | None = None, reverse: bool = False) -> Synth
                     (key("v", i, j), -1),
                 ]
     return SyntheticSurface(n * m, edges, squares)
+
+
+def wedge_view(first: SyntheticSurface, second: SyntheticSurface) -> SyntheticSurface:
+    """Two surfaces glued at their vertex 0, whose link there is two
+    cycles; the second's other vertices are numbered after the first's."""
+    n = first.n_vertices
+    edges, squares = {}, {}
+    for side, view in enumerate((first, second)):
+        keys = view.cell_keys(1)
+        for key, ends in zip(keys, view._edges):
+            edges[side, key] = tuple(v + n - 1 if side and v else v for v in ends)
+        for key, cycle in zip(view.cell_keys(2), view._squares):
+            squares[side, key] = [((side, keys[e]), sign) for e, sign in cycle]
+    return SyntheticSurface(n + second.n_vertices - 1, edges, squares)
+
+
+# -- systems only the tests use ------------------------------------------------
+
+
+def sliding_squares_system(kmax: int, cells, obstacles=()) -> System:
+    workspace = Workspace(
+        lat.square_lattice(),
+        None if cells is None else frozenset(cells),
+        tuple(obstacles),
+    )
+    return System(workspace, sliding_generators(kmax))
+
+
+def path_graph(n: int) -> lat.Lattice:
+    nodes = tuple(range(n))
+    edges = tuple((i, i + 1) for i in range(n - 1))
+    return lat.graph_lattice(nodes, edges)
 
 
 # -- randomized systems for serialization round trips -----------------------
@@ -710,14 +747,15 @@ def oracle_shape_actions(system, shape) -> list:
 
 
 def oracle_placement_fault(act, system, embeddings: dict):
-    """``cubepaths._placement_fault`` enumerating each generator's graph
+    """``System.placement_fault`` enumerating each generator's graph
     embeddings afresh in every ``oracle_validate`` call."""
     ws = system.workspace
     fault = placement_fault(act, ws)
     if fault is None and ws.lattice.kind == lat.GRAPH:
-        if act.gid not in embeddings:
-            embeddings[act.gid] = frozenset(_graph_embeddings(act.generator, ws))
-        if act.offset not in embeddings[act.gid]:
+        gen = act.generator
+        if gen not in embeddings:
+            embeddings[gen] = frozenset(_graph_embeddings(gen, ws))
+        if act.offset not in embeddings[gen]:
             fault = "not-an-embedding"
     return fault
 
@@ -765,3 +803,103 @@ def oracle_validate(path) -> PathReport:
         if system is not None and not system.constraint_holds(cur):
             return PathReport(False, i, "state violates the global constraint")
     return PathReport(True, None, None)
+
+
+# -- surface checks, each with its own walk ------------------------------------
+
+
+def oracle_surface_report(view) -> SurfaceReport:
+    """``topology.surface_report`` by edge-use counts, a degree check of
+    every edge-end and a search of each vertex's corner graph."""
+    _require_full(view)
+    if view.max_dim != 2 or view.n_cells(2) == 0:
+        return SurfaceReport(False, "complex is not 2-dimensional")
+    usage = [0] * view.n_cells(1)
+    endpoints = view.facet_column(1)
+    corner_pairs: dict = {}
+    for s in range(view.n_cells(2)):
+        cycle = view.square_boundary(s)
+        for i, (e, sign) in enumerate(cycle):
+            usage[e] += 1
+            nxt, nsign = cycle[(i + 1) % len(cycle)]
+            head_vid = endpoints[2 * e + (1 if sign > 0 else 0)]
+            head_end = (e, 1 if sign > 0 else 0)
+            tail_end = (nxt, 0 if nsign > 0 else 1)
+            corner_pairs.setdefault(head_vid, []).append((head_end, tail_end))
+    for count in usage:
+        if count != 2:
+            return SurfaceReport(False, f"an edge lies in {count} squares")
+    ends_at = [set() for _ in range(view.n_vertices)]
+    for e in range(view.n_cells(1)):
+        ends_at[endpoints[2 * e]].add((e, 0))
+        ends_at[endpoints[2 * e + 1]].add((e, 1))
+    for vid in range(view.n_vertices):
+        ends = ends_at[vid]
+        if not ends:
+            return SurfaceReport(False, "isolated vertex")
+        degree = {e: 0 for e in ends}
+        adj = {e: [] for e in ends}
+        for a, b in corner_pairs.get(vid, ()):
+            degree[a] += 1
+            degree[b] += 1
+            adj[a].append(b)
+            adj[b].append(a)
+        if any(d != 2 for d in degree.values()):
+            return SurfaceReport(False, "vertex link is not a cycle")
+        start = next(iter(ends))
+        seen = {start}
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for nb in adj[cur]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if len(seen) != len(ends):
+            return SurfaceReport(False, "vertex link has several cycles")
+    return SurfaceReport(True, None)
+
+
+def oracle_is_orientable_surface(view) -> bool:
+    """``topology.is_orientable_surface`` with its own walk of the square
+    boundaries and its own parity union-find over squares."""
+    report = oracle_surface_report(view)
+    if not report.ok:
+        raise CubeplanError(f"not a closed surface: {report.reason}")
+    usages = [[] for _ in range(view.n_cells(1))]
+    for s in range(view.n_cells(2)):
+        for e, sign in view.square_boundary(s):
+            usages[e].append((s, sign))
+
+    parent: dict = {}
+    parity: dict = {}
+
+    def find(x):
+        path = []
+        while parent.setdefault(x, x) != x:
+            path.append(x)
+            x = parent[x]
+        p = 0
+        for y in reversed(path):
+            p ^= parity[y]
+            parent[y], parity[y] = x, p
+        return x, p
+
+    def union(x, y, rel) -> bool:
+        rx, px = find(x)
+        ry, py = find(y)
+        if rx == ry:
+            return (px ^ py) == rel
+        parent[ry] = rx
+        parity[ry] = px ^ py ^ rel
+        return True
+
+    for (s1, d1), (s2, d2) in usages:
+        same_direction = d1 == d2
+        if s1 == s2:
+            if same_direction:
+                return False
+            continue
+        if not union(s1, s2, 1 if same_direction else 0):
+            return False
+    return True
