@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import systems
 from .cubepaths import (
@@ -23,6 +24,9 @@ from .cubepaths import (
 )
 from .errors import CubeplanError
 from .fileformat import (
+    _DIRECTION_WORDS,
+    _PAIR_RE,
+    _fvec_header,
     export_complex,
     parse_path,
     parse_state,
@@ -39,9 +43,7 @@ _PAIR_HELP = "translation written as (tx,ty)"
 
 
 def _parse_offset(text: str) -> tuple:
-    import re
-
-    m = re.match(r"^\((-?\d+),(-?\d+)\)$", text.strip())
+    m = _PAIR_RE.match(text.strip())
     if not m:
         raise argparse.ArgumentTypeError(f"expected (tx,ty), got {text!r}")
     return (int(m.group(1)), int(m.group(2)))
@@ -178,12 +180,16 @@ def _load_seeds(args, sf: SystemFile) -> tuple:
 
 
 def _build(args):
+    """Build the complex the flags name, warning on stderr when the vertex
+    cap cut it short."""
     sf = _load_system(args)
     seeds = _load_seeds(args, sf)
     if args.shapes:
         cx = build_shape_complex(sf.system, seeds, cap=args.cap)
     else:
         cx = build_complex(sf.system, seeds, max_vertices=args.cap)
+    if cx.truncated:
+        print("warning: build hit the vertex cap; counts are a lower bound", file=sys.stderr)
     return cx
 
 
@@ -195,34 +201,20 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _fvec_line(cx) -> str:
-    return "fvec: " + " ".join(
-        str(cx.n_cells(k)) for k in range(cx.max_dim + 1)
-    )
-
-
-def _warn_truncated(cx) -> None:
-    if cx.truncated:
-        print("warning: build hit the vertex cap; counts are a lower bound", file=sys.stderr)
-
-
 def cmd_build(args) -> int:
     cx = _build(args)
-    _warn_truncated(cx)
     _emit(args, export_complex(cx))
     return 0
 
 
 def cmd_stats(args) -> int:
     cx = _build(args)
-    _warn_truncated(cx)
-    _emit(args, _fvec_line(cx) + "\n")
+    _emit(args, _fvec_header(cx) + "\n")
     return 0
 
 
 def cmd_check_npc(args) -> int:
     cx = _build(args)
-    _warn_truncated(cx)
     report = check_link_condition(cx)
     if report.ok:
         _emit(args, "OK\n")
@@ -231,7 +223,7 @@ def cmd_check_npc(args) -> int:
     for state, acts in report.violations:
         cells = " ".join(repr(c) for c in sorted(state))
         moves = "; ".join(
-            f"{a.gid}@{a.offset}:{'fwd' if a.direction == 0 else 'bwd'}"
+            f"{a.gid}@{a.offset}:{_DIRECTION_WORDS[a.direction]}"
             for a in sorted(acts)
         )
         lines.append(
@@ -243,7 +235,6 @@ def cmd_check_npc(args) -> int:
 
 def cmd_homology(args) -> int:
     cx = _build(args)
-    _warn_truncated(cx)
     betti = betti_mod2(cx)
     chi = euler_characteristic(cx)
     _emit(
@@ -260,7 +251,7 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _optimize_common(args, mode: str) -> int:
+def cmd_optimize(args, mode: str) -> int:
     sf = _load_system(args)
     with open(args.infile, encoding="utf-8") as fh:
         path = parse_path(fh.read(), sf.system)
@@ -276,14 +267,6 @@ def _optimize_common(args, mode: str) -> int:
         header += f"# normal {is_normal(out)}\n"
     _emit(args, header + serialize_path(out))
     return 0
-
-
-def cmd_optimize(args) -> int:
-    return _optimize_common(args, STOP_ON_LENGTH)
-
-
-def cmd_normalize(args) -> int:
-    return _optimize_common(args, NORMALIZE)
 
 
 def cmd_lift(args) -> int:
@@ -332,8 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("stats", cmd_stats, "build and print the f-vector only"),
         ("check-npc", cmd_check_npc, "certify the link condition"),
         ("homology", cmd_homology, "mod-2 betti numbers and Euler characteristic"),
-        ("optimize", cmd_optimize, "shorten a move script to the least length in its homotopy class"),
-        ("normalize", cmd_normalize, "rewrite a move script in normal form"),
+        ("optimize", partial(cmd_optimize, mode=STOP_ON_LENGTH),
+         "shorten a move script to the least length in its homotopy class"),
+        ("normalize", partial(cmd_optimize, mode=NORMALIZE),
+         "rewrite a move script in normal form"),
         ("lift", cmd_lift, "place a shape-space script at a translation"),
         ("export", cmd_export, "write the system or complex as text"),
         ("random-path", cmd_random_path, "generate a seeded random move script"),
@@ -374,10 +359,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CubeplanError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (CubeplanError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

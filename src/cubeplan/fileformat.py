@@ -6,6 +6,11 @@ on the square and hex lattices, ``(x,y,h)`` or ``(x,y,v)`` on the edge
 lattice, and as bare tokens (integers or identifiers) on finite graphs.
 ``parse_system_file`` and ``serialize`` are mutually inverse on valid
 input: parse(serialize(x)) == x by dataclass equality.
+
+Each rule of the syntax has one home: ``_lines`` is the one reader of
+lines (comments cut, blanks stripped, empty lines skipped) and
+``_cell_line`` the one writer of a head word followed by cells in sort
+order.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ from . import lattice as lat
 from .cubepaths import CubePath
 from .errors import FormatError, ModelError, StateError
 from .model import (
-    BACKWARD,
     CONSTRAINTS,
-    FORWARD,
     Generator,
     System,
     SystemFile,
@@ -34,6 +37,7 @@ _GRAPH_PAIR_RE = re.compile(r"^\(([^,()\s]+),([^,()\s]+)\)$")
 
 _ORIENT_LETTER = {lat.HORIZONTAL: "h", lat.VERTICAL: "v"}
 _ORIENT_VALUE = {"h": lat.HORIZONTAL, "v": lat.VERTICAL}
+_DIRECTION_WORDS = ("fwd", "bwd")  # indexed by model.FORWARD (0) and BACKWARD (1)
 
 _GENERATOR_FIELDS = ("support", "trace", "occ0", "occ1", "edges")
 # system-file directives that may appear at most once
@@ -115,11 +119,23 @@ def _homogeneous(tokens, ln: int, what: str):
         raise _err(ln, f"{what} mix integer and string labels")
 
 
-def _strip_comment(raw: str) -> str:
-    cut = raw.find("#")
-    if cut >= 0:
-        raw = raw[:cut]
-    return raw.strip()
+def _lines(text: str):
+    """(1-based line number, line without its comment and outer blanks)
+    for each line that holds more than a comment."""
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield ln, line
+
+
+def _cell_line(head: str, cells, kind: str) -> str:
+    """The head word and the cells in sort order, one blank apart."""
+    return " ".join([head, *(_fmt_cell(c, kind) for c in sorted(cells))])
+
+
+def _fvec_header(view) -> str:
+    """The f-vector line: the complex export's header and ``stats``' output."""
+    return "fvec: " + " ".join(str(view.n_cells(k)) for k in range(view.max_dim + 1))
 
 
 # -- system files -------------------------------------------------------------
@@ -143,12 +159,8 @@ def parse_system_file(text: str) -> SystemFile:
     seen = set()  # the single directives met so far
     block = None  # (gid, start_line, {field: cells})
 
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        toks = line.split()
-        head, args = toks[0], toks[1:]
+    for ln, line in _lines(text):
+        head, *args = line.split()
 
         if block is not None:
             gid, start_ln, fields = block
@@ -191,15 +203,14 @@ def parse_system_file(text: str) -> SystemFile:
                     ln, f"lattice kind must be one of {', '.join(lat.KINDS)}"
                 )
             kind, kind_ln = args[0], ln
-        elif head == "nodes":
+        elif head in ("nodes", "edges"):
             if kind != lat.GRAPH:
-                raise _err(ln, "nodes line applies only to finite graphs")
-            nodes = tuple(_parse_node_token(t, ln) for t in args)
-            nodes_ln = ln
-        elif head == "edges":
-            if kind != lat.GRAPH:
-                raise _err(ln, "edges line applies only to finite graphs")
-            graph_edges = tuple(_parse_graph_pair(t, ln) for t in args)
+                raise _err(ln, f"{head} line applies only to finite graphs")
+            if head == "nodes":
+                nodes = tuple(_parse_node_token(t, ln) for t in args)
+                nodes_ln = ln
+            else:
+                graph_edges = tuple(_parse_graph_pair(t, ln) for t in args)
         elif head == "workspace":
             ws_tokens, ws_ln = args, ln
         elif head == "exclude":
@@ -293,7 +304,7 @@ def parse_system_file(text: str) -> SystemFile:
 
 
 def _finish_generator(gid: str, ln: int, fields: dict, kind: str) -> Generator:
-    for name in ("support", "trace", "occ0", "occ1"):
+    for name in _GENERATOR_FIELDS[:-1]:
         if name not in fields:
             raise _err(ln, f"generator {gid} is missing its {name} line")
     if kind == lat.GRAPH:
@@ -335,15 +346,9 @@ def serialize(obj) -> str:
     if ws.cells is None:
         lines.append("workspace all")
         if ws.excluded:
-            lines.append(
-                "exclude "
-                + " ".join(_fmt_cell(c, kind) for c in sorted(ws.excluded))
-            )
+            lines.append(_cell_line("exclude", ws.excluded, kind))
     else:
-        lines.append(
-            ("workspace " + " ".join(_fmt_cell(c, kind) for c in sorted(ws.cells)))
-            .rstrip()
-        )
+        lines.append(_cell_line("workspace", ws.cells, kind))
     for cell, bit in ws.obstacles:
         word = "occupied" if bit else "empty"
         lines.append(f"obstacle {_fmt_cell(cell, kind)} {word}")
@@ -353,23 +358,13 @@ def serialize(obj) -> str:
         if not _NAME_RE.match(gen.gid):
             raise FormatError(f"generator id {gen.gid!r} is not serializable")
         lines.append(f"generator {gen.gid}")
-        lines.append(
-            "  support " + " ".join(_fmt_cell(c, kind) for c in gen.support)
-        )
-        for name, cells in (
-            ("trace", gen.trace),
-            ("occ0", gen.occ0),
-            ("occ1", gen.occ1),
-        ):
-            body = " ".join(_fmt_cell(c, kind) for c in sorted(cells))
-            lines.append(f"  {name} {body}".rstrip())
+        for name in _GENERATOR_FIELDS[:-1]:
+            lines.append("  " + _cell_line(name, getattr(gen, name), kind))
         if gen.local_edges is not None:
             body = " ".join(_fmt_graph_pair(e) for e in gen.local_edges)
             lines.append(f"  edges {body}".rstrip())
         lines.append("end")
-    for seed in seeds:
-        body = " ".join(_fmt_cell(c, kind) for c in sorted(seed))
-        lines.append(f"seed {body}".rstrip())
+    lines.extend(_cell_line("seed", seed, kind) for seed in seeds)
     return "\n".join(lines) + "\n"
 
 
@@ -379,16 +374,13 @@ def parse_state(text: str, system: System) -> frozenset:
     """Read a one-line ``state ...`` file against a system's workspace."""
     kind = system.workspace.lattice.kind
     state = None
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] != "state":
-            raise _err(ln, f"expected a state line, got {toks[0]!r}")
+    for ln, line in _lines(text):
+        head, *args = line.split()
+        if head != "state":
+            raise _err(ln, f"expected a state line, got {head!r}")
         if state is not None:
             raise _err(ln, "duplicate state line")
-        cells = frozenset(_parse_cell(t, kind, ln) for t in toks[1:])
+        cells = frozenset(_parse_cell(t, kind, ln) for t in args)
         try:
             state = system.workspace.check_state(cells)
         except StateError as e:
@@ -399,9 +391,7 @@ def parse_state(text: str, system: System) -> frozenset:
 
 
 def serialize_state(state, system: System) -> str:
-    kind = system.workspace.lattice.kind
-    body = " ".join(_fmt_cell(c, kind) for c in sorted(state))
-    return ("state " + body).rstrip() + "\n"
+    return _cell_line("state", state, system.workspace.lattice.kind) + "\n"
 
 
 # -- move scripts ---------------------------------------------------------------
@@ -415,7 +405,7 @@ def _fmt_action(action, kind: str) -> str:
         parts.extend(_fmt_node(n) for n in action.offset)
     else:
         parts.extend(str(v) for v in action.offset)
-    parts.append("fwd" if action.direction == FORWARD else "bwd")
+    parts.append(_DIRECTION_WORDS[action.direction])
     return "(" + ", ".join(parts) + ")"
 
 
@@ -429,12 +419,9 @@ def _parse_action(part: str, system: System, gens_by_gid: dict, ln: int):
     gen = gens_by_gid.get(gid)
     if gen is None:
         raise _err(ln, f"unknown generator {gid!r}")
-    if dir_tok == "fwd":
-        direction = FORWARD
-    elif dir_tok == "bwd":
-        direction = BACKWARD
-    else:
+    if dir_tok not in _DIRECTION_WORDS:
         raise _err(ln, f"bad direction {dir_tok!r}, expected fwd or bwd")
+    direction = _DIRECTION_WORDS.index(dir_tok)
     lattice = system.workspace.lattice
     if lattice.kind == lat.GRAPH:
         offset = tuple(_parse_node_token(t, ln) for t in mid)
@@ -468,18 +455,15 @@ def parse_path(text: str, system: System) -> CubePath:
     labels = ()  # a graph's node fields all take the first action's type
     start = None
     steps = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
+    for ln, line in _lines(text):
         m = _STEP_RE.match(line)
         if not m:
-            toks = line.split()
-            if toks[0] != "start":
+            head, *args = line.split()
+            if head != "start":
                 raise _err(ln, "expected a start or step line")
             if start is not None:
                 raise _err(ln, "duplicate start line")
-            start = frozenset(_parse_cell(t, kind, ln) for t in toks[1:])
+            start = frozenset(_parse_cell(t, kind, ln) for t in args)
             continue
         if start is None:
             raise _err(ln, "the start line must come first")
@@ -514,8 +498,7 @@ def serialize_path(path: CubePath, system: System | None = None) -> str:
     if system is None:
         raise FormatError("serializing a path needs its system for cell syntax")
     kind = system.workspace.lattice.kind
-    body = " ".join(_fmt_cell(c, kind) for c in sorted(path.start))
-    lines = [("start " + body).rstrip()]
+    lines = [_cell_line("start", path.start, kind)]
     for i, step in enumerate(path.steps, 1):
         acts = "; ".join(_fmt_action(a, kind) for a in sorted(step))
         lines.append(f"step {i}: {acts}" if acts else f"step {i}:")
@@ -531,9 +514,7 @@ def export_complex(view) -> str:
     the previous dimension's listing.  Cells appear in build order,
     which is deterministic for a given system and seed set.
     """
-    lines = []
-    fvec = [view.n_cells(k) for k in range(view.max_dim + 1)]
-    lines.append("fvec: " + " ".join(str(n) for n in fvec))
+    lines = [_fvec_header(view)]
     for k in range(view.max_dim + 1):
         lines.append(f"dim {k}")
         column = view.facet_column(k)

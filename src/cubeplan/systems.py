@@ -87,7 +87,8 @@ def _slide_variants(k: int) -> list:
     Flanks are the cells directly above and below the swept columns
     1..k+1.  A pattern must touch the block before and after the move,
     and a lone rear flank may not hang behind the vacated column: if
-    column 1 is flanked, column 2 on the same side must be too.
+    column 1 is flanked, column 2 on the same side must be too.  So a
+    pattern touching columns 1..k touches columns 2..k+1 as well.
     """
     flanks = [(i, s) for s in (1, -1) for i in range(1, k + 2)]
     out = []
@@ -98,8 +99,6 @@ def _slide_variants(k: int) -> list:
         if (1, -1) in fset and (2, -1) not in fset:
             continue
         if not any((i, s) in fset for i in range(1, k + 1) for s in (1, -1)):
-            continue
-        if not any((i, s) in fset for i in range(2, k + 2) for s in (1, -1)):
             continue
         out.append(tuple(sorted(fset)))
     return sorted(out)

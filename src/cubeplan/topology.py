@@ -200,8 +200,10 @@ def collapse_subcomplex(view) -> list:
     heap that takes a face again when its count drops to one.  The heap
     orders faces by their rank in one stable sort of each dimension's
     names, the order (name, number) gives, so pops compare ints, not
-    nested name tuples.  Returns the set of cell numbers left in each
-    dimension.
+    nested name tuples.  Each face keeps the XOR of its live cofaces'
+    numbers, one term per incidence, so a free face holds its one live
+    coface's number and a facet listed twice cancels out.  Returns the
+    set of cell numbers left in each dimension.
     """
     _require_full(view)
     ranks = []
@@ -213,13 +215,13 @@ def collapse_subcomplex(view) -> list:
         ranks.append(rank)
     alive = [set(range(len(rank))) for rank in ranks]
     counts = [[0] * len(rank) for rank in ranks]
-    cofaces = [[[] for _ in rank] for rank in ranks]
+    cofaces = [[0] * len(rank) for rank in ranks]
     columns = [view.facet_column(k) for k in range(len(ranks))]
     for k in range(1, len(ranks)):
         for i, facets in enumerate(zip(*[iter(columns[k])] * (2 * k))):
             for f in facets:
                 counts[k - 1][f] += 1
-                cofaces[k - 1][f].append(i)
+                cofaces[k - 1][f] ^= i
     free = [
         (-k, ranks[k][i], i)
         for k, row in enumerate(counts)
@@ -231,9 +233,10 @@ def collapse_subcomplex(view) -> list:
     def drop(k, i):
         alive[k].remove(i)
         if k:
-            below = counts[k - 1]
+            below, live = counts[k - 1], cofaces[k - 1]
             for f in columns[k][2 * k * i : 2 * k * (i + 1)]:
                 below[f] -= 1
+                live[f] ^= i
                 if below[f] == 1:
                     heapq.heappush(free, (1 - k, ranks[k - 1][f], f))
 
@@ -242,7 +245,7 @@ def collapse_subcomplex(view) -> list:
         d = -neg
         if i not in alive[d] or counts[d][i] != 1:
             continue
-        drop(d + 1, next(c for c in cofaces[d][i] if c in alive[d + 1]))
+        drop(d + 1, cofaces[d][i])
         drop(d, i)
     return alive
 

@@ -1,5 +1,6 @@
 """Text formats: system files, state files, move scripts, complex export."""
 
+import hashlib
 import random
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeplan.cubepaths import from_edge_path, random_edge_path
+from cubeplan.cubepaths import CubePath, from_edge_path, random_edge_path
 from cubeplan.errors import FormatError
 from cubeplan.fileformat import (
     export_complex,
@@ -18,9 +19,12 @@ from cubeplan.fileformat import (
     serialize_path,
     serialize_state,
 )
+from cubeplan.lattice import square_lattice
+from cubeplan.model import FORWARD, Generator, System, Workspace, make_action
 from cubeplan.statecomplex import build_complex
 from cubeplan.systems import (
     VARIANT_CHANGING,
+    VARIANT_PRESERVING,
     agv_grid_fixture,
     arm_system,
     complete_graph,
@@ -493,3 +497,59 @@ def test_move_script_diagnostics_are_pinned(name):
     with pytest.raises(FormatError) as err:
         parse_path(script, systems[system])
     assert str(err.value) == message
+
+
+# The writers' exact bytes.  A round trip cannot see a trailing blank,
+# since the parser strips it, so these pin the text itself: sha256 for
+# the long ones, the whole text for the short ones.
+_BIRTH = Generator("birth", ((0, 0), (1, 0)), {(0, 0)}, set(), {(0, 0)})
+_COFINITE = System(
+    Workspace(square_lattice(), None, (), frozenset({(2, 1), (0, -1)})), (_BIRTH,)
+)
+SYSTEM_SHA256 = {
+    "hex-preserving-all": (
+        lambda: hex_pivot_system(VARIANT_PRESERVING),
+        "8cf54ebb6ef48c2c13eebe1f5bf4067a049b7030c04ff0f9f0172d0f4e16fe03",
+    ),
+    "sliding-ring-1x1": (
+        lambda: sliding_ring_fixture(1, 1),
+        "5568d40e4bdfe210452cb7156c4608ddf93a357c99d1e96a61a77fb5aae8f27c",
+    ),
+    "arm-3": (
+        lambda: arm_system(3),
+        "02e545b042e87d014fd69266fbea645bbd3ddbd7d24a816236e94fa812bc9815",
+    ),
+    "hex-trap": (
+        lambda: hex_connectivity_trap(True),
+        "b3d12a41cb4b7874c13b9903146f9ab90632776dbc1e76af20f3266216bc7b6d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_SHA256))
+def test_serialize_bytes_are_pinned(name):
+    make, digest = SYSTEM_SHA256[name]
+    assert hashlib.sha256(serialize(make()).encode()).hexdigest() == digest
+
+
+def test_an_exclude_line_and_an_empty_field_are_written_exactly():
+    assert serialize(_COFINITE) == (
+        "lattice square2d\n"
+        "workspace all\n"
+        "exclude (0,-1) (2,1)\n"
+        "generator birth\n"
+        "  support (0,0) (1,0)\n"
+        "  trace (0,0)\n"
+        "  occ0\n"
+        "  occ1 (0,0)\n"
+        "end\n"
+    )
+
+
+def test_empty_states_and_steps_are_written_without_a_trailing_blank():
+    act = make_action(_BIRTH, (3, 4), FORWARD, _COFINITE.workspace.lattice)
+    assert serialize_state(frozenset(), _COFINITE) == "state\n"
+    path = CubePath(frozenset(), (frozenset(), frozenset({act})), _COFINITE)
+    assert serialize_path(path) == "start\nstep 1:\nstep 2: (birth, 3, 4, fwd)\n"
+    path = CubePath(frozenset({(5, 5), (-1, 2)}), (frozenset({act}), frozenset()), _COFINITE)
+    assert serialize_path(path) == "start (-1,2) (5,5)\nstep 1: (birth, 3, 4, fwd)\nstep 2:\n"

@@ -703,3 +703,33 @@ def test_vertex_lookups_accept_any_iterable_of_cells():
         cx.vertex_vid(["p0.1"])
     with pytest.raises(CubeplanError, match="not a vertex"):
         cx.vertex_vid(frozenset(("zz",)))
+
+
+@pytest.mark.parametrize(
+    "extra, n_shapes, refusals", [((), 44, 1), (((2, 0),), 186, 5)]
+)
+def test_a_carry_into_an_unreached_frame_is_refused(monkeypatch, extra, n_shapes, refusals):
+    """On the connected hex shape quotient, a corner's actions can carry
+    into a frame no reached shape has numbered, since the constraint
+    refuses the move that would reach it; the carry then returns None
+    and the walk refuses that corner.  The records, the cells read back
+    and the certificate still agree with the oracles built from states."""
+    refused = []
+    carry = ShapeFrame.carry
+
+    def counted(self, numbers, shift):
+        out = carry(self, numbers, shift)
+        if out is None:
+            refused.append(numbers)
+        return out
+
+    monkeypatch.setattr(ShapeFrame, "carry", counted)
+    system = hex_pivot_system(VARIANT_CHANGING, None, constraint_name="connected")
+    seed = frozenset([(0, 0), (1, 0), (0, 1), (1, 1), *extra])
+    cx = build_shape_complex(system, [seed])
+    assert (cx.n_vertices, cx.truncated, len(refused)) == (n_shapes, False, refusals)
+    assert_records_match_the_oracle(cx)
+    assert_cells_read_back(cx)
+    assert check_link_condition(cx).violations == tuple(
+        (state, acts) for state, acts, _ in oracle_violations(cx)
+    )

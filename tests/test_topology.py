@@ -24,6 +24,7 @@ from cubeplan.topology import (
     SurfaceReport,
     betti_mod2,
     boundary_matrix,
+    collapse_subcomplex,
     euler_characteristic,
     f_vector,
     greedy_collapse,
@@ -36,6 +37,7 @@ from test_golden import BUILTINS, build_builtin
 from util import (
     SyntheticSurface,
     klein_view,
+    oracle_collapse_subcomplex,
     oracle_is_orientable_surface,
     oracle_surface_report,
     torus_view,
@@ -234,7 +236,48 @@ def test_collapse_leaves_what_its_removal_order_leaves(name):
     """Where collapsing stops short of a point depends on which free
     face goes first: highest dimension, then least key."""
     make, expected = COLLAPSE_FIXTURES[name]
-    assert greedy_collapse(make()) == expected
+    cx = make()
+    assert greedy_collapse(cx) == expected
+    assert collapse_subcomplex(cx) == oracle_collapse_subcomplex(cx)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_fixture(arm_system(4)),
+        lambda: build_fixture(graph_agv_system(complete_graph(5), 2)),
+        lambda: torus_view(3),
+        lambda: klein_view(3, 4, reverse=True),
+        lambda: wedge_view(torus_view(3), klein_view(3)),
+    ],
+    ids=["arm-4", "agv-k5", "torus", "klein", "wedge"],
+)
+def test_collapse_leaves_what_the_coface_list_oracle_leaves(make):
+    cx = make()
+    assert collapse_subcomplex(cx) == oracle_collapse_subcomplex(cx)
+
+
+def test_collapse_finds_the_live_coface_of_a_facet_listed_twice():
+    """Square q glues its left and right sides into edge b, an annulus,
+    and square r hangs on b as a fin, so b lies in q twice and in r
+    once; square p stands apart and numbers q and r 1 and 2.  Once the
+    free edge a takes q with it, b is free and its one live coface is r,
+    which a per-face XOR of coface numbers finds only because q's two
+    terms cancel.  What is left is the loop c at vertex 1, and vertex 7
+    where p collapsed."""
+    view = SyntheticSurface(
+        8,
+        {
+            "a": (0, 0), "b": (0, 1), "c": (1, 1), "x": (1, 2), "y": (2, 3),
+            "z": (3, 0), "d0": (4, 5), "d1": (5, 6), "d2": (6, 7), "d3": (7, 4),
+        },
+        {
+            "p": [("d0", 1), ("d1", 1), ("d2", 1), ("d3", 1)],
+            "q": [("a", 1), ("b", 1), ("c", -1), ("b", -1)],
+            "r": [("b", 1), ("x", 1), ("y", 1), ("z", 1)],
+        },
+    )
+    assert collapse_subcomplex(view) == oracle_collapse_subcomplex(view) == [{1, 7}, {2}, set()]
 
 
 def test_certificate_and_collapse_reach_their_module_globals(monkeypatch):

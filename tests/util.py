@@ -8,7 +8,7 @@ search, the union-based junction tests of the shrink sweep, the sweep
 and the normality test on sets, the build-every-candidate shape
 enumeration, path validation with no per-step memo, and the surface
 checks by degree count and link search with a nested orientation
-union-find.
+union-find, and the greedy collapse with a list of cofaces per face.
 
 The surfaces implement the small view protocol the topology functions
 consume, with hand-wired identifications, so orientability is exercised
@@ -17,6 +17,7 @@ against known answers without trusting the complex builder.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 
@@ -903,3 +904,53 @@ def oracle_is_orientable_surface(view) -> bool:
         if not union(s1, s2, 1 if same_direction else 0):
             return False
     return True
+
+
+# -- collapse with coface lists -------------------------------------------------
+
+
+def oracle_collapse_subcomplex(view) -> list:
+    """``topology.collapse_subcomplex`` keeping every face's list of
+    cofaces and finding a free face's one live coface by a search."""
+    _require_full(view)
+    ranks = []
+    for k in range(view.max_dim + 1):
+        names = view.cell_keys(k)
+        rank = [0] * len(names)
+        for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+            rank[i] = r
+        ranks.append(rank)
+    alive = [set(range(len(rank))) for rank in ranks]
+    counts = [[0] * len(rank) for rank in ranks]
+    cofaces = [[[] for _ in rank] for rank in ranks]
+    columns = [view.facet_column(k) for k in range(len(ranks))]
+    for k in range(1, len(ranks)):
+        for i, facets in enumerate(zip(*[iter(columns[k])] * (2 * k))):
+            for f in facets:
+                counts[k - 1][f] += 1
+                cofaces[k - 1][f].append(i)
+    free = [
+        (-k, ranks[k][i], i)
+        for k, row in enumerate(counts)
+        for i, n in enumerate(row)
+        if n == 1
+    ]
+    heapq.heapify(free)
+
+    def drop(k, i):
+        alive[k].remove(i)
+        if k:
+            below = counts[k - 1]
+            for f in columns[k][2 * k * i : 2 * k * (i + 1)]:
+                below[f] -= 1
+                if below[f] == 1:
+                    heapq.heappush(free, (1 - k, ranks[k - 1][f], f))
+
+    while free:
+        neg, _, i = heapq.heappop(free)
+        d = -neg
+        if i not in alive[d] or counts[d][i] != 1:
+            continue
+        drop(d + 1, next(c for c in cofaces[d][i] if c in alive[d + 1]))
+        drop(d, i)
+    return alive
