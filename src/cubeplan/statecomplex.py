@@ -11,10 +11,11 @@ that corner's frame.  Every corner reaches the same key, so a cube found
 from different corners is stored once.
 
 The closure records every edge it finds: per vertex, the numbers of
-its leaving actions and the vertex each reaches.  A cube's corners are
-then found by walking those edges, reading its actions' numbers at each
-corner, so no corner state is rebuilt; the base corner is picked by a
-rank of the vertices' state keys, computed once.
+its leaving actions and the vertex each reaches.  Edges are stored off
+that record, and a larger cube's corners are found by walking it,
+reading its actions' numbers at each corner, so no corner state is
+rebuilt; the base corner is picked by a rank of the vertices' state
+keys, computed once.  No cube a lower vertex already stored is walked.
 
 One builder serves plain and quotient complexes alike.  A *frame* tells
 it how states are named: which actions leave a state, which canonical
@@ -314,9 +315,9 @@ class _Edges:
     past the cap) and ``shifts`` the translation each applies into its
     successor's frame (None for none, and None in place of the tuple
     when no action translates).  ``numbers`` outlives the build in the
-    complex's link record.  A cube is walked by the numbers its actions
-    read at each corner: running one is an integer ``tuple.index`` and
-    one successor look-up.
+    complex's link record.  A cube of two or more actions is walked by
+    the numbers its actions read at each corner: running one is an
+    integer ``tuple.index`` and one successor look-up.
     """
 
     __slots__ = ("frame", "numbers", "successors", "shifts")
@@ -409,6 +410,24 @@ def _store_cube(cx: CubeComplex, rank: list, below: dict, vids: list, numbers: l
     return cx._append(k, corners, facets, numbers[base])
 
 
+def _spanned_below(edges: _Edges, refused: dict, vid: int, clique: tuple, read: tuple) -> bool:
+    """Whether a lower neighbour spanned the cube of a clique at vertex
+    vid, whose actions read ``read`` there: some action b of it reaches,
+    with no translation, a vertex w < vid that refused no clique, and
+    the clique's other numbers leave w too.  With b reversed they are a
+    clique at w, which this pass visited before vid and did not refuse,
+    and its cube has vid as a corner with these actions leaving.  Across
+    a translation the numbers would need a ``carry``: such a clique is
+    walked."""
+    successors, shifts = edges.successors[vid], edges.shifts[vid]
+    for b, i in enumerate(clique):
+        w = successors[i]
+        if w is not None and w < vid and w not in refused and not (shifts and shifts[i]):
+            if all(n in edges.numbers[w] for n in read[:b] + read[b + 1 :]):
+                return True
+    return False
+
+
 # the refused cliques of a vertex whose every clique spans a cube
 _NONE_REFUSED = frozenset()
 
@@ -430,16 +449,24 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
 
     Cubes are then enumerated one dimension at a time, each vertex's
     k-cliques of commuting actions in pass k, so every facet is stored
-    before its cube.  A clique is walked along the recorded successors:
-    first to its all-forward corner, where the frame's ``cube_key`` of
-    its vid and the numbers read there keys the cube, and,
-    for a key not yet stored, to every corner (see ``_store_cube``),
-    whose columns it appends to the complex's arrays.  No state is
-    rebuilt or canonicalized per corner, and no record is made.
-    ``stored`` maps the key of each cube stored in the pass to its
-    position, merging a cube found from several corners, and ``below``
-    the pass before's, to find facets.  The successors, shifts, ranks
-    and keys die when the build returns.
+    before its cube.  Pass 1 walks no edge: one to a lower vertex w is
+    stored, as the reverse move is admissible at w and reaches this
+    vertex; one past the cap, or whose step's ``carry`` refuses, is
+    refused; one to a higher vertex is stored; and a loop, only in a
+    quotient, is stored at the first of its two readings.  In pass k >=
+    2 a clique is walked along the recorded successors: first to its
+    all-forward corner, where the frame's ``cube_key`` of its vid and
+    the numbers read there keys the cube, and, for a key not yet stored,
+    to every corner (see ``_store_cube``), whose columns it appends to
+    the complex's arrays; but not at all when a lower neighbour spanned
+    it (see ``_spanned_below``).  Both skips drop only cliques whose
+    cube is stored, so each cube is still stored by the first clique
+    reaching it, in vid order, then in clique order at the vertex.  No
+    state is rebuilt or canonicalized per corner, and no record is
+    made.  ``stored`` maps the key of each cube stored in the pass to
+    its position, merging a cube found from several corners, and
+    ``below`` the pass before's, to find facets.  The successors,
+    shifts, ranks and keys die when the build returns.
 
     Each clique of commuting actions at a vertex either spans a cube or
     is refused, so the build leaves its refusals behind as the complex's
@@ -505,7 +532,23 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
     # cliques that span no cube; pass k visits the vertices with k-cliques
     refused: dict = {}
     all_forward, cube_key, states = edges.all_forward, frame.cube_key, cx._states
-    k, below, alive = 0, None, vids
+    stored, alive = {}, []
+    for vid in vids:
+        numbers = edges.numbers[vid]
+        for i, w in enumerate(edges.successors[vid]):
+            if w is not None and w < vid:
+                continue  # w listed the reverse move first and stored the edge
+            here = (vid, (numbers[i],))
+            there = None if w is None else edges.step(*here, 0)
+            if there is None:
+                refused.setdefault(vid, set()).add(1 << i)
+            elif w != vid or i < numbers.index(there[1][0]):
+                # a loop is stored at the first of its two readings
+                ends = (there, here) if numbers[i] & 1 else (here, there)
+                stored[cube_key(states, *ends[0])] = _store_cube(cx, rank, None, *zip(*ends))
+        if any(adjacency[vid]):
+            alive.append(vid)
+    k, below = 1, stored
     while alive:
         k, stored, still = k + 1, {}, []
         for vid in alive:
@@ -519,7 +562,10 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
                     if any(mask ^ 1 << i in masks for i in clique):
                         masks.add(mask)
                         continue
-                corner = all_forward(vid, tuple(map(numbers.__getitem__, clique)))
+                read = tuple(map(numbers.__getitem__, clique))
+                if _spanned_below(edges, refused, vid, clique, read):
+                    continue
+                corner = all_forward(vid, read)
                 if corner is not None:
                     key = cube_key(states, *corner)
                     if key in stored:

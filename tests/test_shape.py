@@ -10,6 +10,7 @@ import util
 from cubeplan import shape as shape_module
 from cubeplan.cubepaths import CubePath, from_edge_path, random_edge_path, validate
 from cubeplan.errors import ModelError, StateError
+from cubeplan.fileformat import export_complex
 from cubeplan.lattice import (
     graph_lattice,
     hex_lattice,
@@ -54,6 +55,7 @@ from cubeplan.systems import (
 )
 from cubeplan.topology import betti_mod2, euler_characteristic, f_vector
 
+from test_golden import sha
 from util import link_vertices, oracle_shape_actions, sliding_squares_system, trap_step
 
 TRIANGLE = frozenset([(0, 0), (1, 0), (0, 1)])
@@ -281,6 +283,37 @@ def test_sliding_domino_shapes_are_rigid():
     assert shape_actions(system, vertical) == []
     cx = build_shape_complex(system, [horizontal, vertical])
     assert f_vector(cx) == (2,)
+
+
+@pytest.mark.parametrize(
+    "slides, fvec, export",
+    [
+        (
+            {"right": (1, 0)}, (1, 1),
+            "666af2251809b0b2f8b46dd9ed4fce022f3f67a659d2801f28d38bca0c286133",
+        ),
+        (
+            {"right": (1, 0), "up": (0, 1)}, (1, 2),
+            "556006de7c831b55566eb59f48bb9a2e9730b8ade9990436eb88433021625166",
+        ),
+    ],
+)
+def test_a_lone_sliding_module_is_one_shape_with_loop_edges(slides, fvec, export):
+    """One square module sliding right (and up) is one shape.  Each slide
+    reaches a translate of it, so it is a loop edge, which the shape
+    reads twice: forward, and backward from the carried frame.  Each
+    loop is one edge, and the export is pinned byte for byte."""
+
+    def slide(gid, to):
+        cells = ((0, 0), to)
+        return Generator(gid, cells, frozenset(cells), frozenset([(0, 0)]), frozenset([to]))
+
+    gens = tuple(slide(gid, to) for gid, to in slides.items())
+    system = System(Workspace(square_lattice(), None), gens)
+    cx = build_shape_complex(system, [frozenset([(0, 0)])])
+    assert f_vector(cx) == fvec
+    assert all(cx.corners(1, i) == (0, 0) for i in range(cx.n_cells(1)))
+    assert sha(export_complex(cx)) == export
 
 
 def test_shape_build_truncates_at_cap():

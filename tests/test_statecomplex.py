@@ -394,8 +394,9 @@ def test_truncated_quotients_refuse_a_cube_at_its_first_missing_corner(
 def test_a_cut_quotient_walks_no_clique_holding_a_refused_one(monkeypatch):
     """Of the 24,121 cliques of the square quotient cut at 20 shapes,
     24,071 are refused.  A clique holding one refused at the same
-    vertex holds its missing corner, so it is refused unwalked: the
-    build walks 270 cliques to store its 23 cubes."""
+    vertex holds its missing corner, so it is refused unwalked, and its
+    21 edges are read off the closure's transitions: the build walks 52
+    cliques of two or more actions to store its 2 squares."""
     walks = 0
     all_forward = statecomplex._Edges.all_forward
 
@@ -409,7 +410,42 @@ def test_a_cut_quotient_walks_no_clique_holding_a_refused_one(monkeypatch):
     assert (cx.n_cells(1), cx.n_cells(2), cx.max_dim) == (21, 2, 2)
     refusals = sum(len(link(cx, cx.vertex_state(vid)).refused) for vid in range(20))
     assert refusals == 24_071
-    assert walks == 270
+    assert walks == 52
+
+
+# build -> (all-forward walks, corner walks)
+WALKED_BUILDS = {
+    "hex-r2-local": (
+        lambda: hex_pivot_system(VARIANT_CHANGING, hex_ball(2)), (2_640, 2_573)
+    ),
+    "hex-r3-connected": (
+        lambda: hex_pivot_system(VARIANT_CHANGING, hex_ball(3), constraint_name="connected"),
+        (4_797, 2_126),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKED_BUILDS))
+def test_the_build_walks_only_cubes_not_yet_stored(monkeypatch, name):
+    """Cube enumeration walks no edge: pass 1 reads them off the
+    closure's transitions.  Nor does it walk a clique whose cube a lower
+    neighbour, which refused nothing, already spanned across an
+    untranslated edge.  The local radius-2 build walks 2,640 of its
+    k >= 2 cliques to their all-forward corner and 2,573 to every corner
+    to store 2,573 cubes; the connected radius-3 ball walks 4,797 and
+    2,126 to store 1,694."""
+    counts = {"all_forward": 0, "corners": 0}
+    for walk in counts:
+
+        def counted(edges, vid, numbers, walk=walk, run=getattr(statecomplex._Edges, walk)):
+            counts[walk] += 1
+            return run(edges, vid, numbers)
+
+        monkeypatch.setattr(statecomplex._Edges, walk, counted)
+    make, walks = WALKED_BUILDS[name]
+    cx = build_complex(make(), [frozenset([(0, 0), (1, 0), (0, 1), (1, 1)])])
+    assert not cx.truncated
+    assert tuple(counts.values()) == walks
 
 
 CAPPED_BUILDS = {
