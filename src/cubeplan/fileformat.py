@@ -16,6 +16,7 @@ order.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 from . import lattice as lat
 from .cubepaths import CubePath
@@ -149,8 +150,7 @@ def parse_system_file(text: str) -> SystemFile:
     graph_edges = None
     ws_tokens = None
     ws_ln = 0
-    excluded = set()
-    exclude_ln = 0
+    excludes = []  # (cells, line)
     obstacles = []  # (cell, bit, line)
     constraint = None
     generators = []
@@ -214,8 +214,7 @@ def parse_system_file(text: str) -> SystemFile:
         elif head == "workspace":
             ws_tokens, ws_ln = args, ln
         elif head == "exclude":
-            excluded.update(_parse_cell(t, kind, ln) for t in args)
-            exclude_ln = exclude_ln or ln
+            excludes.append((frozenset(_parse_cell(t, kind, ln) for t in args), ln))
         elif head == "obstacle":
             if len(args) != 2 or args[1] not in ("occupied", "empty"):
                 raise _err(ln, "obstacle takes a cell and occupied|empty")
@@ -268,13 +267,16 @@ def parse_system_file(text: str) -> SystemFile:
         raise _err(ws_ln, "workspace is either all or an explicit cell list")
     else:
         cells = frozenset(_parse_cell(t, kind, ws_ln) for t in ws_tokens)
-        if kind == lat.GRAPH:
-            _homogeneous(cells, ws_ln, "workspace nodes")
 
+    # the workspace is refused under its own line, each exclusion under its own
+    ln, excluded = ws_ln, frozenset()
     try:
-        base_ws = Workspace(lattice, cells, (), frozenset(excluded))
+        base_ws = Workspace(lattice, cells)
+        for skip, ln in excludes:
+            excluded |= skip
+            base_ws = Workspace(lattice, cells, (), excluded)
     except ModelError as e:
-        raise _err(exclude_ln or ws_ln, str(e)) from e
+        raise _err(ln, str(e)) from e
     seen_obstacles = set()
     for cell, bit, ln in obstacles:
         if cell in seen_obstacles:
@@ -282,12 +284,7 @@ def parse_system_file(text: str) -> SystemFile:
         seen_obstacles.add(cell)
         if not base_ws.contains(cell):
             raise _err(ln, f"obstacle cell {cell!r} outside workspace")
-    workspace = Workspace(
-        lattice,
-        cells,
-        tuple((c, b) for c, b, _ in obstacles),
-        frozenset(excluded),
-    )
+    workspace = replace(base_ws, obstacles=tuple((c, b) for c, b, _ in obstacles))
 
     try:
         system = System(workspace, tuple(generators), constraint)

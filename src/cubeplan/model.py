@@ -182,14 +182,24 @@ def make_action(
     return act
 
 
+def _least_failing(cells, test):
+    """The least cell by ``repr`` that fails the test, or None."""
+    if all(map(test, cells)):
+        return None
+    return min((c for c in cells if not test(c)), key=repr)
+
+
 @dataclass(frozen=True)
 class Workspace:
     """The region cells may occupy, plus pinned obstacle bits.
 
     ``cells`` is a frozenset for a finite workspace or None for the whole
-    lattice minus ``excluded`` (a cofinite workspace).  Each obstacle is a
-    (cell, occupied) pair; every state must carry exactly that bit there,
-    and no action trace may touch an obstacle cell.
+    lattice minus ``excluded`` (a cofinite workspace).  On a finite graph
+    None means the graph's nodes minus ``excluded``, kept as that finite
+    node set with nothing excluded.  Each obstacle is a (cell, occupied)
+    pair; every state must carry exactly that bit there, and no action
+    trace may touch an obstacle cell.  A refusal names the least bad
+    cell by ``repr``, the same one under every hash seed.
     """
 
     lattice: lat.Lattice
@@ -198,18 +208,22 @@ class Workspace:
     excluded: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.cells is not None:
-            object.__setattr__(self, "cells", frozenset(self.cells))
-            for c in self.cells:
-                if not self.lattice.is_cell(c):
-                    raise ModelError(f"workspace cell {c!r} invalid for lattice")
-            if self.excluded:
-                raise ModelError("excluded cells apply only to cofinite workspaces")
+        lattice, cells, excluded = self.lattice, self.cells, frozenset(self.excluded)
+        if cells is None:
+            bad = _least_failing(excluded, lattice.is_cell)
+            if bad is not None:
+                raise ModelError(f"excluded cell {bad!r} invalid for lattice")
+            if lattice.kind == lat.GRAPH:
+                cells, excluded = frozenset(lattice.nodes) - excluded, frozenset()
         else:
-            object.__setattr__(self, "excluded", frozenset(self.excluded))
-            for c in self.excluded:
-                if not self.lattice.is_cell(c):
-                    raise ModelError(f"excluded cell {c!r} invalid for lattice")
+            cells = frozenset(cells)
+            bad = _least_failing(cells, lattice.is_cell)
+            if bad is not None:
+                raise ModelError(f"workspace cell {bad!r} invalid for lattice")
+            if excluded:
+                raise ModelError("excluded cells apply only to cofinite workspaces")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "excluded", excluded)
         seen = set()
         norm = []
         for cell, bit in self.obstacles:
@@ -237,9 +251,9 @@ class Workspace:
     def check_state(self, occupied) -> frozenset:
         """Validate a state against the workspace; returns it frozen."""
         occ = frozenset(occupied)
-        for c in occ:
-            if not self.contains(c):
-                raise StateError(f"occupied cell {c!r} outside workspace")
+        bad = _least_failing(occ, self.contains)
+        if bad is not None:
+            raise StateError(f"occupied cell {bad!r} outside workspace")
         for cell, bit in self.obstacles:
             if (cell in occ) != bit:
                 raise StateError(

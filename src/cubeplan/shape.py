@@ -48,30 +48,26 @@ def canonicalize(state, lattice: lat.Lattice) -> tuple:
         raise StateError("cannot canonicalize an empty state")
     if lattice.kind == lat.GRAPH:
         return occ, ()
-    shift = _shift(occ)
+    # a squareEdge2d cell ``(x, y, o)`` keeps its orientation
+    x, y = min(occ)[:2]
+    shift = (-x, -y)
     return frozenset(lattice.translate(c, shift) for c in occ), shift
-
-
-def _shift(state) -> tuple:
-    """The translation that puts the state's least cell at the origin;
-    a squareEdge2d cell ``(x, y, o)`` keeps its orientation."""
-    x, y = min(state)[:2]
-    return (-x, -y)
 
 
 def _shift_offset(offset: tuple, shift: tuple) -> tuple:
     return (offset[0] + shift[0], offset[1] + shift[1])
 
 
-def shape_cube_key(actions, corner_state: frozenset) -> tuple:
-    """Translation-invariant names of a cube's placements.
+def shape_cube_key(numbers) -> tuple:
+    """The placements of a cube, keyed by the numbers its actions read
+    at its all-forward corner, sorted.
 
-    ``corner_state`` is the cube's all-forward corner, in the frame the
-    actions are expressed in; each placement is named by its generator
-    and its offset in the frame of that corner's canonical shape.
+    That corner is a canonical shape, so the numbers read there name
+    placements in its own frame.  ``ShapeFrame`` numbers each placement
+    once, its forward action even, so the sorted numbers name the same
+    cube as its sorted ``(gid, offset)`` placements there.
     """
-    shift = _shift(corner_state)
-    return tuple(sorted((a.gid, _shift_offset(a.offset, shift)) for a in actions))
+    return tuple(sorted(numbers))
 
 
 class ShapeFrame:
@@ -131,19 +127,20 @@ class ShapeFrame:
             out.append(first + (n & 1))
         return tuple(out)
 
-    def cube_key(self, states: list, vid: int, numbers: tuple) -> tuple:
-        return vid, shape_cube_key([self.actions[n] for n in numbers], states[vid])
+    def cube_key(self, vid: int, numbers: tuple) -> tuple:
+        return vid, shape_cube_key(numbers)
 
 
 def _require_homogeneous(system: System) -> None:
     ws = system.workspace
+    # a finite graph's workspace is finite too; name the lattice first
+    if ws.lattice.kind == lat.GRAPH:
+        raise ModelError("shape complexes need a translation-symmetric lattice")
     if ws.is_finite or ws.obstacles or ws.excluded:
         raise ModelError(
             "ShapeRequiresHomogeneousWorkspace: shape complexes need an "
             "unbounded workspace with no obstacles or holes"
         )
-    if ws.lattice.kind == lat.GRAPH:
-        raise ModelError("shape complexes need a translation-symmetric lattice")
     for gen in system.catalogue:
         if not gen.occ0 or not gen.occ1:
             raise ModelError(

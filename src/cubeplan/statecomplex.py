@@ -6,9 +6,9 @@ admissible at a reached state.  A cube is a set of commuting placements
 plus the state off their supports, so it has exactly one *all-forward
 corner*, where every placement sits in its forward source pattern.  A
 vertex is found by its state; while the builder runs, a cube's key is
-that corner's vertex id followed by the names of its placements read in
-that corner's frame.  Every corner reaches the same key, so a cube found
-from different corners is stored once.
+that corner's vertex id followed by the numbers its actions read there,
+which name its placements in that corner's frame.  Every corner reaches
+the same key, so a cube found from different corners is stored once.
 
 The closure records every edge it finds: per vertex, the numbers of
 its leaving actions and the vertex each reaches.  Edges are stored off
@@ -21,7 +21,7 @@ One builder serves plain and quotient complexes alike.  A *frame* tells
 it how states are named: which actions leave a state, which canonical
 representative stands for a state, how actions are numbered and what
 translation carries them into the frame of the state they reach, and
-how a cube's placements are named.  The plain frame names every state
+how a cube is keyed from those numbers.  The plain frame names every state
 by itself; ``shape`` supplies the translation frame.  Either way the
 result is a ``CubeComplex`` that keeps its frame.
 """
@@ -268,9 +268,9 @@ class PlainFrame:
         numbers = tuple([position[a] for a in actions])
         return numbers, [_rewrite(state, a) for a in actions], None
 
-    def cube_key(self, states: list, vid: int, numbers: tuple) -> tuple:
+    def cube_key(self, vid: int, numbers: tuple) -> tuple:
         """The key of the cube whose actions read ``numbers`` at its
-        all-forward corner, vertex vid; no state is read."""
+        all-forward corner, vertex vid."""
         return vid, numbers
 
 
@@ -390,7 +390,7 @@ def _store_cube(cx: CubeComplex, rank: list, below: dict, vids: list, numbers: l
     keys of the cubes one dimension down: its corners are the cube's,
     all vertices, so the pass before stored it.
     """
-    cube_key, states = cx.frame.cube_key, cx._states
+    cube_key = cx.frame.cube_key
     k = len(numbers[0])
     ranks = [rank[vid] for vid in vids]
     base = ranks.index(min(ranks))
@@ -406,7 +406,7 @@ def _store_cube(cx: CubeComplex, rank: list, below: dict, vids: list, numbers: l
             bit = 1 << j
             for corner in (base & bit, ~base & bit):
                 sub = numbers[corner][:j] + numbers[corner][j + 1 :]
-                facets.append(below[cube_key(states, vids[corner], sub)])
+                facets.append(below[cube_key(vids[corner], sub)])
     return cx._append(k, corners, facets, numbers[base])
 
 
@@ -531,7 +531,7 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
     # satisfies it at every corner.  ``refused`` keeps, per vertex, the
     # cliques that span no cube; pass k visits the vertices with k-cliques
     refused: dict = {}
-    all_forward, cube_key, states = edges.all_forward, frame.cube_key, cx._states
+    all_forward, cube_key = edges.all_forward, frame.cube_key
     stored, alive = {}, []
     for vid in vids:
         numbers = edges.numbers[vid]
@@ -545,7 +545,7 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
             elif w != vid or i < numbers.index(there[1][0]):
                 # a loop is stored at the first of its two readings
                 ends = (there, here) if numbers[i] & 1 else (here, there)
-                stored[cube_key(states, *ends[0])] = _store_cube(cx, rank, None, *zip(*ends))
+                stored[cube_key(*ends[0])] = _store_cube(cx, rank, None, *zip(*ends))
         if any(adjacency[vid]):
             alive.append(vid)
     k, below = 1, stored
@@ -567,7 +567,7 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
                     continue
                 corner = all_forward(vid, read)
                 if corner is not None:
-                    key = cube_key(states, *corner)
+                    key = cube_key(*corner)
                     if key in stored:
                         continue
                     corners = edges.corners(*corner)

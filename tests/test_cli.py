@@ -3,7 +3,11 @@
 import pytest
 
 from cubeplan.cli import main
-from cubeplan.fileformat import parse_system_file, serialize
+from cubeplan.cubepaths import CubePath
+from cubeplan.errors import CubeplanError
+from cubeplan.fileformat import parse_system_file, serialize, serialize_path
+from cubeplan.lattice import graph_lattice, square_lattice
+from cubeplan.model import Generator, System, Workspace
 from cubeplan.systems import agv_grid_fixture, arm_system
 
 from util import NOT_PLACEMENTS
@@ -377,3 +381,87 @@ def test_export_writes_the_complex_by_default(capsys):
     assert code == 0
     assert out.startswith("fvec: ")
     assert out == built
+
+
+SQUARE = "lattice square2d\nworkspace (0,0) (1,0)\n"
+GRAPH = "lattice finiteGraph\nnodes 0 1\n"
+
+# refusal -> (a call of the library, or CLI arguments where "@TEXT" is a
+# file holding TEXT; the exit code; the message)
+REFUSALS = {
+    "constraint-arity": (
+        ("stats", "--system", "@" + SQUARE + "constraint a b\n"), 1,
+        "line 3: constraint takes one name",
+    ),
+    "graph-without-nodes": (
+        ("stats", "--system", "@lattice finiteGraph\nworkspace all\n"), 1,
+        "line 1: finite graphs need a nodes line",
+    ),
+    "duplicate-obstacle": (
+        ("stats", "--system", "@" + SQUARE + "obstacle (0,0) empty\nobstacle (0,0) occupied\n"),
+        1, "line 4: duplicate obstacle cell (0, 0)",
+    ),
+    "graph-without-a-node": (
+        ("stats", "--system", "@lattice finiteGraph\nnodes\nworkspace all\n"), 1,
+        "line 2: finiteGraph lattice needs at least one node",
+    ),
+    "duplicate-graph-edges": (
+        ("stats", "--system", "@" + GRAPH + "edges (0,1) (1,0)\nworkspace all\n"), 1,
+        "line 2: duplicate graph edges",
+    ),
+    "excluded-cell-invalid": (
+        ("stats", "--system", "@" + GRAPH + "workspace all\nexclude 9\n"), 1,
+        "line 4: excluded cell 9 invalid for lattice",
+    ),
+    "no-start-state": (
+        ("stats", "--system", "@" + SQUARE), 1,
+        "no start state: pass --seed or use a system file with seed lines",
+    ),
+    "bad-base": (
+        ("lift", "--builtin", "hex", "--in", "@start (0,0)\n", "--base", "(1,x)"), 2,
+        "expected (tx,ty), got '(1,x)'",
+    ),
+    "serialize-what": (lambda: serialize(42), 1, "cannot serialize int"),
+    "serialize-generator-id": (
+        lambda: serialize(
+            System(
+                Workspace(square_lattice(), None),
+                (Generator("two words", ((0, 0),), ((0, 0),), (), ((0, 0),)),),
+            )
+        ),
+        1, "generator id 'two words' is not serializable",
+    ),
+    "serialize-node-label": (
+        lambda: serialize(System(Workspace(graph_lattice(("a b", "c"), ()), None), ())),
+        1, "node label 'a b' is not serializable",
+    ),
+    "serialize-path-without-system": (
+        lambda: serialize_path(CubePath(frozenset([(0, 0)]), (), None)), 1,
+        "serializing a path needs its system for cell syntax",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, code, message", REFUSALS.values(), ids=REFUSALS)
+def test_each_refusal_exits_with_its_code_and_message(capsys, tmp_path, call, code, message):
+    """A library refusal is a ``CubeplanError``, which the CLI prints
+    with exit code 1; a malformed flag is a usage error, exit code 2."""
+    if callable(call):
+        with pytest.raises(CubeplanError) as exc:
+            call()
+        assert (code, str(exc.value)) == (1, message)
+        return
+    argv = []
+    for i, arg in enumerate(call):
+        if arg.startswith("@"):
+            path = tmp_path / f"arg{i}.txt"
+            path.write_text(arg[1:])
+            arg = str(path)
+        argv.append(arg)
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, "")
+    assert message in err

@@ -1,13 +1,18 @@
 """Text formats: system files, state files, move scripts, complex export."""
 
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubeplan
 from cubeplan.cubepaths import CubePath, from_edge_path, random_edge_path
 from cubeplan.errors import FormatError
 from cubeplan.fileformat import (
@@ -219,6 +224,88 @@ def test_exclude_builds_cofinite_workspaces():
     assert not ws.is_finite
     assert ws.excluded == frozenset([(0, 0), (5, 5)])
     assert parse_system_file(serialize(sf)) == sf
+
+
+def test_a_workspace_is_refused_at_its_own_line():
+    """The workspace's refusal names the workspace line, an exclusion's
+    its own exclude line; a workspace node the lattice lacks, of either
+    label type, is the lattice's to refuse."""
+    graph = "lattice finiteGraph\nnodes 1 2 3\n"
+    expect_error(
+        graph + "workspace 1 2 9\nexclude 3\n",
+        r"^line 3: workspace cell 9 invalid for lattice$",
+    )
+    expect_error(
+        graph + "workspace 1 2\nexclude 3\n",
+        r"^line 4: excluded cells apply only to cofinite workspaces$",
+    )
+    expect_error(
+        graph + "workspace 1 a\n", r"^line 3: workspace cell 'a' invalid for lattice$"
+    )
+    expect_error(
+        graph + "workspace all\nexclude 1\nexclude 9\n",
+        r"^line 5: excluded cell 9 invalid for lattice$",
+    )
+
+
+GRAPH_TOKEN = (
+    "generator token\n  support a b\n  trace a b\n  occ0 a\n  occ1 b\n"
+    "  edges (a,b)\nend\nseed 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "whole, listed, fvec",
+    [
+        ("workspace all\n", "workspace 0 1 2\n", "fvec: 3 2"),
+        ("workspace all\nexclude 2\n", "workspace 0 1\n", "fvec: 2 1"),
+    ],
+    ids=["all", "all-but-one"],
+)
+def test_a_finite_graph_workspace_all_is_its_node_list(whole, listed, fvec):
+    """On a finite graph ``workspace all`` is the node set less the
+    excluded nodes: the same system, so the same complex, as the list."""
+    head = "lattice finiteGraph\nnodes 0 1 2\nedges (0,1) (1,2)\n"
+    sf = parse_system_file(head + whole + GRAPH_TOKEN)
+    assert sf == parse_system_file(head + listed + GRAPH_TOKEN)
+    cx = build_complex(sf.system, sf.seeds)
+    assert export_complex(cx).splitlines()[0] == fvec
+
+
+def test_refusals_name_the_same_cell_under_every_hash_seed():
+    """A workspace, exclude or seed line with several bad cells names the
+    least by ``repr``, not the first in a set's hash order."""
+    graph = "lattice finiteGraph\nnodes a b\n"
+    texts = [
+        graph + "workspace a x y z w\n",
+        graph + "workspace all\nexclude x y z w\n",
+        graph + "workspace all\nseed a x y z w\n",
+    ]
+    script = (
+        "import sys\n"
+        "from cubeplan.errors import FormatError\n"
+        "from cubeplan.fileformat import parse_system_file\n"
+        "for text in sys.argv[1:]:\n"
+        "    try:\n"
+        "        parse_system_file(text)\n"
+        "    except FormatError as e:\n"
+        "        print(e)\n"
+    )
+    src = str(Path(cubeplan.__file__).parent.parent)
+    outs = []
+    for hash_seed in ("0", "1"):  # these two seeds differ in a set's order
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *texts],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outs.append(done.stdout)
+    assert outs[0] == outs[1] == (
+        "line 3: workspace cell 'w' invalid for lattice\n"
+        "line 4: excluded cell 'w' invalid for lattice\n"
+        "line 4: occupied cell 'w' outside workspace\n"
+    )
 
 
 def test_state_files_round_trip_and_validate():

@@ -6,7 +6,9 @@ cell's facets, every facet given by its own corner states.  Every
 complex also pins the sha256 of its ``export_complex`` text, which
 prints each cell's name as read at its base corner, so that listing
 stays byte-stable.  Any change to the builder that alters one of these
-values changes the complex.
+values changes the complex.  The 6-module connected hex quotients, the
+pinned complexes under a non-local constraint, pin their link
+violations too.
 
 The command line is pinned the same way: the sha256 of the stdout and
 stderr of a fixed sequence of CLI runs, with their exit codes.
@@ -19,7 +21,7 @@ import pytest
 from cubeplan.cli import _build, build_parser, main
 from cubeplan.fileformat import export_complex
 from cubeplan.shape import build_shape_complex
-from cubeplan.statecomplex import state_key
+from cubeplan.statecomplex import check_link_condition, state_key
 from cubeplan.systems import (
     VARIANT_CHANGING,
     VARIANT_PRESERVING,
@@ -57,6 +59,9 @@ def cell_counts(cx) -> tuple:
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+EMPTY = sha("")
 
 
 # CLI arguments -> (f-vector, truncated, complex digest, export digest)
@@ -181,12 +186,53 @@ def test_shape_complexes_match_their_golden_digests(name):
     assert sha(export_complex(cx)) == export
 
 
+# the 6-module connected hex quotient, a non-local one, per variant ->
+# (f-vector, export digest, number of link violations, digest of
+# ``violations_text``)
+CONNECTED_SIX = {
+    VARIANT_PRESERVING: (
+        (813, 1878, 1185, 144),
+        "0d10b11303f4bcfe2398bd252126fd3334a0b4f22f6bac89e0373ace118a1eca",
+        0, EMPTY,
+    ),
+    VARIANT_CHANGING: (
+        (814, 4326, 5847, 1806, 42),
+        "8030a8c3382497150c90c38d2fc721172d749e97654884e5ed21cb2a3ea12134",
+        144, "88898845f16b7f83afa5adfc4e013f69bb95383d0fe315f38ec6b9bb0ed20647",
+    ),
+}
+
+
+def violations_text(report) -> str:
+    """One line per violation: the state's cells, then each action's
+    generator, offset and direction."""
+    return "".join(
+        f"{state_key(state)!r} {tuple((a.gid, a.offset, a.direction) for a in acts)!r}\n"
+        for state, acts in report.violations
+    )
+
+
+@pytest.mark.parametrize("variant", sorted(CONNECTED_SIX))
+def test_connected_hex_quotients_match_their_golden_pins(variant):
+    """The quotient under the connected constraint from six modules:
+    the changing variant fails the link condition, as a non-local
+    constraint may, and its violations are pinned with its export."""
+    fvec, export, count, violations = CONNECTED_SIX[variant]
+    seed = frozenset([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)])
+    system = hex_pivot_system(variant, None, constraint_name="connected")
+    cx = build_shape_complex(system, [seed])
+    assert cell_counts(cx) == fvec
+    assert sha(export_complex(cx)) == export
+    report = check_link_condition(cx)
+    assert (report.ok, len(report.violations)) == (count == 0, count)
+    assert sha(violations_text(report)) == violations
+
+
 AGV_K5 = ("--builtin", "agv-k5", "--n", "2")
 ARM = ("--builtin", "arm", "--n", "6")
 HEX_PRESERVING = ("--builtin", "hex", "--variant", "preserving")
 HEX_SHAPES = (*HEX_PRESERVING, "--unbounded", "--shapes")
 MISSING_EDGE = "token-on-a-missing-edge"
-EMPTY = sha("")
 
 # run name -> (CLI arguments, exit code, sha256 of stdout, sha256 of
 # stderr), run in this order; an argument "@NAME" is a file holding the

@@ -17,6 +17,7 @@ from cubeplan.shape import ShapeFrame, build_shape_complex, canonicalize
 from cubeplan.statecomplex import (
     CellRecord,
     CubeComplex,
+    _mask,
     build_complex,
     check_link_condition,
     cube_key,
@@ -44,6 +45,7 @@ from test_shape import stacked_bars
 from util import (
     _random_generator,
     corner_actions,
+    enumerate_cliques,
     has_state,
     key_at,
     link_simplices,
@@ -51,6 +53,7 @@ from util import (
     link_vertices,
     oracle_cells,
     oracle_link,
+    oracle_shape_cube_key,
     oracle_violations,
     path_graph,
     random_system,
@@ -522,6 +525,56 @@ def test_plain_records_match_the_cubes_rebuilt_from_states(seed, connected):
 def test_shape_records_match_the_cubes_rebuilt_from_states(seed, kind):
     """Random homogeneous quotients, cut at 20 shapes or whole."""
     assert_records_match_the_oracle(random_quotient(seed, kind))
+
+
+def assert_number_and_name_keys_agree(cx):
+    """Every clique that spans a cube, at every vertex, keyed at its
+    all-forward corner twice: by the build's number key, the numbers its
+    actions read there sorted, and by the name key, its placements named
+    from the corner's state in the frame of the vertex that read the
+    clique.  Both split the cliques into the same classes, one per
+    stored cube."""
+    number = {a: n for n, a in enumerate(cx.actions)}
+    by_number, by_name = {}, {}
+    for vid in range(cx.n_vertices):
+        state = cx.vertex_state(vid)
+        lnk = link(cx, state)
+        for clique in enumerate_cliques(len(lnk.actions), lnk.adjacency):
+            if _mask(clique) in lnk.refused:
+                continue
+            chosen = [lnk.actions[i] for i in clique]
+            forward = _mask(i for i, a in enumerate(chosen) if a.direction == BACKWARD)
+            corner = state
+            for a in chosen:
+                if a.direction == BACKWARD:
+                    corner = apply_action(corner, a)
+            at = cx.vertex_vid(cx.frame.canonical(corner))
+            read = corner_actions(cx, state, chosen, forward)
+            number_key = cx.frame.cube_key(at, [number[a] for a in read])
+            forward_here = [a.reverse() if a.direction == BACKWARD else a for a in chosen]
+            name_key = (at, oracle_shape_cube_key(forward_here, corner))
+            by_number.setdefault(number_key, set()).add((vid, clique))
+            by_name.setdefault(name_key, set()).add((vid, clique))
+    classes = set(map(frozenset, by_number.values()))
+    assert classes == set(map(frozenset, by_name.values()))
+    assert len(classes) == sum(cx.n_cells(k) for k in range(1, cx.max_dim + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from((lat.SQUARE, lat.HEX, lat.SQUARE_EDGE)))
+def test_random_quotients_key_cubes_by_numbers_as_by_names(seed, kind):
+    """Random homogeneous quotients, cut at 20 shapes or whole."""
+    assert_number_and_name_keys_agree(random_quotient(seed, kind))
+
+
+@pytest.mark.parametrize("variant", (VARIANT_PRESERVING, VARIANT_CHANGING))
+@pytest.mark.parametrize("modules", (4, 5))
+def test_connected_hex_quotients_key_cubes_by_numbers_as_by_names(modules, variant):
+    """The 4- and 5-module connected hex quotients, whose cubes are
+    found from several corners across translations."""
+    seed = frozenset([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)][:modules])
+    system = hex_pivot_system(variant, None, constraint_name="connected")
+    assert_number_and_name_keys_agree(build_shape_complex(system, [seed]))
 
 
 def assert_cells_read_back(cx):

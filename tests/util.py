@@ -1,14 +1,15 @@
-"""Shared fixtures: synthetic quotient surfaces and their wedges, the
-systems only tests use (sliding squares, path graphs), randomized systems,
-move scripts that name moves their system does not have, the step that
-springs the connectivity trap, the two-token L-path, and oracles:
-the cube enumeration from states, the incident-cell link and the
-views derived from a link record, the full-catalogue admissibility scan, the breadth-first connectivity
-search, the union-based junction tests of the shrink sweep, the sweep
-and the normality test on sets, the build-every-candidate shape
-enumeration, path validation with no per-step memo, and the surface
-checks by degree count and link search with a nested orientation
-union-find, and the greedy collapse with a list of cofaces per face.
+"""Shared fixtures: synthetic quotient surfaces and their wedges, the systems
+only tests use (sliding squares, path graphs), randomized systems, move
+scripts that name moves their system does not have, the step that springs
+the connectivity trap, the two-token L-path, and oracles: the cube
+enumeration from states, the incident-cell link and the views derived from
+a link record, the full-catalogue admissibility scan, the breadth-first
+connectivity search, the quotient's cube key by placement names, the
+union-based junction tests of the shrink sweep, the sweep and the
+normality test on sets, the build-every-candidate shape enumeration, path
+validation with no per-step memo, and the surface checks by degree count
+and link search with a nested orientation union-find, and the greedy
+collapse with a list of cofaces per face.
 
 The surfaces implement the small view protocol the topology functions
 consume, with hand-wired identifications, so orientability is exercised
@@ -718,6 +719,18 @@ def oracle_is_normal(path) -> bool:
         if any(a.placement_key in prev_keys for a in path.steps[i + 1]):
             return False
     return True
+
+
+def oracle_shape_cube_key(actions, corner_state: frozenset) -> tuple:
+    """Translation-invariant names of a cube's placements, read from the
+    corner's state rather than its actions' numbers.
+
+    ``corner_state`` is the cube's all-forward corner, in the frame the
+    actions are expressed in; each placement is named by its generator
+    and its offset in the frame of that corner's canonical shape.
+    """
+    x, y = min(corner_state)[:2]
+    return tuple(sorted((a.gid, (a.offset[0] - x, a.offset[1] - y)) for a in actions))
 
 
 def oracle_shape_actions(system, shape) -> list:
