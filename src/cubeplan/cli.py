@@ -22,11 +22,12 @@ from .cubepaths import (
     time_geodesic,
     validate,
 )
-from .errors import CubeplanError
+from .errors import CubeplanError, FormatError
 from .fileformat import (
     _DIRECTION_WORDS,
     _PAIR_RE,
     _fvec_header,
+    _int,
     export_complex,
     parse_path,
     parse_state,
@@ -43,10 +44,14 @@ _PAIR_HELP = "translation written as (tx,ty)"
 
 
 def _parse_offset(text: str) -> tuple:
+    """An argparse type: a translation written (tx,ty)."""
     m = _PAIR_RE.match(text.strip())
     if not m:
         raise argparse.ArgumentTypeError(f"expected (tx,ty), got {text!r}")
-    return (int(m.group(1)), int(m.group(2)))
+    try:
+        return (_int(m.group(1)), _int(m.group(2)))
+    except FormatError as e:  # past the digit limit
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _int_at_least(least: int):

@@ -99,9 +99,7 @@ def from_edge_path(start, moves, system: System | None = None) -> CubePath:
     path = CubePath(start, tuple(frozenset((act,)) for act in moves), system)
     report = validate(path)
     if not report.ok:
-        err = PathError(f"move {report.index}: {report.reason}")
-        err.index = report.index
-        raise err
+        raise PathError(f"move {report.index}: {report.reason}", index=report.index)
     return path
 
 

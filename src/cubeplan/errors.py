@@ -2,7 +2,15 @@
 
 
 class CubeplanError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``index`` is the position of the refused item in its input sequence
+    (an obstacle, a seed, a move), or None when no one item is at fault.
+    """
+
+    def __init__(self, *args, index: int | None = None):
+        super().__init__(*args)
+        self.index = index
 
 
 class ModelError(CubeplanError):

@@ -10,13 +10,15 @@ input: parse(serialize(x)) == x by dataclass equality.
 Each rule of the syntax has one home: ``_lines`` is the one reader of
 lines (comments cut, blanks stripped, empty lines skipped) and
 ``_cell_line`` the one writer of a head word followed by cells in sort
-order.
+order.  The rules of the model live in the model: ``Workspace`` owns the
+workspace, exclusion and obstacle rules and ``SystemFile`` the seed
+rules.  The reader builds them from the file and maps each refusal to
+the line of the item it names.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 from . import lattice as lat
 from .cubepaths import CubePath
@@ -45,11 +47,11 @@ _GENERATOR_FIELDS = ("support", "trace", "occ0", "occ1", "edges")
 _SINGLE_DIRECTIVES = ("lattice", "nodes", "edges", "workspace", "constraint")
 
 
-def _err(ln: int, msg: str) -> FormatError:
-    return FormatError(f"line {ln}: {msg}")
+def _err(ln: int | None, msg: str) -> FormatError:
+    return FormatError(msg if ln is None else f"line {ln}: {msg}")
 
 
-def _int(tok: str, ln: int) -> int:
+def _int(tok: str, ln: int | None = None) -> int:
     try:  # int() raises ValueError past Python's digit limit
         return int(tok)
     except ValueError:
@@ -142,84 +144,55 @@ def _fvec_header(view) -> str:
 # -- system files -------------------------------------------------------------
 
 def parse_system_file(text: str) -> SystemFile:
-    """Parse a system file; diagnostics carry 1-based line numbers."""
+    """Parse a system file; diagnostics carry 1-based line numbers.
+
+    The model owns the rules of a system; an obstacle or seed it refuses
+    is refused at that obstacle's or seed's line.
+    """
     kind = None
-    kind_ln = 0
     nodes = None
-    nodes_ln = 0
     graph_edges = None
     ws_tokens = None
-    ws_ln = 0
     excludes = []  # (cells, line)
-    obstacles = []  # (cell, bit, line)
+    obstacles = []  # ((cell, bit), line)
     constraint = None
     generators = []
     gid_lines = {}
     seeds = []  # (frozenset, line)
-    seen = set()  # the single directives met so far
-    block = None  # (gid, start_line, {field: cells})
+    line_of = {}  # each single directive met so far -> its line
 
-    for ln, line in _lines(text):
+    lines = _lines(text)
+    for ln, line in lines:
         head, *args = line.split()
-
-        if block is not None:
-            gid, start_ln, fields = block
-            if head == "end":
-                if args:
-                    raise _err(ln, "end takes no arguments")
-                generators.append(_finish_generator(gid, start_ln, fields, kind))
-                block = None
-            elif head in _GENERATOR_FIELDS:
-                if head in fields:
-                    raise _err(ln, f"duplicate {head} in generator {gid}")
-                if head == "edges":
-                    if kind != lat.GRAPH:
-                        raise _err(
-                            ln, "generator edges apply only to finite graphs"
-                        )
-                    fields[head] = tuple(
-                        _parse_graph_pair(t, ln) for t in args
-                    )
-                else:
-                    fields[head] = tuple(
-                        _parse_cell(t, kind, ln) for t in args
-                    )
-            else:
-                raise _err(
-                    ln, f"expected a generator field or end, got {head!r}"
-                )
-            continue
-
         if kind is None and head != "lattice":
             raise _err(ln, "the lattice must be declared first")
         if head in _SINGLE_DIRECTIVES:
-            if head in seen:
+            if head in line_of:
                 raise _err(ln, f"duplicate {head} line")
-            seen.add(head)
+            line_of[head] = ln
 
         if head == "lattice":
             if len(args) != 1 or args[0] not in lat.KINDS:
                 raise _err(
                     ln, f"lattice kind must be one of {', '.join(lat.KINDS)}"
                 )
-            kind, kind_ln = args[0], ln
+            kind = args[0]
         elif head in ("nodes", "edges"):
             if kind != lat.GRAPH:
                 raise _err(ln, f"{head} line applies only to finite graphs")
             if head == "nodes":
                 nodes = tuple(_parse_node_token(t, ln) for t in args)
-                nodes_ln = ln
             else:
                 graph_edges = tuple(_parse_graph_pair(t, ln) for t in args)
         elif head == "workspace":
-            ws_tokens, ws_ln = args, ln
+            ws_tokens = args
         elif head == "exclude":
             excludes.append((frozenset(_parse_cell(t, kind, ln) for t in args), ln))
         elif head == "obstacle":
             if len(args) != 2 or args[1] not in ("occupied", "empty"):
                 raise _err(ln, "obstacle takes a cell and occupied|empty")
             obstacles.append(
-                (_parse_cell(args[0], kind, ln), args[1] == "occupied", ln)
+                ((_parse_cell(args[0], kind, ln), args[1] == "occupied"), ln)
             )
         elif head == "constraint":
             if len(args) != 1:
@@ -237,30 +210,29 @@ def parse_system_file(text: str) -> SystemFile:
                     f" {gid_lines[args[0]]}",
                 )
             gid_lines[args[0]] = ln
-            block = (args[0], ln, {})
+            generators.append(_read_generator(args[0], ln, lines, kind))
         elif head == "seed":
             cells = frozenset(_parse_cell(t, kind, ln) for t in args)
             seeds.append((cells, ln))
         else:
             raise _err(ln, f"unknown directive {head!r}")
 
-    if block is not None:
-        raise _err(block[1], f"generator {block[0]} is missing its end line")
     if kind is None:
         raise FormatError("missing lattice declaration")
 
     if kind == lat.GRAPH:
         if nodes is None:
-            raise _err(kind_ln, "finite graphs need a nodes line")
+            raise _err(line_of["lattice"], "finite graphs need a nodes line")
         try:
             lattice = lat.graph_lattice(nodes, graph_edges or ())
         except ModelError as e:
-            raise _err(nodes_ln, str(e)) from e
+            raise _err(line_of["nodes"], str(e)) from e
     else:
         lattice = lat.Lattice(kind)
 
     if ws_tokens is None:
         raise FormatError("missing workspace line")
+    ws_ln = line_of["workspace"]
     if ws_tokens == ["all"]:
         cells = None
     elif "all" in ws_tokens:
@@ -268,59 +240,61 @@ def parse_system_file(text: str) -> SystemFile:
     else:
         cells = frozenset(_parse_cell(t, kind, ws_ln) for t in ws_tokens)
 
-    # the workspace is refused under its own line, each exclusion under its own
+    # the workspace is refused under its own line, each exclusion under its
+    # own, and an obstacle the model refuses under that obstacle's
     ln, excluded = ws_ln, frozenset()
     try:
-        base_ws = Workspace(lattice, cells)
+        Workspace(lattice, cells)
         for skip, ln in excludes:
             excluded |= skip
-            base_ws = Workspace(lattice, cells, (), excluded)
+            Workspace(lattice, cells, (), excluded)
+        workspace = Workspace(lattice, cells, tuple(o for o, _ in obstacles), excluded)
     except ModelError as e:
-        raise _err(ln, str(e)) from e
-    seen_obstacles = set()
-    for cell, bit, ln in obstacles:
-        if cell in seen_obstacles:
-            raise _err(ln, f"duplicate obstacle cell {cell!r}")
-        seen_obstacles.add(cell)
-        if not base_ws.contains(cell):
-            raise _err(ln, f"obstacle cell {cell!r} outside workspace")
-    workspace = replace(base_ws, obstacles=tuple((c, b) for c, b, _ in obstacles))
+        raise _err(ln if e.index is None else obstacles[e.index][1], str(e)) from e
 
     try:
         system = System(workspace, tuple(generators), constraint)
     except ModelError as e:
         raise FormatError(str(e)) from e
-
-    checked = []
-    for cells_, ln in seeds:
-        try:
-            checked.append(workspace.check_state(cells_))
-        except StateError as e:
-            raise _err(ln, str(e)) from e
-    return SystemFile(system, tuple(checked))
+    try:
+        return SystemFile(system, tuple(seed for seed, _ in seeds))
+    except StateError as e:
+        raise _err(seeds[e.index][1], str(e)) from e
 
 
-def _finish_generator(gid: str, ln: int, fields: dict, kind: str) -> Generator:
+def _read_generator(gid: str, start_ln: int, lines, kind: str) -> Generator:
+    """The generator block opened on line ``start_ln``: its field lines,
+    taken from the system file's line iterator up to its end line."""
+    fields = {}
+    for ln, line in lines:
+        head, *args = line.split()
+        if head == "end":
+            if args:
+                raise _err(ln, "end takes no arguments")
+            break
+        if head not in _GENERATOR_FIELDS:
+            raise _err(ln, f"expected a generator field or end, got {head!r}")
+        if head in fields:
+            raise _err(ln, f"duplicate {head} in generator {gid}")
+        if head == "edges":
+            if kind != lat.GRAPH:
+                raise _err(ln, "generator edges apply only to finite graphs")
+            fields[head] = tuple(_parse_graph_pair(t, ln) for t in args)
+        else:
+            fields[head] = tuple(_parse_cell(t, kind, ln) for t in args)
+    else:
+        raise _err(start_ln, f"generator {gid} is missing its end line")
     for name in _GENERATOR_FIELDS[:-1]:
         if name not in fields:
-            raise _err(ln, f"generator {gid} is missing its {name} line")
-    if kind == lat.GRAPH:
-        if "edges" not in fields:
-            raise _err(ln, f"generator {gid} needs an edges line on a graph")
-        local_edges = fields["edges"]
-    else:
-        local_edges = None
+            raise _err(start_ln, f"generator {gid} is missing its {name} line")
+    if kind == lat.GRAPH and "edges" not in fields:
+        raise _err(start_ln, f"generator {gid} needs an edges line on a graph")
     try:
         return Generator(
-            gid,
-            fields["support"],
-            frozenset(fields["trace"]),
-            frozenset(fields["occ0"]),
-            frozenset(fields["occ1"]),
-            local_edges,
+            gid, *(fields[name] for name in _GENERATOR_FIELDS[:-1]), fields.get("edges")
         )
     except ModelError as e:
-        raise _err(ln, str(e)) from e
+        raise _err(start_ln, str(e)) from e
 
 
 def serialize(obj) -> str:

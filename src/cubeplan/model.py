@@ -199,7 +199,8 @@ class Workspace:
     node set with nothing excluded.  Each obstacle is a (cell, occupied)
     pair; every state must carry exactly that bit there, and no action
     trace may touch an obstacle cell.  A refusal names the least bad
-    cell by ``repr``, the same one under every hash seed.
+    cell by ``repr``, the same one under every hash seed; an obstacle's
+    refusal carries its position in ``obstacles`` as ``index``.
     """
 
     lattice: lat.Lattice
@@ -226,12 +227,12 @@ class Workspace:
         object.__setattr__(self, "excluded", excluded)
         seen = set()
         norm = []
-        for cell, bit in self.obstacles:
+        for i, (cell, bit) in enumerate(self.obstacles):
             if cell in seen:
-                raise ModelError(f"duplicate obstacle cell {cell!r}")
+                raise ModelError(f"duplicate obstacle cell {cell!r}", index=i)
             seen.add(cell)
             if not self.contains(cell):
-                raise ModelError(f"obstacle cell {cell!r} outside workspace")
+                raise ModelError(f"obstacle cell {cell!r} outside workspace", index=i)
             norm.append((cell, bool(bit)))
         object.__setattr__(self, "obstacles", tuple(sorted(norm)))
 
@@ -368,16 +369,22 @@ class System:
 
 @dataclass(frozen=True)
 class SystemFile:
-    """A system bundled with its seed states, as stored in a system file."""
+    """A system bundled with its seed states, as stored in a system file.
+
+    A seed the workspace refuses is refused with its position in ``seeds``.
+    """
 
     system: System
     seeds: tuple = ()
 
     def __post_init__(self):
-        seeds = tuple(
-            self.system.workspace.check_state(s) for s in self.seeds
-        )
-        object.__setattr__(self, "seeds", seeds)
+        seeds = []
+        for i, seed in enumerate(self.seeds):
+            try:
+                seeds.append(self.system.workspace.check_state(seed))
+            except StateError as e:
+                raise StateError(str(e), index=i) from None
+        object.__setattr__(self, "seeds", tuple(seeds))
 
 
 def _graph_embeddings(gen: Generator, workspace: Workspace):

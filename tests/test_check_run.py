@@ -57,3 +57,16 @@ def test_a_malformed_pin_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         load_tool().main([run_file(tmp_path), "statecomplex.vertices"])
     assert err.value.code == 2
+
+
+NO_RECORD = {"empty": "", "not-json": "cubeplan benchmark: workload arm-topology\n{\"workload\": \n"}
+
+
+@pytest.mark.parametrize("text", NO_RECORD.values(), ids=NO_RECORD)
+def test_a_run_file_with_no_record_fails_in_one_line(tmp_path, capsys, text):
+    """An empty run file, or one whose last line is not JSON, is a
+    failure on stderr, not a traceback."""
+    path = tmp_path / "run.out"
+    path.write_text(text)
+    assert load_tool().main([str(path), *PINS]) == 1
+    assert capsys.readouterr().err == f"{path}: no JSON record on the last line\n"

@@ -209,6 +209,18 @@ def test_over_long_integers_exit_one(capsys, tmp_path):
         assert err.startswith("error: line 2: integer of 5000 digits is too long")
 
 
+def test_an_over_long_base_is_refused_without_echoing_it(capsys):
+    """The refusal gives the digit count, not the digits or the type's name."""
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", "--builtin", "hex", "--in", "unread.moves", "--base", f"({'1' * 5000},0)"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "cubeplan lift: error: argument --base: integer of 5000 digits is too long"
+    )
+    assert len(err) < 1000 and "_parse_offset" not in err
+
+
 MIXED_GENERATOR = (
     "lattice finiteGraph\nnodes 0 1 2\nedges (0,1) (1,2)\nworkspace all\n"
     "generator token\n  support a 1\n  trace a 1\n  occ0 a\n  occ1 1\n"
@@ -401,6 +413,14 @@ REFUSALS = {
         ("stats", "--system", "@" + SQUARE + "obstacle (0,0) empty\nobstacle (0,0) occupied\n"),
         1, "line 4: duplicate obstacle cell (0, 0)",
     ),
+    "obstacle-outside-workspace": (
+        ("stats", "--system", "@" + SQUARE + "obstacle (0,0) empty\nobstacle (5,5) occupied\n"),
+        1, "line 4: obstacle cell (5, 5) outside workspace",
+    ),
+    "bad-second-seed": (
+        ("stats", "--system", "@" + SQUARE + "seed (0,0)\nseed (9,9)\n"), 1,
+        "line 4: occupied cell (9, 9) outside workspace",
+    ),
     "graph-without-a-node": (
         ("stats", "--system", "@lattice finiteGraph\nnodes\nworkspace all\n"), 1,
         "line 2: finiteGraph lattice needs at least one node",
@@ -420,6 +440,10 @@ REFUSALS = {
     "bad-base": (
         ("lift", "--builtin", "hex", "--in", "@start (0,0)\n", "--base", "(1,x)"), 2,
         "expected (tx,ty), got '(1,x)'",
+    ),
+    "base-too-long": (
+        ("lift", "--builtin", "hex", "--in", "@start (0,0)\n", "--base", f"({'1' * 5000},0)"),
+        2, "argument --base: integer of 5000 digits is too long",
     ),
     "serialize-what": (lambda: serialize(42), 1, "cannot serialize int"),
     "serialize-generator-id": (

@@ -308,6 +308,22 @@ def test_refusals_name_the_same_cell_under_every_hash_seed():
     )
 
 
+def test_each_seed_of_a_parsed_file_is_checked_once(monkeypatch):
+    """The reader leaves the seed rules to ``SystemFile``: two seed lines,
+    two state checks."""
+    checked = []
+    real = Workspace.check_state
+
+    def counted(self, occupied):
+        checked.append(occupied)
+        return real(self, occupied)
+
+    monkeypatch.setattr(Workspace, "check_state", counted)
+    sf = parse_system_file("lattice square2d\nworkspace (0,0) (1,0)\nseed (0,0)\nseed (1,0)\n")
+    assert len(sf.seeds) == 2
+    assert checked == [frozenset({(0, 0)}), frozenset({(1, 0)})]
+
+
 def test_state_files_round_trip_and_validate():
     sf = agv_grid_fixture(2, 2)
     text = serialize_state(sf.seeds[0], sf.system)

@@ -66,6 +66,7 @@ TOKENS = (
     "99999999999999999999", "1e5", "0x1", "nan", "\x00", "é", "end",
     "generator", "support", "trace", "occ0", "occ1", "edges", "nodes",
     "lattice", "workspace", "all", "seed", "constraint", "connected",
+    "obstacle", "occupied", "empty", "exclude",
     "state", "start", "step", "step 1:", "fwd", "bwd", "p0.0", "(0,0)",
     "(1,0,h)", "(token, p0.0, p0.1, fwd)",
     "1" * 5000,  # past Python's 4,300-digit limit for int()

@@ -460,3 +460,22 @@ def test_systemfile_checks_seeds():
     assert sf.seeds == (frozenset(((0, 0),)),)
     with pytest.raises(StateError):
         SystemFile(system, ({(9, 9)},))
+
+
+def test_the_model_marks_the_obstacle_or_seed_it_refuses():
+    """A refusal of one input item carries that item's position as
+    ``index``, for a reader to map to its line; other refusals carry None."""
+    square = lat.square_lattice()
+    with pytest.raises(ModelError) as err:
+        Workspace(square, box(2, 2), (((0, 0), True), ((0, 0), False)))
+    assert err.value.index == 1
+    with pytest.raises(ModelError) as err:
+        Workspace(square, box(2, 2), (((0, 0), True), ((1, 1), True), ((7, 7), True)))
+    assert err.value.index == 2
+    with pytest.raises(ModelError) as err:
+        Workspace(square, box(2, 2), (), frozenset(((0, 0),)))
+    assert err.value.index is None
+    system = System(Workspace(square, box(2, 1)), (slide_one(),))
+    with pytest.raises(StateError) as err:
+        SystemFile(system, ({(0, 0)}, {(9, 9)}))
+    assert (err.value.index, str(err.value)) == (1, "occupied cell (9, 9) outside workspace")

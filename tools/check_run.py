@@ -6,7 +6,8 @@
 RUN.out is what ``perfbench/run.py`` printed; its last line is the run's
 JSON record.  Each pin names a metric of that record and the integer it
 must read.  Exits 0 when the record says ``"correct": true`` and every
-pin holds; otherwise prints each failure on stderr and exits 1.
+pin holds; otherwise, also when the last line holds no JSON object,
+prints each failure on stderr and exits 1.
 Standard library only.
 """
 
@@ -31,6 +32,16 @@ def failures(run: dict, pins: dict) -> list:
     return out
 
 
+def record(path: Path) -> dict | None:
+    """The JSON object on the run file's last line, or None if it holds none."""
+    lines = path.read_text().splitlines()
+    try:
+        run = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        return None
+    return run if isinstance(run, dict) else None
+
+
 def pin(text: str) -> tuple:
     name, sep, value = text.partition("=")
     if not (name and sep):
@@ -46,8 +57,11 @@ def main(argv=None) -> int:
     ap.add_argument("run", type=Path, help="the stdout of perfbench/run.py")
     ap.add_argument("pins", nargs="*", type=pin, metavar="METRIC=VALUE")
     args = ap.parse_args(argv)
-    run = json.loads(args.run.read_text().splitlines()[-1])
-    problems = failures(run, dict(args.pins))
+    run = record(args.run)
+    if run is None:
+        problems = ["no JSON record on the last line"]
+    else:
+        problems = failures(run, dict(args.pins))
     for line in problems:
         print(f"{args.run}: {line}", file=sys.stderr)
     return 1 if problems else 0
