@@ -9,6 +9,7 @@ so output is bit stable.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import partial
 
@@ -41,6 +42,21 @@ from .statecomplex import build_complex, check_link_condition
 from .topology import betti_mod2, euler_characteristic
 
 _PAIR_HELP = "translation written as (tx,ty)"
+_SIGNED_INT_RE = re.compile(r"[+-]?\d+")
+
+
+def _int_arg(text: str) -> int:
+    """An argparse type: what ``int`` reads, with a number past Python's
+    digit limit refused by its digit count instead of echoed."""
+    if not _SIGNED_INT_RE.fullmatch(text.strip()):
+        return int(text)  # argparse reports its ValueError as an invalid int
+    try:
+        return _int(text.strip())
+    except FormatError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+_int_arg.__name__ = "int"  # argparse names the type in its errors
 
 
 def _parse_offset(text: str) -> tuple:
@@ -48,17 +64,14 @@ def _parse_offset(text: str) -> tuple:
     m = _PAIR_RE.match(text.strip())
     if not m:
         raise argparse.ArgumentTypeError(f"expected (tx,ty), got {text!r}")
-    try:
-        return (_int(m.group(1)), _int(m.group(2)))
-    except FormatError as e:  # past the digit limit
-        raise argparse.ArgumentTypeError(str(e)) from None
+    return (_int_arg(m.group(1)), _int_arg(m.group(2)))
 
 
 def _int_at_least(least: int):
     """An argparse type: an int no less than ``least``."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = _int_arg(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
         return value
@@ -135,17 +148,17 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
         choices=sorted(BUILTINS),
         help="; ".join(f"{k}: {v[1]}" for k, v in sorted(BUILTINS.items())),
     )
-    p.add_argument("--n", type=int, default=2, help="builtin size parameter")
-    p.add_argument("--m", type=int, default=3, help="builtin size parameter")
-    p.add_argument("--p", type=int, default=1, help="wall width")
-    p.add_argument("--q", type=int, default=1, help="wall height")
+    p.add_argument("--n", type=_int_arg, default=2, help="builtin size parameter")
+    p.add_argument("--m", type=_int_arg, default=3, help="builtin size parameter")
+    p.add_argument("--p", type=_int_arg, default=1, help="wall width")
+    p.add_argument("--q", type=_int_arg, default=1, help="wall height")
     p.add_argument(
         "--variant",
         choices=("changing", "preserving"),
         default="changing",
         help="hex pivot flavor",
     )
-    p.add_argument("--radius", type=int, default=2, help="hex ball radius")
+    p.add_argument("--radius", type=_int_arg, default=2, help="hex ball radius")
     p.add_argument(
         "--unbounded",
         action="store_true",
@@ -356,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name == "random-path":
             p.add_argument("--length", type=_int_at_least(0), default=20)
-            p.add_argument("--rng-seed", type=int, default=0)
+            p.add_argument("--rng-seed", type=_int_arg, default=0)
     return ap
 
 

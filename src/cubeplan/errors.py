@@ -5,7 +5,8 @@ class CubeplanError(Exception):
     """Base class for all errors raised by this package.
 
     ``index`` is the position of the refused item in its input sequence
-    (an obstacle, a seed, a move), or None when no one item is at fault.
+    (a graph edge, an obstacle, a seed, a move), or None when no one
+    item is at fault.
     """
 
     def __init__(self, *args, index: int | None = None):

@@ -225,8 +225,8 @@ def parse_system_file(text: str) -> SystemFile:
             raise _err(line_of["lattice"], "finite graphs need a nodes line")
         try:
             lattice = lat.graph_lattice(nodes, graph_edges or ())
-        except ModelError as e:
-            raise _err(line_of["nodes"], str(e)) from e
+        except ModelError as e:  # an edge refusal is marked, a node one is not
+            raise _err(line_of["nodes" if e.index is None else "edges"], str(e)) from e
     else:
         lattice = lat.Lattice(kind)
 
@@ -414,14 +414,12 @@ def parse_path(text: str, system: System) -> CubePath:
 
     Actions come from ``make_action``, one object per distinct placed
     action for as long as its generator lives, so a script shares them
-    with the catalogue, other scripts and lifts.  Two memos live for
-    this call: one from each distinct action text to its action, which
-    saves parsing and label-checking it again, and one frozenset per
-    distinct step text.  A step line's index and body come from one match.
+    with the catalogue, other scripts and lifts.  One memo lives for
+    this call: one frozenset per distinct step text, so a recurring step
+    is one object.  A step line's index and body come from one match.
     """
     kind = system.workspace.lattice.kind
     gens_by_gid = {g.gid: g for g in system.catalogue}
-    parsed = {}  # stripped action text -> Action
     parsed_steps = {}  # stripped step text -> its frozenset, once it was valid
     labels = ()  # a graph's node fields all take the first action's type
     start = None
@@ -446,13 +444,10 @@ def parse_path(text: str, system: System) -> CubePath:
         if step is None:
             acts = []
             for part in body.split(";") if body else ():
-                part = part.strip()
-                act = parsed.get(part)
-                if act is None:
-                    act = parsed[part] = _parse_action(part, system, gens_by_gid, ln)
-                    if kind == lat.GRAPH:
-                        labels = labels or act.offset[:1]
-                        _homogeneous(labels + act.offset, ln, "action node fields")
+                act = _parse_action(part.strip(), system, gens_by_gid, ln)
+                if kind == lat.GRAPH:
+                    labels = labels or act.offset[:1]
+                    _homogeneous(labels + act.offset, ln, "action node fields")
                 acts.append(act)
             step = frozenset(acts)
             if len(step) != len(acts):

@@ -66,16 +66,17 @@ class Lattice:
                 raise ModelError("duplicate graph nodes")
             if len({type(n) for n in node_set}) > 1:
                 raise ModelError("node labels mix integer and string labels")
-            norm = []
-            for e in self.edges:
+            norm = set()
+            for i, e in enumerate(self.edges):
                 if len(e) != 2 or e[0] == e[1]:
-                    raise ModelError(f"bad graph edge {e!r}")
+                    raise ModelError(f"bad graph edge {e!r}", index=i)
                 a, b = e
                 if a not in node_set or b not in node_set:
-                    raise ModelError(f"graph edge {e!r} uses unknown node")
-                norm.append((a, b) if a <= b else (b, a))
-            if len(set(norm)) != len(norm):
-                raise ModelError("duplicate graph edges")
+                    raise ModelError(f"graph edge {e!r} uses unknown node", index=i)
+                edge = (a, b) if a <= b else (b, a)
+                if edge in norm:
+                    raise ModelError("duplicate graph edges", index=i)
+                norm.add(edge)
             object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
             object.__setattr__(self, "edges", tuple(sorted(norm)))
         elif self.nodes or self.edges:

@@ -15,7 +15,8 @@ its leaving actions and the vertex each reaches.  Edges are stored off
 that record, and a larger cube's corners are found by walking it,
 reading its actions' numbers at each corner, so no corner state is
 rebuilt; the base corner is picked by a rank of the vertices' state
-keys, computed once.  No cube a lower vertex already stored is walked.
+keys, computed once.  A clique is keyed at its all-forward corner and
+walked to every corner only when its key is new.
 
 One builder serves plain and quotient complexes alike.  A *frame* tells
 it how states are named: which actions leave a state, which canonical
@@ -410,24 +411,6 @@ def _store_cube(cx: CubeComplex, rank: list, below: dict, vids: list, numbers: l
     return cx._append(k, corners, facets, numbers[base])
 
 
-def _spanned_below(edges: _Edges, refused: dict, vid: int, clique: tuple, read: tuple) -> bool:
-    """Whether a lower neighbour spanned the cube of a clique at vertex
-    vid, whose actions read ``read`` there: some action b of it reaches,
-    with no translation, a vertex w < vid that refused no clique, and
-    the clique's other numbers leave w too.  With b reversed they are a
-    clique at w, which this pass visited before vid and did not refuse,
-    and its cube has vid as a corner with these actions leaving.  Across
-    a translation the numbers would need a ``carry``: such a clique is
-    walked."""
-    successors, shifts = edges.successors[vid], edges.shifts[vid]
-    for b, i in enumerate(clique):
-        w = successors[i]
-        if w is not None and w < vid and w not in refused and not (shifts and shifts[i]):
-            if all(n in edges.numbers[w] for n in read[:b] + read[b + 1 :]):
-                return True
-    return False
-
-
 # the refused cliques of a vertex whose every clique spans a cube
 _NONE_REFUSED = frozenset()
 
@@ -456,16 +439,14 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
     quotient, is stored at the first of its two readings.  In pass k >=
     2 a clique is walked along the recorded successors: first to its
     all-forward corner, where the frame's ``cube_key`` of its vid and
-    the numbers read there keys the cube, and, for a key not yet stored,
-    to every corner (see ``_store_cube``), whose columns it appends to
-    the complex's arrays; but not at all when a lower neighbour spanned
-    it (see ``_spanned_below``).  Both skips drop only cliques whose
-    cube is stored, so each cube is still stored by the first clique
-    reaching it, in vid order, then in clique order at the vertex.  No
-    state is rebuilt or canonicalized per corner, and no record is
-    made.  ``stored`` maps the key of each cube stored in the pass to
-    its position, merging a cube found from several corners, and
-    ``below`` the pass before's, to find facets.  The successors,
+    the numbers read there keys the cube, and, only for a key not yet
+    stored, to every corner (see ``_store_cube``), whose columns it
+    appends to the complex's arrays.  So each cube is stored by the
+    first clique reaching it, in vid order, then in clique order at the
+    vertex.  No state is rebuilt or canonicalized per corner, and no
+    record is made.  ``stored`` maps the key of each cube stored in the
+    pass to its position, merging a cube found from several corners,
+    and ``below`` the pass before's, to find facets.  The successors,
     shifts, ranks and keys die when the build returns.
 
     Each clique of commuting actions at a vertex either spans a cube or
@@ -562,10 +543,7 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
                     if any(mask ^ 1 << i in masks for i in clique):
                         masks.add(mask)
                         continue
-                read = tuple(map(numbers.__getitem__, clique))
-                if _spanned_below(edges, refused, vid, clique, read):
-                    continue
-                corner = all_forward(vid, read)
+                corner = all_forward(vid, tuple(map(numbers.__getitem__, clique)))
                 if corner is not None:
                     key = cube_key(*corner)
                     if key in stored:

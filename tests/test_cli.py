@@ -341,6 +341,14 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     assert "must be at least" in err
 
 
+def test_integer_flags_read_what_int_reads(capsys):
+    """A sign, digit underscores and surrounding blanks stay accepted."""
+    plain = run(capsys, "random-path", "--builtin", "arm", "--length", "3", "--rng-seed", "10")
+    assert plain[0] == 0
+    spelled = ("--length", " +3 ", "--rng-seed", "1_0")
+    assert run(capsys, "random-path", "--builtin", "arm", *spelled) == plain
+
+
 def test_the_least_cap_and_length_are_accepted(capsys):
     code, out, err = run(capsys, "stats", "--builtin", "arm", "--n", "4", "--cap", "1")
     assert (code, out) == (0, "fvec: 1\n")
@@ -427,11 +435,23 @@ REFUSALS = {
     ),
     "duplicate-graph-edges": (
         ("stats", "--system", "@" + GRAPH + "edges (0,1) (1,0)\nworkspace all\n"), 1,
-        "line 2: duplicate graph edges",
+        "line 3: duplicate graph edges",
+    ),
+    "graph-edge-loop": (
+        ("stats", "--system", "@" + GRAPH + "edges (0,0)\nworkspace all\n"), 1,
+        "line 3: bad graph edge (0, 0)",
+    ),
+    "graph-edge-unknown-node": (
+        ("stats", "--system", "@" + GRAPH + "edges (0,7)\nworkspace all\n"), 1,
+        "line 3: graph edge (0, 7) uses unknown node",
     ),
     "excluded-cell-invalid": (
         ("stats", "--system", "@" + GRAPH + "workspace all\nexclude 9\n"), 1,
         "line 4: excluded cell 9 invalid for lattice",
+    ),
+    "unbounded-build": (
+        ("stats", "--builtin", "hex", "--unbounded"), 1,
+        "WorkspaceNotFinite: complex building needs a finite workspace",
     ),
     "no-start-state": (
         ("stats", "--system", "@" + SQUARE), 1,
@@ -444,6 +464,25 @@ REFUSALS = {
     "base-too-long": (
         ("lift", "--builtin", "hex", "--in", "@start (0,0)\n", "--base", f"({'1' * 5000},0)"),
         2, "argument --base: integer of 5000 digits is too long",
+    ),
+    "cap-too-long": (
+        ("stats", "--builtin", "arm", "--cap", "1" * 5000), 2,
+        "argument --cap: integer of 5000 digits is too long",
+    ),
+    "rng-seed-too-long": (
+        ("random-path", "--builtin", "arm", "--rng-seed", "1" * 5000), 2,
+        "argument --rng-seed: integer of 5000 digits is too long",
+    ),
+    "signed-length-too-long": (
+        ("random-path", "--builtin", "arm", "--length", "+" + "1" * 5000), 2,
+        "argument --length: integer of 5001 digits is too long",
+    ),
+    "cap-not-an-int": (
+        ("stats", "--builtin", "arm", "--cap", "x"), 2, "argument --cap: invalid int value: 'x'",
+    ),
+    "radius-not-an-int": (
+        ("stats", "--builtin", "hex", "--radius", "x"), 2,
+        "argument --radius: invalid int value: 'x'",
     ),
     "serialize-what": (lambda: serialize(42), 1, "cannot serialize int"),
     "serialize-generator-id": (

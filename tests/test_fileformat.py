@@ -334,6 +334,8 @@ def test_state_files_round_trip_and_validate():
         parse_state("state p0.0\nstate p1.0", sf.system)
     with pytest.raises(FormatError, match="outside workspace"):
         parse_state("state nowhere", sf.system)
+    with pytest.raises(FormatError, match="^missing state line$"):
+        parse_state("# a comment and no state\n", sf.system)
 
 
 def test_move_scripts_round_trip():

@@ -307,6 +307,9 @@ def test_system_validation():
         System(ws, (slide_one(), slide_one()))
     with pytest.raises(ModelError, match="unknown constraint"):
         System(ws, (slide_one(),), "magic")
+    cube = (0, 0, 0)  # a squareEdge2d cell, no cell of square2d
+    with pytest.raises(ModelError, match=r"^generator g: support cell \(0, 0, 0\) invalid$"):
+        System(ws, (Generator("g", (cube,), {cube}, {cube}, ()),))
     g = lat.graph_lattice((0, 1), ((0, 1),))
     gws = Workspace(g, frozenset((0, 1)))
     with pytest.raises(ModelError, match="need local edges"):
@@ -463,8 +466,9 @@ def test_systemfile_checks_seeds():
 
 
 def test_the_model_marks_the_obstacle_or_seed_it_refuses():
-    """A refusal of one input item carries that item's position as
-    ``index``, for a reader to map to its line; other refusals carry None."""
+    """A refusal of one input item (an obstacle, a seed, a graph edge)
+    carries that item's position as ``index``, for a reader to map to
+    its line; other refusals carry None."""
     square = lat.square_lattice()
     with pytest.raises(ModelError) as err:
         Workspace(square, box(2, 2), (((0, 0), True), ((0, 0), False)))
@@ -479,3 +483,10 @@ def test_the_model_marks_the_obstacle_or_seed_it_refuses():
     with pytest.raises(StateError) as err:
         SystemFile(system, ({(0, 0)}, {(9, 9)}))
     assert (err.value.index, str(err.value)) == (1, "occupied cell (9, 9) outside workspace")
+    for edges, index in (([(0, 1), (1, 1)], 1), ([(0, 7)], 0), ([(0, 1), (1, 2), (1, 0)], 2)):
+        with pytest.raises(ModelError) as err:
+            lat.graph_lattice((0, 1, 2), edges)
+        assert err.value.index == index
+    with pytest.raises(ModelError) as err:
+        lat.graph_lattice((0, 0), ())
+    assert err.value.index is None

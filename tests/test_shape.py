@@ -83,6 +83,12 @@ def test_random_shape_path_is_reproducible_and_canonical():
         random_shape_path(bounded, TRIANGLE, 3, random.Random(0))
 
 
+def test_a_random_shape_path_stops_where_no_move_applies():
+    """A lone hex module has no pivot partner, so its walk has no step."""
+    lone = random_shape_path(hex_pivot_system(VARIANT_CHANGING), {(3, 4)}, 5, random.Random(1))
+    assert (lone.start, lone.steps) == (frozenset({(0, 0)}), ())
+
+
 def test_canonicalize_translates_min_cell_to_origin():
     latt = square_lattice()
     state = frozenset([(5, 7), (6, 7), (5, 8)])

@@ -416,27 +416,37 @@ def test_a_cut_quotient_walks_no_clique_holding_a_refused_one(monkeypatch):
     assert walks == 52
 
 
+HEX_FOUR = [frozenset([(0, 0), (1, 0), (0, 1), (1, 1)])]
+
 # build -> (all-forward walks, corner walks)
 WALKED_BUILDS = {
     "hex-r2-local": (
-        lambda: hex_pivot_system(VARIANT_CHANGING, hex_ball(2)), (2_640, 2_573)
+        lambda: build_complex(hex_pivot_system(VARIANT_CHANGING, hex_ball(2)), HEX_FOUR),
+        (10_348, 2_573),
     ),
     "hex-r3-connected": (
-        lambda: hex_pivot_system(VARIANT_CHANGING, hex_ball(3), constraint_name="connected"),
-        (4_797, 2_126),
+        lambda: build_complex(
+            hex_pivot_system(VARIANT_CHANGING, hex_ball(3), constraint_name="connected"),
+            HEX_FOUR,
+        ),
+        (7_468, 2_126),
     ),
+    "five-module-quotient": (lambda: shape_fixture("five-modules"), (1_020, 243)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WALKED_BUILDS))
 def test_the_build_walks_only_cubes_not_yet_stored(monkeypatch, name):
     """Cube enumeration walks no edge: pass 1 reads them off the
-    closure's transitions.  Nor does it walk a clique whose cube a lower
-    neighbour, which refused nothing, already spanned across an
-    untranslated edge.  The local radius-2 build walks 2,640 of its
-    k >= 2 cliques to their all-forward corner and 2,573 to every corner
-    to store 2,573 cubes; the connected radius-3 ball walks 4,797 and
-    2,126 to store 1,694."""
+    closure's transitions.  Each clique of two or more actions that
+    holds no refused one is walked to its all-forward corner, which keys
+    its cube, and only a clique whose key is new is walked on to every
+    corner.  The local
+    radius-2 build walks 10,348 of its k >= 2 cliques to their
+    all-forward corner and 2,573 to every corner to store 2,573 cubes;
+    the connected radius-3 ball walks 7,468 and 2,126 to store 1,694;
+    the five-module quotient, whose walks carry numbers across
+    translations, walks 1,020 and 243 to store 243."""
     counts = {"all_forward": 0, "corners": 0}
     for walk in counts:
 
@@ -446,7 +456,7 @@ def test_the_build_walks_only_cubes_not_yet_stored(monkeypatch, name):
 
         monkeypatch.setattr(statecomplex._Edges, walk, counted)
     make, walks = WALKED_BUILDS[name]
-    cx = build_complex(make(), [frozenset([(0, 0), (1, 0), (0, 1), (1, 1)])])
+    cx = make()
     assert not cx.truncated
     assert tuple(counts.values()) == walks
 
