@@ -42,7 +42,8 @@ from .statecomplex import build_complex, check_link_condition
 from .topology import betti_mod2, euler_characteristic
 
 _PAIR_HELP = "translation written as (tx,ty)"
-_SIGNED_INT_RE = re.compile(r"[+-]?\d+")
+# what int() reads in base 10, less the surrounding whitespace
+_SIGNED_INT_RE = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 def _int_arg(text: str) -> int:
@@ -51,7 +52,7 @@ def _int_arg(text: str) -> int:
     if not _SIGNED_INT_RE.fullmatch(text.strip()):
         return int(text)  # argparse reports its ValueError as an invalid int
     try:
-        return _int(text.strip())
+        return _int(text)
     except FormatError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
@@ -173,10 +174,19 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="FILE", help="write output here, not stdout")
 
 
+def _read(name: str) -> str:
+    """The text of an input file; one that is not UTF-8 is refused."""
+    with open(name, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            why = f"{e.reason} at byte {e.start}"
+            raise CubeplanError(f"{name}: not UTF-8 text ({why})") from None
+
+
 def _load_system(args) -> SystemFile:
     if args.system is not None:
-        with open(args.system, encoding="utf-8") as fh:
-            sf = parse_system_file(fh.read())
+        sf = parse_system_file(_read(args.system))
     else:
         sf = BUILTINS[args.builtin][0](args)
     if args.constraint is not None:
@@ -188,8 +198,7 @@ def _load_system(args) -> SystemFile:
 
 def _load_seeds(args, sf: SystemFile) -> tuple:
     if args.seed is not None:
-        with open(args.seed, encoding="utf-8") as fh:
-            return (parse_state(fh.read(), sf.system),)
+        return (parse_state(_read(args.seed), sf.system),)
     if sf.seeds:
         return sf.seeds
     raise CubeplanError(
@@ -271,8 +280,7 @@ def cmd_export(args) -> int:
 
 def cmd_optimize(args, mode: str) -> int:
     sf = _load_system(args)
-    with open(args.infile, encoding="utf-8") as fh:
-        path = parse_path(fh.read(), sf.system)
+    path = parse_path(_read(args.infile), sf.system)
     report = validate(path)
     if not report.ok:
         raise CubeplanError(f"input path invalid: {report.reason}")
@@ -289,8 +297,7 @@ def cmd_optimize(args, mode: str) -> int:
 
 def cmd_lift(args) -> int:
     sf = _load_system(args)
-    with open(args.infile, encoding="utf-8") as fh:
-        shape_path = parse_path(fh.read(), sf.system)
+    shape_path = parse_path(_read(args.infile), sf.system)
     result = lift_path(shape_path, args.base, sf.system)
     if not result.ok:
         print(

@@ -12,10 +12,10 @@ their homotopy class in a nonpositively curved complex.
 The sweep runs on integers.  Each ``time_geodesic`` call numbers its
 path once: the actions by equality, the cells of their supports and
 the placements, so an action is a support bitmask, a trace bitmask and
-one placement bit, and a step is its action ids plus the OR of each.
-Junctions are then tested with ``&``.  The numbering is handed from
-sweep to sweep on the paths they return and dies with the call.
-``is_normal`` reads the same coding.
+one placement bit, and a step is one row: its action ids plus the OR
+of each.  Junctions are then tested with ``&``.  The rows are handed
+from sweep to sweep on the paths they return and die with the call.
+``is_normal`` reads the same rows.
 """
 
 from __future__ import annotations
@@ -111,6 +111,18 @@ def _require_optimizable(path: CubePath) -> None:
         )
 
 
+def _row(tables, ids: tuple, step=None) -> tuple:
+    """A step's row: its action ids, the OR of each of their masks, and its
+    frozenset, or None for a step a sweep changed until the sweep ends."""
+    _, sup, tr, pk = tables
+    s = t = p = 0
+    for j in ids:
+        s |= sup[j]
+        t |= tr[j]
+        p |= pk[j]
+    return ids, s, t, p, step
+
+
 def _number(path: CubePath) -> tuple:
     """The path's coding, ``(tables, rows)``, shared by the sweeps of
     one ``time_geodesic`` call; ``is_normal`` reads it too.
@@ -119,12 +131,11 @@ def _number(path: CubePath) -> tuple:
     never changed: the actions numbered by equality in order of first
     occurrence, each one's bitmask of support cells, of trace cells,
     and the bit of its placement, over cells and placements numbered in
-    the same pass.  ``rows`` is ``(steps, step_sup, step_tr, step_pk)``:
-    each step's action ids and the OR of each mask over them.  A sweep
-    works on copies of the rows and hands its own on.  A step object
-    that recurs (a parsed script shares them) is coded once."""
+    the same pass.  ``rows`` holds one row per step (see ``_row``).  A
+    sweep works on a copy of the rows and hands its own on.  A step
+    object that recurs (a parsed script shares them) is coded once."""
     number, cells, places = {}, {}, {}
-    actions, sup, tr, pk = [], [], [], []
+    tables = actions, sup, tr, pk = [], [], [], []
 
     def bits(cell_set) -> int:
         mask = 0
@@ -132,13 +143,12 @@ def _number(path: CubePath) -> tuple:
             mask |= 1 << cells.setdefault(c, len(cells))
         return mask
 
-    coded = {}  # id(step) -> (action ids, support, trace, placement masks)
-    per_step = []
+    coded = {}  # id(step) -> its row
+    rows = []
     for step in path.steps:
-        got = coded.get(id(step))
-        if got is None:
-            row = []
-            s = t = p = 0
+        row = coded.get(id(step))
+        if row is None:
+            ids = []
             for act in step:
                 j = number.get(act)
                 if j is None:
@@ -147,14 +157,10 @@ def _number(path: CubePath) -> tuple:
                     sup.append(bits(act.support))
                     tr.append(bits(act.trace))
                     pk.append(1 << places.setdefault(act.placement_key, len(places)))
-                row.append(j)
-                s |= sup[j]
-                t |= tr[j]
-                p |= pk[j]
-            got = coded[id(step)] = (tuple(row), s, t, p)
-        per_step.append(got)
-    columns = [list(column) for column in zip(*per_step)] or [[], [], [], []]
-    return (actions, sup, tr, pk), columns
+                ids.append(j)
+            row = coded[id(step)] = _row(tables, tuple(ids), step)
+        rows.append(row)
+    return tables, rows
 
 
 def shrink_cube_path(path: CubePath, stats: ShrinkStats | None = None) -> CubePath:
@@ -168,92 +174,76 @@ def shrink_cube_path(path: CubePath, stats: ShrinkStats | None = None) -> CubePa
     endpoints; its potential is strictly smaller unless nothing changed,
     and the sweep changes nothing exactly when the path is normal.
 
-    The sweep runs on the path's integer coding (see ``_number``): a
-    whole step commutes forward when its support and trace masks miss
-    the current step's trace and support masks, its actions are tested
-    one by one only when that fails and it holds more than one, and two
-    steps share a placement when their placement masks meet.  A path
-    from an earlier sweep carries the coding; any other path is
-    numbered on entry.  The result carries its own coding, and keeps
-    the frozenset of every step the sweep did not change.
+    The sweep reads, replaces and deletes the rows of the path's integer
+    coding (see ``_number``), one row per step: a whole step commutes
+    forward when its support and trace masks miss the current step's
+    trace and support masks, its actions are tested one by one only
+    when that fails and it holds more than one, and two steps share a
+    placement when their placement masks meet.  A path from an earlier
+    sweep carries the coding; any other path is numbered on entry.  The
+    result carries its own coding, and keeps the frozenset of every
+    step the sweep did not change.
     """
     _require_optimizable(path)
     if stats is not None:
         stats.shrink_calls += 1
     tables, rows = path._coding if path._coding is not None else _number(path)
     actions, a_sup, a_tr, a_pk = tables
-    rows = [list(row) for row in rows]
-    ids, sups, trs, pks = rows
-    # a step's frozenset, or None once the sweep has changed the step
-    sets = list(path.steps)
-
-    def recode(k, row) -> None:
-        s = t = p = 0
-        for j in row:
-            s |= a_sup[j]
-            t |= a_tr[j]
-            p |= a_pk[j]
-        ids[k], sups[k], trs[k], pks[k], sets[k] = row, s, t, p, None
-
-    iterations = 0
-    n = len(ids)
-    i = 0
+    rows = list(rows)
+    iterations = i = 0
+    n = len(rows)
     while i < n:
         iterations += 1
         moved = False
         if i + 1 < n:
-            c_sup, c_tr = sups[i], trs[i]
-            if not (c_sup & trs[i + 1] or c_tr & sups[i + 1]):
-                nxt = ids[i + 1]
+            cur, c_sup, c_tr, c_pk, _ = rows[i]
+            nxt, n_sup, n_tr, n_pk, _ = rows[i + 1]
+            if not (c_sup & n_tr or c_tr & n_sup):
                 if nxt:
                     # the whole next step runs a step earlier
                     moved = True
-                    ids[i] += nxt
-                    sups[i] = c_sup | sups[i + 1]
-                    trs[i] = c_tr | trs[i + 1]
-                    pks[i] |= pks[i + 1]
-                    sets[i] = None
-                    del ids[i + 1], sups[i + 1], trs[i + 1], pks[i + 1], sets[i + 1]
+                    rows[i] = (cur + nxt, c_sup | n_sup, c_tr | n_tr,
+                               c_pk | n_pk, None)
+                    del rows[i + 1]
                     n -= 1
-            elif len(ids[i + 1]) > 1:
+            elif len(nxt) > 1:
                 go, stay = [], []
-                for j in ids[i + 1]:
+                for j in nxt:
                     if a_tr[j] & c_sup or a_sup[j] & c_tr:
                         stay.append(j)
                     else:
                         go.append(j)
                 if go:
                     moved = True
-                    recode(i, ids[i] + tuple(go))
-                    recode(i + 1, tuple(stay))
+                    rows[i] = _row(tables, cur + tuple(go))
+                    rows[i + 1] = _row(tables, tuple(stay))
         if i:
-            p_pk, c_pk = pks[i - 1], pks[i]
+            p_pk, c_pk = rows[i - 1][3], rows[i][3]
             shared = p_pk & c_pk
             # a step whose placements all cancel is left empty, and an
             # empty step (an input may hold one) has no placement bit
             if shared or not (p_pk and c_pk):
                 empty_prev, empty_cur = p_pk == shared, c_pk == shared
-                if shared and not empty_prev:
-                    recode(i - 1, tuple(j for j in ids[i - 1] if not a_pk[j] & shared))
-                if shared and not empty_cur:
-                    recode(i, tuple(j for j in ids[i] if not a_pk[j] & shared))
+                for k, empty in ((i - 1, empty_prev), (i, empty_cur)):
+                    if shared and not empty:
+                        kept = tuple(j for j in rows[k][0] if not a_pk[j] & shared)
+                        rows[k] = _row(tables, kept)
                 if empty_cur or empty_prev:
                     if empty_cur:
-                        del ids[i], sups[i], trs[i], pks[i], sets[i]
+                        del rows[i]
                     if empty_prev:
-                        del ids[i - 1], sups[i - 1], trs[i - 1], pks[i - 1], sets[i - 1]
-                    n = len(ids)
+                        del rows[i - 1]
+                    n = len(rows)
                     i = max(0, i - (2 if empty_prev else 1))
                     continue
         if not moved:
             i += 1
     if stats is not None:
         stats.iterations += iterations
-    steps = tuple(
-        s if s is not None else frozenset([actions[j] for j in row])
-        for s, row in zip(sets, ids)
-    )
-    out = CubePath(path.start, steps, path.system)
+    for k, row in enumerate(rows):
+        if row[4] is None:
+            rows[k] = (*row[:4], frozenset([actions[j] for j in row[0]]))
+    out = CubePath(path.start, tuple(row[4] for row in rows), path.system)
     object.__setattr__(out, "_coding", (tables, rows))
     return out
 
@@ -285,18 +275,16 @@ def time_geodesic(
 def is_normal(path: CubePath) -> bool:
     """No action of any step can run earlier and no junction cancels.
 
-    The sweep's junction tests on the path's coding (``_number``); an
-    empty step lends no masks, so the next step's actions run earlier,
-    and the sweep deletes an empty last step that follows another.
+    The sweep's junction tests on each pair of adjacent rows of the
+    path's coding (``_number``); an empty step lends no masks, so the
+    next step's actions run earlier, and the sweep deletes an empty last
+    step that follows another.
     """
-    (_, a_sup, a_tr, _), (ids, sups, trs, pks) = _number(path)
-    if len(ids) > 1 and not ids[-1]:
+    (_, a_sup, a_tr, _), rows = _number(path)
+    if len(rows) > 1 and not rows[-1][0]:
         return False
-    for i in range(len(ids) - 1):
-        s, t = sups[i], trs[i]
-        if pks[i] & pks[i + 1] or any(
-            not (a_tr[j] & s or a_sup[j] & t) for j in ids[i + 1]
-        ):
+    for (_, s, t, pk, _), (nxt, _, _, n_pk, _) in zip(rows, rows[1:]):
+        if pk & n_pk or any(not (a_tr[j] & s or a_sup[j] & t) for j in nxt):
             return False
     return True
 

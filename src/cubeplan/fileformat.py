@@ -55,7 +55,8 @@ def _int(tok: str, ln: int | None = None) -> int:
     try:  # int() raises ValueError past Python's digit limit
         return int(tok)
     except ValueError:
-        raise _err(ln, f"integer of {len(tok)} digits is too long") from None
+        digits = sum(map(str.isdecimal, tok))
+        raise _err(ln, f"integer of {digits} digits is too long") from None
 
 
 # -- token level ------------------------------------------------------------

@@ -59,6 +59,16 @@ def test_a_malformed_pin_is_a_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+def test_a_metric_pinned_twice_is_a_usage_error(tmp_path, capsys):
+    """Even when the second pin holds, the first would go unchecked."""
+    with pytest.raises(SystemExit) as err:
+        load_tool().main([run_file(tmp_path), "statecomplex.vertices=511", *PINS])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: statecomplex.vertices is pinned twice\n"
+    )
+
+
 NO_RECORD = {"empty": "", "not-json": "cubeplan benchmark: workload arm-topology\n{\"workload\": \n"}
 
 

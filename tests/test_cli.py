@@ -221,6 +221,25 @@ def test_an_over_long_base_is_refused_without_echoing_it(capsys):
     assert len(err) < 1000 and "_parse_offset" not in err
 
 
+NOT_UTF8 = {
+    "system": ("stats", "--system", "@"),
+    "seed": ("stats", "--builtin", "arm", "--seed", "@"),
+    "optimize-in": ("optimize", "--builtin", "arm", "--in", "@"),
+    "lift-in": ("lift", "--builtin", "hex", "--base", "(0,0)", "--in", "@"),
+}
+
+
+@pytest.mark.parametrize("argv", NOT_UTF8.values(), ids=NOT_UTF8)
+def test_an_input_file_that_is_not_utf8_is_refused_in_one_line(capsys, tmp_path, argv):
+    """Every flag that reads a file refuses bytes that do not decode,
+    naming the file, with exit code 1 and no traceback."""
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, *(str(path) if a == "@" else a for a in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 MIXED_GENERATOR = (
     "lattice finiteGraph\nnodes 0 1 2\nedges (0,1) (1,2)\nworkspace all\n"
     "generator token\n  support a 1\n  trace a 1\n  occ0 a\n  occ1 1\n"
@@ -475,7 +494,11 @@ REFUSALS = {
     ),
     "signed-length-too-long": (
         ("random-path", "--builtin", "arm", "--length", "+" + "1" * 5000), 2,
-        "argument --length: integer of 5001 digits is too long",
+        "argument --length: integer of 5000 digits is too long",
+    ),
+    "underscored-cap-too-long": (
+        ("stats", "--builtin", "arm", "--cap", "_".join("1" * 5001)), 2,
+        "argument --cap: integer of 5001 digits is too long",
     ),
     "cap-not-an-int": (
         ("stats", "--builtin", "arm", "--cap", "x"), 2, "argument --cap: invalid int value: 'x'",

@@ -715,6 +715,23 @@ def test_a_sweep_leaves_its_input_as_it_found_it():
     assert shrink_cube_path(first) == again == oracle_shrink_cube_path(first)
 
 
+def test_a_sweep_keeps_the_set_of_every_step_it_did_not_change():
+    """On every sweep of a parsed pinned script, each step the set
+    oracle leaves alone is the input's own frozenset in the result too."""
+    cur, kept = pinned_script("arm", 150), 0
+    while True:
+        nxt, ref = shrink_cube_path(cur), oracle_shrink_cube_path(cur)
+        assert nxt.steps == ref.steps
+        for got, want in zip(nxt.steps, ref.steps):
+            if any(want is step for step in cur.steps):
+                assert got is want
+                kept += 1
+        if ref == cur:
+            break
+        cur = nxt
+    assert kept == 38
+
+
 def test_time_geodesic_returns_a_plain_path():
     """The result equals and hashes like the same path built afresh, and
     carries no coding."""

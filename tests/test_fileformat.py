@@ -456,9 +456,11 @@ def test_a_step_repeating_an_action_reports_its_own_line():
 def test_over_long_integers_are_format_errors():
     """Every integer the parsers read is refused with its line once it
     passes Python's 4,300-digit limit for int(): in a cell, a graph
-    node, an action's offsets and a step's number."""
+    node, an action's offsets and a step's number.  A sign is not a
+    digit."""
     long_, too_long = "1" * 5000, "line 2: integer of 5000 digits is too long"
     expect_error(f"lattice square2d\nworkspace ({long_},0)\n", too_long)
+    expect_error(f"lattice square2d\nworkspace (-{long_},0)\n", too_long)
     expect_error(f"lattice squareEdge2d\nworkspace (0,{long_},h)\n", too_long)
     expect_error(f"lattice finiteGraph\nnodes 0 {long_}\n", too_long)
     arm, k5 = arm_system(2).system, graph_agv_system(complete_graph(5), 1).system

@@ -670,12 +670,13 @@ def oracle_common_edge(prev_step, cur_step) -> tuple:
 
 
 def oracle_shrink_cube_path(path, stats=None):
-    """``shrink_cube_path`` on mutable sets of actions, testing each
-    junction with ``oracle_commute_sub`` and ``oracle_common_edge``: the
-    same rewrite order, with no integer coding."""
+    """``shrink_cube_path`` on sets of actions, testing each junction
+    with ``oracle_commute_sub`` and ``oracle_common_edge``: the same
+    rewrite order, with no integer coding.  A step it changes becomes a
+    new set; the others keep the path's own frozensets."""
     if stats is not None:
         stats.shrink_calls += 1
-    steps = [set(s) for s in path.steps]
+    steps = list(path.steps)
     i = 0
     while i < len(steps):
         if stats is not None:
@@ -691,10 +692,10 @@ def oracle_shrink_cube_path(path, stats=None):
             moved = set()
         if i >= 1:
             kept_prev, kept_cur = oracle_common_edge(steps[i - 1], steps[i])
-            steps[i - 1] = kept_prev
-            steps[i] = kept_cur
-            empty_cur = not kept_cur
-            empty_prev = not kept_prev
+            if kept_prev != steps[i - 1]:  # the steps shared a placement
+                steps[i - 1], steps[i] = kept_prev, kept_cur
+            empty_cur = not steps[i]
+            empty_prev = not steps[i - 1]
             if empty_cur:
                 del steps[i]
             if empty_prev:

@@ -5,9 +5,10 @@
 
 RUN.out is what ``perfbench/run.py`` printed; its last line is the run's
 JSON record.  Each pin names a metric of that record and the integer it
-must read.  Exits 0 when the record says ``"correct": true`` and every
-pin holds; otherwise, also when the last line holds no JSON object,
-prints each failure on stderr and exits 1.
+must read; a metric pinned twice is a usage error (exit 2).  Exits 0
+when the record says ``"correct": true`` and every pin holds;
+otherwise, also when the last line holds no JSON object, prints each
+failure on stderr and exits 1.
 Standard library only.
 """
 
@@ -57,11 +58,16 @@ def main(argv=None) -> int:
     ap.add_argument("run", type=Path, help="the stdout of perfbench/run.py")
     ap.add_argument("pins", nargs="*", type=pin, metavar="METRIC=VALUE")
     args = ap.parse_args(argv)
+    pins = {}
+    for name, value in args.pins:
+        if name in pins:
+            ap.error(f"{name} is pinned twice")
+        pins[name] = value
     run = record(args.run)
     if run is None:
         problems = ["no JSON record on the last line"]
     else:
-        problems = failures(run, dict(args.pins))
+        problems = failures(run, pins)
     for line in problems:
         print(f"{args.run}: {line}", file=sys.stderr)
     return 1 if problems else 0
