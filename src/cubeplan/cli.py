@@ -44,27 +44,35 @@ from .topology import betti_mod2, euler_characteristic
 _PAIR_HELP = "translation written as (tx,ty)"
 # what int() reads in base 10, less the surrounding whitespace
 _SIGNED_INT_RE = re.compile(r"[+-]?\d+(?:_\d+)*")
+# a refused flag value longer than this is quoted by a prefix this long
+_QUOTED = 40
+
+
+def _quote(text: str) -> str:
+    """A refused flag value as ``repr`` shows it; a long one by its
+    prefix and its length."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
 
 
 def _int_arg(text: str) -> int:
     """An argparse type: what ``int`` reads, with a number past Python's
-    digit limit refused by its digit count instead of echoed."""
+    digit limit refused by its digit count and any other long value by
+    its prefix, instead of echoed."""
     if not _SIGNED_INT_RE.fullmatch(text.strip()):
-        return int(text)  # argparse reports its ValueError as an invalid int
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}")
     try:
         return _int(text)
     except FormatError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-_int_arg.__name__ = "int"  # argparse names the type in its errors
-
-
 def _parse_offset(text: str) -> tuple:
     """An argparse type: a translation written (tx,ty)."""
     m = _PAIR_RE.match(text.strip())
     if not m:
-        raise argparse.ArgumentTypeError(f"expected (tx,ty), got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected (tx,ty), got {_quote(text)}")
     return (_int_arg(m.group(1)), _int_arg(m.group(2)))
 
 
@@ -77,7 +85,6 @@ def _int_at_least(least: int):
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in its errors
     return parse
 
 
@@ -175,10 +182,12 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
 
 
 def _read(name: str) -> str:
-    """The text of an input file; one that is not UTF-8 is refused."""
+    """The text of an input file, less a leading byte-order mark; one
+    that is not UTF-8 is refused.  The mark is dropped after decoding,
+    so a refusal counts bytes from the file's start."""
     with open(name, encoding="utf-8") as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as e:
             why = f"{e.reason} at byte {e.start}"
             raise CubeplanError(f"{name}: not UTF-8 text ({why})") from None

@@ -411,10 +411,6 @@ def _store_cube(cx: CubeComplex, rank: list, below: dict, vids: list, numbers: l
     return cx._append(k, corners, facets, numbers[base])
 
 
-# the refused cliques of a vertex whose every clique spans a cube
-_NONE_REFUSED = frozenset()
-
-
 def _build(frame, seeds, cap: int) -> CubeComplex:
     """Breadth-first closure of the seeds, then cube enumeration.
 
@@ -432,35 +428,34 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
 
     Cubes are then enumerated one dimension at a time, each vertex's
     k-cliques of commuting actions in pass k, so every facet is stored
-    before its cube.  Pass 1 walks no edge: one to a lower vertex w is
-    stored, as the reverse move is admissible at w and reaches this
+    before its cube.  Pass 1 walks no edge: one to a lower vertex w was
+    met at w, as the reverse move is admissible at w and reaches this
     vertex; one past the cap, or whose step's ``carry`` refuses, is
-    refused; one to a higher vertex is stored; and a loop, only in a
-    quotient, is stored at the first of its two readings.  In pass k >=
-    2 a clique is walked along the recorded successors: first to its
-    all-forward corner, where the frame's ``cube_key`` of its vid and
-    the numbers read there keys the cube, and, only for a key not yet
-    stored, to every corner (see ``_store_cube``), whose columns it
-    appends to the complex's arrays.  So each cube is stored by the
-    first clique reaching it, in vid order, then in clique order at the
-    vertex.  No state is rebuilt or canonicalized per corner, and no
-    record is made.  ``stored`` maps the key of each cube stored in the
-    pass to its position, merging a cube found from several corners,
-    and ``below`` the pass before's, to find facets.  The successors,
+    refused; any other is keyed at its all-forward end and stored if
+    that key is new, like any cube, so a loop, only in a quotient, is
+    found stored at its second reading.  In pass k >= 2 a clique is
+    walked along the recorded successors: first to its all-forward
+    corner, where the frame's ``cube_key`` of its vid and the numbers
+    read there keys the cube, and, only for a key not yet stored, to
+    every corner (see ``_store_cube``), whose columns it appends to the
+    complex's arrays.  So each cube is stored by the first clique
+    reaching it, in vid order, then in clique order at the vertex.  No
+    state is rebuilt or canonicalized per corner, and no record is
+    made.  ``stored`` maps the key of each cube stored in the pass to
+    its position, merging a cube found from several corners, and
+    ``below`` the pass before's, to find facets.  The successors,
     shifts, ranks and keys die when the build returns.
 
     Each clique of commuting actions at a vertex either spans a cube or
     is refused, so the build leaves its refusals behind as the complex's
     link record: per vertex, its leaving actions' numbers, their commute
-    bitmasks and the cliques that span no cube.  A clique holding one
-    refused at the same vertex is refused unwalked: its cube holds that
-    one's missing corner.  No clique spans two cubes.  A cube is fixed by one
-    corner and the actions leaving it, so two cubes spanning one clique
-    at one vertex are one cube read at two of its corners.  Distinct
-    corners hold distinct states, so only a quotient lets them name one
-    vertex, and then the nonzero lattice translation between them maps
-    the cube's finite corner set onto itself, which no nonzero
-    translation of Z^2 does.
+    bitmasks and the cliques that span no cube.  No clique spans two
+    cubes.  A cube is fixed by one corner and the actions leaving it, so
+    two cubes spanning one clique at one vertex are one cube read at two
+    of its corners.  Distinct corners hold distinct states, so only a
+    quotient lets them name one vertex, and then the nonzero lattice
+    translation between them maps the cube's finite corner set onto
+    itself, which no nonzero translation of Z^2 does.
     """
     cx = CubeComplex()
     cx.frame, cx.actions = frame, frame.actions
@@ -523,10 +518,11 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
             there = None if w is None else edges.step(*here, 0)
             if there is None:
                 refused.setdefault(vid, set()).add(1 << i)
-            elif w != vid or i < numbers.index(there[1][0]):
-                # a loop is stored at the first of its two readings
-                ends = (there, here) if numbers[i] & 1 else (here, there)
-                stored[cube_key(*ends[0])] = _store_cube(cx, rank, None, *zip(*ends))
+                continue
+            ends = (there, here) if numbers[i] & 1 else (here, there)
+            key = cube_key(*ends[0])
+            if key not in stored:
+                stored[key] = _store_cube(cx, rank, None, *zip(*ends))
         if any(adjacency[vid]):
             alive.append(vid)
     k, below = 1, stored
@@ -536,13 +532,8 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
             cliques, grows = _cliques_of_size(adjacency[vid], k)
             if grows:
                 still.append(vid)
-            numbers, masks = edges.numbers[vid], refused.get(vid)
+            numbers = edges.numbers[vid]
             for clique in cliques:
-                if masks:
-                    mask = _mask(clique)
-                    if any(mask ^ 1 << i in masks for i in clique):
-                        masks.add(mask)
-                        continue
                 corner = all_forward(vid, tuple(map(numbers.__getitem__, clique)))
                 if corner is not None:
                     key = cube_key(*corner)
@@ -552,9 +543,7 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
                     if corners is not None:
                         stored[key] = _store_cube(cx, rank, below, *corners)
                         continue
-                if masks is None:
-                    masks = refused[vid] = set()
-                masks.add(_mask(clique))
+                refused.setdefault(vid, set()).add(_mask(clique))
         below, alive = stored, still
     refused = {vid: frozenset(masks) for vid, masks in refused.items()}
     cx._links = (edges.numbers, adjacency, refused)
@@ -613,7 +602,7 @@ def link(complex_: CubeComplex, vertex_state) -> LinkComplex:
         state,
         tuple([acts[n] for n in numbers[vid]]),
         adjacency[vid],
-        refused.get(vid, _NONE_REFUSED),
+        refused.get(vid, frozenset()),
     )
 
 

@@ -209,15 +209,37 @@ def test_over_long_integers_exit_one(capsys, tmp_path):
         assert err.startswith("error: line 2: integer of 5000 digits is too long")
 
 
-def test_an_over_long_base_is_refused_without_echoing_it(capsys):
-    """The refusal gives the digit count, not the digits or the type's name."""
+ONES = "1" * 5000
+LIFT = ("lift", "--builtin", "hex", "--in", "unread.moves", "--base")
+
+# an over-long flag value -> (arguments, the last line of the refusal)
+OVER_LONG_VALUES = {
+    "base-digits": (
+        (*LIFT, f"({ONES},0)"),
+        "cubeplan lift: error: argument --base: integer of 5000 digits is too long",
+    ),
+    "base-not-a-pair": (
+        (*LIFT, f"(1,{ONES}x)"),
+        "cubeplan lift: error: argument --base: expected (tx,ty), got "
+        f"'(1,{ONES[:37]}'... (5005 characters)",
+    ),
+    "cap-not-an-int": (
+        ("stats", "--builtin", "arm", "--cap", f"{ONES}x"),
+        f"cubeplan stats: error: argument --cap: invalid int value: '{ONES[:40]}'"
+        "... (5001 characters)",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, last", OVER_LONG_VALUES.values(), ids=OVER_LONG_VALUES)
+def test_an_over_long_flag_value_is_refused_without_echoing_it(capsys, argv, last):
+    """The refusal gives the digit count, or a short prefix and the
+    length, not the value or the type's name."""
     with pytest.raises(SystemExit) as exc:
-        main(["lift", "--builtin", "hex", "--in", "unread.moves", "--base", f"({'1' * 5000},0)"])
+        main(list(argv))
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
-    assert err.splitlines()[-1] == (
-        "cubeplan lift: error: argument --base: integer of 5000 digits is too long"
-    )
+    assert err.splitlines()[-1] == last
     assert len(err) < 1000 and "_parse_offset" not in err
 
 
@@ -238,6 +260,38 @@ def test_an_input_file_that_is_not_utf8_is_refused_in_one_line(capsys, tmp_path,
     code, out, err = run(capsys, *(str(path) if a == "@" else a for a in argv))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+# a file each flag of NOT_UTF8 reads, which parses
+PARSED = {
+    "system": "# a comment\nlattice square2d\nworkspace (0,0) (1,0)\nseed (0,0)\n",
+    "seed": "state (0,0,h) (1,0,h)\n",
+    "optimize-in": "start (0,0,h) (1,0,h)\nstep 1: (tipflip, 1, 0, fwd)\n",
+    "lift-in": "start (0,0) (0,1) (1,0)\nstep 1: (pivot1, 1, -1, bwd)\n",
+}
+
+
+@pytest.mark.parametrize("name", NOT_UTF8)
+def test_an_input_file_that_starts_with_a_byte_order_mark_is_read_without_it(
+    capsys, tmp_path, name
+):
+    """A UTF-8 file written with a leading byte-order mark reads as the
+    same file without it."""
+    runs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / "in.txt"
+        path.write_bytes(mark + PARSED[name].encode())
+        runs.append(run(capsys, *(str(path) if a == "@" else a for a in NOT_UTF8[name])))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
+def test_a_refusal_past_a_byte_order_mark_counts_it(capsys, tmp_path):
+    """Bytes that are not UTF-8 are refused at their offset in the file."""
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xef\xbb\xbf\xff")
+    code, out, err = run(capsys, "stats", "--system", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 3)\n"
 
 
 MIXED_GENERATOR = (
@@ -432,6 +486,13 @@ REFUSALS = {
         ("stats", "--system", "@" + SQUARE + "constraint a b\n"), 1,
         "line 3: constraint takes one name",
     ),
+    **{
+        f"generator-{why}": (
+            ("stats", "--system", f"@{SQUARE}generator{ids}\n"), 1,
+            "line 3: generator takes one identifier",
+        )
+        for why, ids in (("no-id", ""), ("two-ids", " a b"), ("not-an-identifier", " 1a"))
+    },
     "graph-without-nodes": (
         ("stats", "--system", "@lattice finiteGraph\nworkspace all\n"), 1,
         "line 1: finite graphs need a nodes line",

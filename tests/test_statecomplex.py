@@ -394,12 +394,12 @@ def test_truncated_quotients_refuse_a_cube_at_its_first_missing_corner(
     assert calls < 200_000
 
 
-def test_a_cut_quotient_walks_no_clique_holding_a_refused_one(monkeypatch):
+def test_a_cut_quotient_walks_each_clique_of_two_or_more_actions_once(monkeypatch):
     """Of the 24,121 cliques of the square quotient cut at 20 shapes,
-    24,071 are refused.  A clique holding one refused at the same
-    vertex holds its missing corner, so it is refused unwalked, and its
-    21 edges are read off the closure's transitions: the build walks 52
-    cliques of two or more actions to store its 2 squares."""
+    24,071 are refused.  Its 218 single actions are read off the
+    closure's transitions to store its 21 edges, and each of its 23,903
+    cliques of two or more actions is walked once toward its
+    all-forward corner, to store its 2 squares and refuse the rest."""
     walks = 0
     all_forward = statecomplex._Edges.all_forward
 
@@ -413,7 +413,7 @@ def test_a_cut_quotient_walks_no_clique_holding_a_refused_one(monkeypatch):
     assert (cx.n_cells(1), cx.n_cells(2), cx.max_dim) == (21, 2, 2)
     refusals = sum(len(link(cx, cx.vertex_state(vid)).refused) for vid in range(20))
     assert refusals == 24_071
-    assert walks == 52
+    assert walks == 23_903
 
 
 HEX_FOUR = [frozenset([(0, 0), (1, 0), (0, 1), (1, 1)])]
@@ -432,21 +432,22 @@ WALKED_BUILDS = {
         (7_468, 2_126),
     ),
     "five-module-quotient": (lambda: shape_fixture("five-modules"), (1_020, 243)),
+    "hex-trap": (lambda: build_fixture(hex_connectivity_trap(constrained=True)), (2_006, 671)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WALKED_BUILDS))
 def test_the_build_walks_only_cubes_not_yet_stored(monkeypatch, name):
     """Cube enumeration walks no edge: pass 1 reads them off the
-    closure's transitions.  Each clique of two or more actions that
-    holds no refused one is walked to its all-forward corner, which keys
-    its cube, and only a clique whose key is new is walked on to every
-    corner.  The local
-    radius-2 build walks 10,348 of its k >= 2 cliques to their
-    all-forward corner and 2,573 to every corner to store 2,573 cubes;
-    the connected radius-3 ball walks 7,468 and 2,126 to store 1,694;
-    the five-module quotient, whose walks carry numbers across
-    translations, walks 1,020 and 243 to store 243."""
+    closure's transitions.  Each clique of two or more actions is walked
+    to its all-forward corner, which keys its cube, and only a clique
+    whose key is new is walked on to every corner.  The local radius-2
+    build walks 10,348 k >= 2 cliques to their all-forward corner and
+    2,573 to every corner to store 2,573 cubes; the connected radius-3
+    ball walks 7,468 and 2,126 to store 1,694; the five-module quotient,
+    whose walks carry numbers across translations, walks 1,020 and 243
+    to store 243; the connected hex trap walks 2,006 and 671 to store
+    308."""
     counts = {"all_forward": 0, "corners": 0}
     for walk in counts:
 
@@ -805,7 +806,7 @@ def test_vertex_lookups_accept_any_iterable_of_cells():
 
 
 @pytest.mark.parametrize(
-    "extra, n_shapes, refusals", [((), 44, 1), (((2, 0),), 186, 5)]
+    "extra, n_shapes, refusals", [((), 44, 1), (((2, 0),), 186, 14)]
 )
 def test_a_carry_into_an_unreached_frame_is_refused(monkeypatch, extra, n_shapes, refusals):
     """On the connected hex shape quotient, a corner's actions can carry
