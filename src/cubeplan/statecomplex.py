@@ -11,12 +11,15 @@ which name its placements in that corner's frame.  Every corner reaches
 the same key, so a cube found from different corners is stored once.
 
 The closure records every edge it finds: per vertex, the numbers of
-its leaving actions and the vertex each reaches.  Edges are stored off
-that record, and a larger cube's corners are found by walking it,
-reading its actions' numbers at each corner, so no corner state is
-rebuilt; the base corner is picked by a rank of the vertices' state
-keys, computed once.  A clique is keyed at its all-forward corner and
-walked to every corner only when its key is new.
+its leaving actions and the vertex each reaches.  Pass 1 appends each
+edge off that record straight into the columns: its two corners and
+the number read at its lower-ranked end, where a loop takes the end
+reading the lesser action; no edge is walked.  A larger cube's corners
+are found by walking it, reading its actions' numbers at each corner,
+so no corner state is rebuilt; the base corner is picked by a rank of
+the vertices' state keys, computed once.  A clique is keyed at its
+all-forward corner and walked to every corner only when its key is
+new.
 
 One builder serves plain and quotient complexes alike.  A *frame* tells
 it how states are named: which actions leave a state, which canonical
@@ -375,9 +378,11 @@ class _Edges:
 
 
 def _store_cube(cx: CubeComplex, rank: list, below: dict, vids: list, numbers: list) -> int:
-    """Store a new cube from its corners in bitmask order from its
-    all-forward corner: their vids and the numbers its actions read at
-    each, as ``_Edges.corners`` gives them.  Returns its position.
+    """Store a new cube of two or more actions from its corners in
+    bitmask order from its all-forward corner: their vids and the numbers
+    its actions read at each, as ``_Edges.corners`` gives them.  Returns
+    its position.  Edges never come here: pass 1 of ``_build`` appends
+    them itself.
 
     The base is the corner whose vertex ranks least by state key; only a
     quotient can put two corners on one vertex, and then the one reading
@@ -400,14 +405,12 @@ def _store_cube(cx: CubeComplex, rank: list, below: dict, vids: list, numbers: l
         ties = [m for m in range(1 << k) if vids[m] == vids[base]]
         base = min(ties, key=lambda m: [acts[n] for n in numbers[m]])
     corners = [vids[base ^ m] for m in range(1 << k)]
-    facets = corners
-    if k > 1:
-        facets = []
-        for j in range(k):
-            bit = 1 << j
-            for corner in (base & bit, ~base & bit):
-                sub = numbers[corner][:j] + numbers[corner][j + 1 :]
-                facets.append(below[cube_key(vids[corner], sub)])
+    facets = []
+    for j in range(k):
+        bit = 1 << j
+        for corner in (base & bit, ~base & bit):
+            sub = numbers[corner][:j] + numbers[corner][j + 1 :]
+            facets.append(below[cube_key(vids[corner], sub)])
     return cx._append(k, corners, facets, numbers[base])
 
 
@@ -428,22 +431,25 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
 
     Cubes are then enumerated one dimension at a time, each vertex's
     k-cliques of commuting actions in pass k, so every facet is stored
-    before its cube.  Pass 1 walks no edge: one to a lower vertex w was
-    met at w, as the reverse move is admissible at w and reaches this
-    vertex; one past the cap, or whose step's ``carry`` refuses, is
-    refused; any other is keyed at its all-forward end and stored if
-    that key is new, like any cube, so a loop, only in a quotient, is
-    found stored at its second reading.  In pass k >= 2 a clique is
-    walked along the recorded successors: first to its all-forward
-    corner, where the frame's ``cube_key`` of its vid and the numbers
-    read there keys the cube, and, only for a key not yet stored, to
-    every corner (see ``_store_cube``), whose columns it appends to the
-    complex's arrays.  So each cube is stored by the first clique
-    reaching it, in vid order, then in clique order at the vertex.  No
-    state is rebuilt or canonicalized per corner, and no record is
-    made.  ``stored`` maps the key of each cube stored in the pass to
-    its position, merging a cube found from several corners, and
-    ``below`` the pass before's, to find facets.  The successors,
+    before its cube.  Pass 1 walks no edge and passes none to
+    ``_store_cube``.  An edge to a lower vertex w was met at w, as the
+    reverse move is admissible at w and reaches this vertex.  An edge
+    past the cap is refused, and so is one whose far-end number
+    ``n ^ 1`` the frame's ``carry`` refuses.  Any other is keyed at its
+    all-forward end and, when that key is new, appended straight into
+    the columns: its two corners and the number read at its
+    lower-ranked end.  A loop, only in a quotient, takes the end reading
+    the lesser action, and is found stored at its second reading.  In
+    pass k >= 2 a clique is walked along the recorded successors: first
+    to its all-forward corner, where the frame's ``cube_key`` of its vid
+    and the numbers read there keys the cube, and, only for a key not
+    yet stored, to every corner (see ``_store_cube``), whose columns it
+    appends to the complex's arrays.  So each cube is stored by the
+    first clique reaching it, in vid order, then in clique order at the
+    vertex.  No state is rebuilt or canonicalized per corner, and no
+    record is made.  ``stored`` maps the key of each cube stored in the
+    pass to its position, merging a cube found from several corners,
+    and ``below`` the pass before's, to find facets.  The successors,
     shifts, ranks and keys die when the build returns.
 
     Each clique of commuting actions at a vertex either spans a cube or
@@ -507,22 +513,27 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
     # satisfies it at every corner.  ``refused`` keeps, per vertex, the
     # cliques that span no cube; pass k visits the vertices with k-cliques
     refused: dict = {}
-    all_forward, cube_key = edges.all_forward, frame.cube_key
+    all_forward, cube_key, acts = edges.all_forward, frame.cube_key, cx.actions
     stored, alive = {}, []
     for vid in vids:
-        numbers = edges.numbers[vid]
+        numbers, shifts = edges.numbers[vid], edges.shifts[vid]
         for i, w in enumerate(edges.successors[vid]):
             if w is not None and w < vid:
                 continue  # w listed the reverse move first and stored the edge
-            here = (vid, (numbers[i],))
-            there = None if w is None else edges.step(*here, 0)
-            if there is None:
+            # the edge reads n here and far, a 1-tuple, at w
+            n = numbers[i]
+            far = None if w is None else (n ^ 1,)
+            if far is not None and shifts is not None and shifts[i] is not None:
+                far = frame.carry(far, shifts[i])
+            if far is None:
                 refused.setdefault(vid, set()).add(1 << i)
                 continue
-            ends = (there, here) if numbers[i] & 1 else (here, there)
-            key = cube_key(*ends[0])
+            key = cube_key(w, far) if n & 1 else cube_key(vid, (n,))
             if key not in stored:
-                stored[key] = _store_cube(cx, rank, None, *zip(*ends))
+                if rank[w] < rank[vid] or (w == vid and acts[far[0]] < acts[n]):
+                    stored[key] = cx._append(1, (w, vid), None, far)
+                else:
+                    stored[key] = cx._append(1, (vid, w), None, (n,))
         if any(adjacency[vid]):
             alive.append(vid)
     k, below = 1, stored

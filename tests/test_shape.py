@@ -296,6 +296,17 @@ def test_sliding_domino_shapes_are_rigid():
     assert f_vector(cx) == (2,)
 
 
+def lone_slider(slides):
+    """The shape complex of one square module sliding by each offset of
+    ``slides``, a dict from generator id to offset."""
+    gens = tuple(
+        Generator(gid, ((0, 0), to), frozenset([(0, 0), to]), frozenset([(0, 0)]), frozenset([to]))
+        for gid, to in slides.items()
+    )
+    system = System(Workspace(square_lattice(), None), gens)
+    return build_shape_complex(system, [frozenset([(0, 0)])])
+
+
 @pytest.mark.parametrize(
     "slides, fvec, export",
     [
@@ -314,14 +325,7 @@ def test_a_lone_sliding_module_is_one_shape_with_loop_edges(slides, fvec, export
     reaches a translate of it, so it is a loop edge, which the shape
     reads twice: forward, and backward from the carried frame.  Each
     loop is one edge, and the export is pinned byte for byte."""
-
-    def slide(gid, to):
-        cells = ((0, 0), to)
-        return Generator(gid, cells, frozenset(cells), frozenset([(0, 0)]), frozenset([to]))
-
-    gens = tuple(slide(gid, to) for gid, to in slides.items())
-    system = System(Workspace(square_lattice(), None), gens)
-    cx = build_shape_complex(system, [frozenset([(0, 0)])])
+    cx = lone_slider(slides)
     assert f_vector(cx) == fvec
     assert all(cx.corners(1, i) == (0, 0) for i in range(cx.n_cells(1)))
     assert sha(export_complex(cx)) == export

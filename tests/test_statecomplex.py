@@ -30,6 +30,7 @@ from cubeplan.systems import (
     VARIANT_CHANGING,
     VARIANT_PRESERVING,
     agv_grid_fixture,
+    arm_system,
     arm_word_complex,
     complete_graph,
     graph_agv_system,
@@ -41,7 +42,7 @@ from cubeplan.systems import (
 from cubeplan.topology import f_vector
 
 from test_golden import BUILTINS, build_builtin, cell_counts, complex_digest, sha, shape_fixture
-from test_shape import stacked_bars
+from test_shape import lone_slider, stacked_bars
 from util import (
     _random_generator,
     corner_actions,
@@ -118,6 +119,48 @@ def test_base_corner_is_least_state_key():
             cx.vertex_state(v) for v in rec.corners
         ]
         assert state_key(rec.base) == min(state_key(s) for s in corner_states)
+
+
+EDGE_BASE_COMPLEXES = {
+    "hex-r2-local": lambda: build_complex(
+        hex_pivot_system(VARIANT_CHANGING, hex_ball(2)),
+        [frozenset([(0, 0), (1, 0), (0, 1), (1, 1)])],
+    ),
+    "hex-trap": lambda: build_fixture(hex_connectivity_trap(constrained=True)),
+    "five-module-quotient": lambda: shape_fixture("five-modules"),
+    "slider-right": lambda: lone_slider({"right": (1, 0)}),
+    "slider-right-up": lambda: lone_slider({"right": (1, 0), "up": (0, 1)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_BASE_COMPLEXES))
+def test_an_edge_is_based_at_its_lower_ranked_end(name):
+    """Pass 1 appends an edge's corners and the number read at its base:
+    the end whose state key sorts first, or for a loop the end reading
+    the lesser action.  The number leaves the base; in a plain frame its
+    reverse, ``n ^ 1``, leaves the other corner."""
+    cx = EDGE_BASE_COMPLEXES[name]()
+    leaving = cx._links[0]
+    plain = isinstance(cx.frame, statecomplex.PlainFrame)
+    loops = 0
+    for i in range(cx.n_cells(1)):
+        c0, c1 = cx.corners(1, i)
+        n = cx._numbers[1][i]
+        assert n in leaving[c0]
+        if c0 != c1:
+            assert state_key(cx.vertex_state(c0)) < state_key(cx.vertex_state(c1))
+        else:
+            # the other reading is the reverse, carried into this frame
+            state, act = cx.vertex_state(c0), cx.actions[n]
+            _, (reached,), shifts = cx.frame.leaving(state, [act])
+            assert reached == state
+            (other,) = cx.frame.carry((n ^ 1,), shifts[0]) if shifts else (n ^ 1,)
+            assert other in leaving[c0]
+            assert act < cx.actions[other]
+            loops += 1
+        if plain:
+            assert n ^ 1 in leaving[c1]
+    assert loops == (cx.n_cells(1) if name.startswith("slider") else 0)
 
 
 SQUARE_COMPLEXES = {
@@ -276,6 +319,19 @@ def test_truncated_build_is_marked_and_refuses_invariants():
         for rec in cx.cells(k):
             for f in rec.facets:
                 assert 0 <= f < cx.n_cells(k - 1)
+
+
+def test_a_build_capped_at_its_seed_stores_no_edge():
+    """Dimension 1 is made with the first edge: a build capped at one
+    vertex has none, and the seed's link refuses each of its actions."""
+    sf = arm_system(4)
+    cx = build_complex(sf.system, sf.seeds, max_vertices=1)
+    assert cx.truncated
+    assert (cx.max_dim, cx.n_cells(0), cx.n_cells(1)) == (0, 1, 0)
+    assert len(cx.facet_column(1)) == 0
+    lnk = link(cx, cx.vertex_state(0))
+    assert lnk.actions
+    assert {1 << i for i in range(len(lnk.actions))} <= lnk.refused
 
 
 def test_build_is_deterministic():
