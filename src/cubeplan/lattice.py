@@ -163,10 +163,8 @@ class Lattice:
         """The translation carrying cell ``src`` to cell ``dst``, or None."""
         if self.kind == GRAPH:
             return () if src == dst else None
-        if self.kind == SQUARE_EDGE:
-            if src[2] != dst[2]:
-                return None
-            return (dst[0] - src[0], dst[1] - src[1])
+        if self.kind == SQUARE_EDGE and src[2] != dst[2]:
+            return None
         return (dst[0] - src[0], dst[1] - src[1])
 
 

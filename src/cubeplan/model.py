@@ -392,47 +392,40 @@ def _graph_embeddings(gen: Generator, workspace: Workspace):
 
     Every local edge must land on a host edge.  Embeddings that place the
     same support, trace, and pattern pair are duplicates of one placement;
-    the lexicographically least node tuple represents it.
+    the lexicographically least node tuple represents it.  The search
+    grows node tuples in support order over the lattice's sorted nodes, so
+    it meets them in lexicographic order: the first tuple per placement is
+    the least, and the kept tuples come out sorted.
     """
     graph = workspace.lattice
     sup = gen.support
-    adj = {c: set() for c in sup}
+    # a local edge (a, b) has a < b in the sorted support: check it at b
+    checks = [[] for _ in sup]
     for a, b in gen.local_edges or ():
-        adj[a].add(b)
-        adj[b].add(a)
+        checks[sup.index(b)].append(sup.index(a))
     hosts = [n for n in graph.nodes if workspace.contains(n)]
     found = {}
 
-    def extend(i, assign):
+    def extend(prefix):
+        i = len(prefix)
         if i == len(sup):
-            offset = tuple(assign[c] for c in sup)
-            mapping = dict(assign)
-            support = frozenset(mapping.values())
-            trace = frozenset(mapping[c] for c in gen.trace)
-            occ0 = frozenset(mapping[c] for c in gen.occ0)
-            occ1 = frozenset(mapping[c] for c in gen.occ1)
-            sig = (support, trace, frozenset((occ0, occ1)))
-            prev = found.get(sig)
-            if prev is None or offset < prev:
-                found[sig] = offset
+            place = dict(zip(sup, prefix))
+            trace = frozenset(place[c] for c in gen.trace)
+            occ0 = frozenset(place[c] for c in gen.occ0)
+            occ1 = frozenset(place[c] for c in gen.occ1)
+            found.setdefault((frozenset(prefix), trace, frozenset((occ0, occ1))), prefix)
             return
-        cell = sup[i]
-        used = set(assign.values())
         for h in hosts:
-            if h in used:
+            if h in prefix:
                 continue
-            ok = True
-            for nb in adj[cell]:
-                if nb in assign and not graph.has_edge(h, assign[nb]):
-                    ok = False
+            for j in checks[i]:
+                if not graph.has_edge(h, prefix[j]):
                     break
-            if ok:
-                assign[cell] = h
-                extend(i + 1, assign)
-                del assign[cell]
+            else:
+                extend(prefix + (h,))
 
-    extend(0, {})
-    return sorted(found.values())
+    extend(())
+    return list(found.values())
 
 
 def placement_fault(action: Action, workspace: Workspace) -> str | None:
@@ -458,7 +451,8 @@ def placements(generator: Generator, workspace: Workspace) -> list:
     Each placement is returned in both directions, both made by
     ``make_action``, so the catalogue holds the generator's own objects;
     see ``placement_fault`` for what fits.  Output is sorted by
-    (generator id, offset, direction).
+    (generator id, offset, direction); distinct cells give distinct
+    lattice offsets, and graph embeddings come out sorted.
     """
     if not workspace.is_finite:
         raise ModelError("WorkspaceNotFinite: placements need a finite workspace")
@@ -467,12 +461,8 @@ def placements(generator: Generator, workspace: Workspace) -> list:
         offsets = _graph_embeddings(generator, workspace)
     else:
         anchor = generator.support[0]
-        offsets = set()
-        for w in workspace.cells:
-            off = lattice.offset_between(anchor, w)
-            if off is not None:
-                offsets.add(off)
-        offsets = sorted(offsets)
+        offsets = [lattice.offset_between(anchor, w) for w in workspace.cells]
+        offsets = sorted(off for off in offsets if off is not None)
     out = []
     for off in offsets:
         act = make_action(generator, off, FORWARD, lattice)

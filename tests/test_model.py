@@ -1,10 +1,11 @@
 """Generators, placements, admissibility, and commutation."""
 
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cubeplan.lattice as lat
@@ -18,6 +19,7 @@ from cubeplan.model import (
     System,
     SystemFile,
     Workspace,
+    _graph_embeddings,
     admissible_actions,
     apply_action,
     commute,
@@ -417,6 +419,38 @@ def test_graph_embeddings_identify_symmetric_placements():
     acts = placements(token_generator(), ws)
     assert len(acts) == 4  # 2 edges x 2 directions
     assert {a.offset for a in acts} == {(0, 1), (1, 2)}
+
+
+def least_embeddings(gen, workspace):
+    """Brute force: the least node tuple per (support, trace, pattern
+    pair) among the injections of the support into the workspace's
+    nodes that put every local edge on a graph edge, sorted."""
+    graph = workspace.lattice
+    least = {}
+    for nodes in itertools.permutations(sorted(workspace.cells), len(gen.support)):
+        place = dict(zip(gen.support, nodes))
+        if all(graph.has_edge(place[a], place[b]) for a, b in gen.local_edges):
+            occ0 = frozenset(place[c] for c in gen.occ0)
+            occ1 = frozenset(place[c] for c in gen.occ1)
+            trace = frozenset(place[c] for c in gen.trace)
+            sig = (frozenset(nodes), trace, frozenset((occ0, occ1)))
+            least[sig] = min(least.get(sig, nodes), nodes)
+    return sorted(least.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+@example(0)
+def test_graph_embeddings_are_the_least_tuple_per_placement(seed):
+    """On random finite graphs, each generator's embeddings are, in
+    order, the least injection per placement; at seed 0 one generator's
+    support (a, b, c) has all three local edges, so every earlier local
+    neighbour of a node must be checked, not just the first."""
+    sf = random_system(random.Random(seed))
+    workspace = sf.system.workspace
+    assume(workspace.lattice.kind == lat.GRAPH)
+    for gen in sf.system.catalogue:
+        assert _graph_embeddings(gen, workspace) == least_embeddings(gen, workspace)
 
 
 @given(st.integers(0, 2_000))

@@ -589,8 +589,11 @@ def test_plain_records_match_the_cubes_rebuilt_from_states(seed, connected):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from((lat.SQUARE, lat.HEX, lat.SQUARE_EDGE)))
+@example(1171, lat.SQUARE)
 def test_shape_records_match_the_cubes_rebuilt_from_states(seed, kind):
-    """Random homogeneous quotients, cut at 20 shapes or whole."""
+    """Random homogeneous quotients, cut at 20 shapes or whole.  Seed
+    1171 has a loop edge read by numbers 6 and 3 whose actions order the
+    other way, so pass 1 must break a loop's tie by its actions."""
     assert_records_match_the_oracle(random_quotient(seed, kind))
 
 
