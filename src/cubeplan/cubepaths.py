@@ -15,7 +15,7 @@ the placements, so an action is a support bitmask, a trace bitmask and
 one placement bit, and a step is one row: its action ids plus the OR
 of each.  Junctions are then tested with ``&``.  The rows are handed
 from sweep to sweep on the paths they return and die with the call.
-``is_normal`` reads the same rows.
+``is_normal`` holds when one sweep changes nothing.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _row(tables, ids: tuple, step=None) -> tuple:
 
 def _number(path: CubePath) -> tuple:
     """The path's coding, ``(tables, rows)``, shared by the sweeps of
-    one ``time_geodesic`` call; ``is_normal`` reads it too.
+    one ``time_geodesic`` call.
 
     ``tables`` is ``(actions, sup, tr, pk)``, indexed by action id and
     never changed: the actions numbered by equality in order of first
@@ -273,20 +273,9 @@ def time_geodesic(
 
 
 def is_normal(path: CubePath) -> bool:
-    """No action of any step can run earlier and no junction cancels.
-
-    The sweep's junction tests on each pair of adjacent rows of the
-    path's coding (``_number``); an empty step lends no masks, so the
-    next step's actions run earlier, and the sweep deletes an empty last
-    step that follows another.
-    """
-    (_, a_sup, a_tr, _), rows = _number(path)
-    if len(rows) > 1 and not rows[-1][0]:
-        return False
-    for (_, s, t, pk, _), (nxt, _, _, n_pk, _) in zip(rows, rows[1:]):
-        if pk & n_pk or any(not (a_tr[j] & s or a_sup[j] & t) for j in nxt):
-            return False
-    return True
+    """One sweep leaves the path unchanged.  It sweeps a copy without the
+    system, so a path of a non-local system is read too."""
+    return shrink_cube_path(CubePath(path.start, path.steps)).steps == path.steps
 
 
 @dataclass(frozen=True)

@@ -239,13 +239,15 @@ def lift_path(shape_path, base_offset: tuple, system: System) -> LiftResult:
     modules it acts on: traces never touch obstacle cells, so the
     modules are the state minus its occupied obstacles.  A finite graph
     has no translations to carry the frame along, so it raises
-    ``ModelError``.
+    ``ModelError``, as does a base offset that is not a pair of ints.
     """
     ws = system.workspace
     lattice = ws.lattice
     if lattice.kind == lat.GRAPH:
         raise ModelError("shape paths lift only on a translation-symmetric lattice")
-    t = tuple(base_offset)
+    t = tuple(base_offset) if isinstance(base_offset, (tuple, list)) else None
+    if not lat._is_int_pair(t):
+        raise ModelError(f"base offset {base_offset!r} is not a pair of integers")
     modules = frozenset(lattice.translate(c, t) for c in shape_path.start)
     if any(not ws.contains(c) for c in modules):
         return LiftResult(False, None, -1, REASON_WORKSPACE)

@@ -45,6 +45,7 @@ from cubeplan.systems import (
     hex_ball,
     hex_connectivity_trap,
     hex_pivot_system,
+    sliding_ring_fixture,
     token_generator,
 )
 from cubeplan.topology import greedy_collapse
@@ -632,6 +633,34 @@ def test_empty_steps_are_normal_exactly_when_a_sweep_keeps_them():
         path = CubePath(seed, steps, system)
         assert (shrink_cube_path(path).steps == steps) == normal
         assert is_normal(path) == oracle_is_normal(path) == normal
+
+
+ARBITRARY_SYSTEMS = {
+    "grid": lambda: agv_grid_fixture(3, 3),
+    "arm": lambda: arm_system(5),
+    "ring": lambda: sliding_ring_fixture(1, 2),
+    "trap": lambda: hex_connectivity_trap(True),
+}
+
+
+@functools.cache
+def arbitrary_system(name):
+    return ARBITRARY_SYSTEMS[name]().system
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ARBITRARY_SYSTEMS)), st.data())
+def test_is_normal_equals_the_set_oracle_on_arbitrary_paths(name, data):
+    """Steps of 0-3 actions drawn from all of the system's placements, so
+    non-commuting sets, repeated placements and empty steps occur; the
+    path is owned by the system or by none, and the trap's system is not
+    local, which the sweep alone would refuse."""
+    system = arbitrary_system(name)
+    step = st.lists(st.sampled_from(system.all_actions), max_size=3)
+    steps = data.draw(st.lists(step.map(frozenset), max_size=5))
+    owner = system if data.draw(st.booleans()) else None
+    path = CubePath(frozenset(), tuple(steps), owner)
+    assert is_normal(path) == oracle_is_normal(path)
 
 
 def assert_sweeps_equal_the_oracle(path):

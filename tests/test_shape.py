@@ -465,6 +465,22 @@ def test_lift_refuses_a_finite_graph_before_the_first_step():
         lift_path(path, (), sf.system)
 
 
+@pytest.mark.parametrize(
+    "base", [(1,), (1, 2, 3), ("a", "b"), None, (1.5, 0), (True, 0), 5, "12"]
+)
+def test_lift_refuses_a_base_offset_that_is_not_an_integer_pair(base):
+    """The library refuses what the CLI's ``--base`` parser refuses, before
+    any cell is translated; a bool is not an int, as on the lattice."""
+    path = CubePath(TRIANGLE, (), None)
+    with pytest.raises(ModelError, match="not a pair of integers"):
+        lift_path(path, base, preserving())
+
+
+def test_lift_takes_a_list_as_the_base_offset():
+    path = CubePath(TRIANGLE, (), None)
+    assert lift_path(path, [1, 2], preserving()) == lift_path(path, (1, 2), preserving())
+
+
 # Unbounded systems for shape enumeration, and the cells of a window their
 # random shapes are drawn from: the arm's corner swap on squareEdge2d has
 # source cells of both orientations, which a placement must match.
