@@ -29,8 +29,8 @@ from .model import (
     admissible_actions,
     apply_action,
     commute,
+    cube_holds,
     is_admissible,
-    pattern_matches,
 )
 
 STOP_ON_LENGTH = "stopOnLength"
@@ -289,14 +289,14 @@ def validate(path: CubePath) -> PathReport:
     """Check the structural invariants of a cube path.
 
     Every step must be a nonempty, pairwise-commuting set of actions,
-    each admissible at the state the step starts from (including the
-    global constraint when the path carries a non-local system).  When
-    the path carries a system, its start must fit the workspace and
-    satisfy the global constraint (index -1 if not), and every action
-    must pass ``System.placement_fault``, the system's own check of its
-    placements.  Admissibility is tested at every move, the rest once
-    per distinct step (one met again passed them); a step's actions
-    commute, so the state advances by their rewrites.
+    each admissible at the state the step starts from, and on a
+    non-local system every corner of its cube must satisfy the global
+    constraint.  When the path carries a system, its start must fit the
+    workspace and satisfy the global constraint (index -1 if not), and
+    every action must pass ``System.placement_fault``, the system's own
+    check of its placements.  Admissibility is tested at every move, the
+    rest once per distinct step (one met again passed them); a step's
+    actions commute, so the state advances by their rewrites.
     """
     cur = path.start
     system = path.system
@@ -319,24 +319,16 @@ def validate(path: CubePath) -> PathReport:
             acts = ordered[step] = sorted(step)
         nxt = cur
         for act in acts:
-            if system is None:
-                ok = pattern_matches(cur, act)
-            else:
-                fault = system.placement_fault(act) if fresh else None
-                if fault is not None:
-                    why = f"is not a placement of the system ({fault})"
-                    return PathReport(
-                        False, i, f"action {act.gid} at {act.offset} {why}"
-                    )
-                ok = is_admissible(cur, act, system)
-            if not ok:
-                return PathReport(
-                    False, i, f"action {act.gid} at {act.offset} not admissible"
-                )
+            fault = system.placement_fault(act) if fresh and system is not None else None
+            if fault is not None:
+                why = f"is not a placement of the system ({fault})"
+                return PathReport(False, i, f"action {act.gid} at {act.offset} {why}")
+            if not is_admissible(cur, act, system):
+                return PathReport(False, i, f"action {act.gid} at {act.offset} not admissible")
             nxt = _rewrite(nxt, act)
-        cur = nxt
-        if system is not None and not system.constraint_holds(cur):
+        if not cube_holds(cur, acts, system):
             return PathReport(False, i, "state violates the global constraint")
+        cur = nxt
     return PathReport(True, None, None)
 
 
@@ -387,5 +379,5 @@ def random_edge_path(system: System, start, length: int, rng) -> list:
             break
         act = rng.choice(acts)
         moves.append(act)
-        cur = apply_action(cur, act)
+        cur = _rewrite(cur, act)
     return moves

@@ -497,17 +497,30 @@ def apply_action(state: frozenset, action: Action) -> frozenset:
     return _rewrite(state, action)
 
 
-def is_admissible(state: frozenset, action: Action, system: System) -> bool:
+def is_admissible(state: frozenset, action: Action, system: System | None) -> bool:
     """Pattern match plus, for non-local systems, the global rule.
 
     The global rule is evaluated on the action's result: a move that
-    would leave the system in a forbidden state is not admissible.
+    would leave the system in a forbidden state is not admissible.  No
+    system means no global rule.
     """
     if not pattern_matches(state, action):
         return False
-    if system.constraint_name is None:
+    if system is None or system.constraint_name is None:
         return True
     return system.constraint_holds(_rewrite(state, action))
+
+
+def cube_holds(state: frozenset, actions, system: System | None) -> bool:
+    """The global rule at all 2^k - 1 corners that k admitted, commuting
+    actions reach from the state: their cube is in the complex only if
+    every corner is.  True at once on a local system or with no system."""
+    if system is None or system.constraint_name is None:
+        return True
+    corners = [state]
+    for act in actions:
+        corners += [_rewrite(c, act) for c in corners]
+    return all(map(system.constraint_holds, corners[1:]))
 
 
 def admissible_actions(state: frozenset, system: System) -> list:

@@ -23,8 +23,9 @@ from .model import (
     REASON_WORKSPACE,
     System,
     _rewrite,
-    apply_action,
     commute,
+    cube_holds,
+    is_admissible,
     make_action,
     pattern_matches,
 )
@@ -176,9 +177,7 @@ def shape_actions(system: System, shape: frozenset) -> list:
                 ):
                     continue
                 act = make_action(gen, off, direction, lattice)
-                if pattern_matches(shape, act) and system.constraint_holds(
-                    _rewrite(shape, act)
-                ):
+                if is_admissible(shape, act, system):
                     out.append(act)
     out.sort()
     return out
@@ -210,7 +209,7 @@ def random_shape_path(system: System, shape, length: int, rng):
             break
         act = rng.choice(acts)
         steps.append(frozenset((act,)))
-        cur, _ = canonicalize(apply_action(cur, act), lattice)
+        cur, _ = canonicalize(_rewrite(cur, act), lattice)
     return CubePath(start, tuple(steps), None)
 
 
@@ -233,8 +232,8 @@ def lift_path(shape_path, base_offset: tuple, system: System) -> LiftResult:
 
     The path's start shape goes in at ``base_offset``; each step is then
     translated along, checking ``System.placement_fault`` (workspace
-    containment, obstacle traces), pattern match against the real state
-    (occupied obstacles included), and the global constraint, in that
+    containment, obstacle traces), ``is_admissible`` against the real
+    state (occupied obstacles included), and ``cube_holds``, in that
     order.  A step is read in the frame of the canonical shape of the
     modules it acts on: traces never touch obstacle cells, so the
     modules are the state minus its occupied obstacles.  A finite graph
@@ -268,15 +267,16 @@ def lift_path(shape_path, base_offset: tuple, system: System) -> LiftResult:
             fault = system.placement_fault(cact)
             if fault is not None:
                 return LiftResult(False, None, i, fault)
-            if not pattern_matches(state, cact):
-                return LiftResult(False, None, i, REASON_PATTERN)
+            if not is_admissible(state, cact, system):
+                why = REASON_CONSTRAINT if pattern_matches(state, cact) else REASON_PATTERN
+                return LiftResult(False, None, i, why)
             placed.append(cact)
         if not placed or not commute(placed):
             return LiftResult(False, None, i, REASON_STEP)
-        for cact in placed:
-            state = apply_action(state, cact)
-        if not system.constraint_holds(state):
+        if not cube_holds(state, placed, system):
             return LiftResult(False, None, i, REASON_CONSTRAINT)
+        for cact in placed:
+            state = _rewrite(state, cact)
         steps.append(frozenset(placed))
         _, shift = canonicalize(state - occupied_obstacles, lattice)
         t = (-shift[0], -shift[1])

@@ -68,15 +68,10 @@ def hex_pivot_system(
     return System(workspace, hex_pivot_generators(variant), constraint_name)
 
 
-def hex_ball(radius: int, center=(0, 0)) -> frozenset:
-    """All hex cells within a given hex distance of the center."""
-    q0, r0 = center
-    out = set()
-    for dq in range(-radius, radius + 1):
-        for dr in range(-radius, radius + 1):
-            if max(abs(dq), abs(dr), abs(dq + dr)) <= radius:
-                out.add((q0 + dq, r0 + dr))
-    return frozenset(out)
+def hex_ball(radius: int) -> frozenset:
+    """All hex cells within a given hex distance of the origin."""
+    span = range(-radius, radius + 1)
+    return frozenset({(q, r) for q in span for r in span if abs(q + r) <= radius})
 
 
 # -- sliding squares -----------------------------------------------------

@@ -1,9 +1,10 @@
 """Shape complexes: translation quotients, their topology, and lifting."""
 
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import util
@@ -19,6 +20,7 @@ from cubeplan.lattice import (
 )
 from cubeplan.model import (
     BACKWARD,
+    FORWARD,
     Generator,
     System,
     Workspace,
@@ -40,7 +42,7 @@ from cubeplan.shape import (
     random_shape_path,
     shape_actions,
 )
-from cubeplan.statecomplex import check_link_condition, link
+from cubeplan.statecomplex import build_complex, check_link_condition, link
 from cubeplan.systems import (
     HEX_TRAP_STATE,
     VARIANT_CHANGING,
@@ -412,6 +414,117 @@ def test_lift_refuses_a_step_breaking_the_constraint_after_it_runs():
     path = CubePath(HEX_TRAP_STATE, (trap_step(sf.system),), None)
     res = lift_path(path, (0, 0), sf.system)
     assert (res.ok, res.fail_step, res.reason) == (False, 0, REASON_CONSTRAINT)
+
+
+# Two commuting pivots at a plane shape: lifted into a connected hex
+# ball both match and their end state is connected, but the first pivot
+# alone disconnects the modules, so only admitting each move by the
+# global rule refuses the step.
+WITNESS_SHAPE = frozenset([(0, 0), (1, -1), (1, 0), (2, -4), (2, -3), (2, -2), (3, -4)])
+WITNESS_STEP = (("pivot2", (1, -1), FORWARD), ("pivot5", (1, -2), BACKWARD))
+
+
+def changing_plane():
+    return hex_pivot_system(VARIANT_CHANGING)
+
+
+def connected_ball():
+    return hex_pivot_system(VARIANT_CHANGING, hex_ball(6), constraint_name="connected")
+
+
+def _placed(system, specs) -> frozenset:
+    gens = {g.gid: g for g in system.catalogue}
+    lattice = system.workspace.lattice
+    return frozenset(make_action(gens[g], off, d, lattice) for g, off, d in specs)
+
+
+def test_lift_admits_each_move_by_the_global_rule():
+    """A lift ``validate`` would refuse is refused by the lift itself."""
+    step = _placed(changing_plane(), WITNESS_STEP)
+    ball = connected_ball()
+    res = lift_path(CubePath(WITNESS_SHAPE, (step,), None), (0, 0), ball)
+    assert (res.ok, res.fail_step, res.reason) == (False, 0, REASON_CONSTRAINT)
+    placed = CubePath(WITNESS_SHAPE, (_placed(ball, WITNESS_STEP),), ball)
+    assert "pivot2 at (1, -1) not admissible" in validate(placed).reason
+    # each move is admitted in turn: the rule refuses pivot2 before the
+    # second move, reversed here so its pattern fails, is matched
+    reversed_second = (WITNESS_STEP[0], ("pivot5", (1, -2), FORWARD))
+    step = _placed(changing_plane(), reversed_second)
+    res = lift_path(CubePath(WITNESS_SHAPE, (step,), None), (0, 0), ball)
+    assert (res.ok, res.fail_step, res.reason) == (False, 0, REASON_CONSTRAINT)
+
+
+def _commuting_pairs(shape) -> list:
+    acts = shape_actions(changing_plane(), shape)
+    return [frozenset(p) for p in combinations(acts, 2) if commute_pair(*p)]
+
+
+HEX_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+
+
+def _polyhex(growth) -> frozenset:
+    """Cells grown from the origin, each next to an earlier one."""
+    cells = [(0, 0)]
+    for parent, d in growth:
+        q, r = cells[parent % len(cells)]
+        cells.append((q + HEX_STEPS[d][0], r + HEX_STEPS[d][1]))
+    return frozenset(cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 5)), min_size=1, max_size=6).map(
+        _polyhex
+    ),
+    st.integers(0, 10**6),
+)
+@example(
+    WITNESS_SHAPE,
+    _commuting_pairs(WITNESS_SHAPE).index(_placed(changing_plane(), WITNESS_STEP)),
+)
+def test_a_lift_it_accepts_validates(cells, pick):
+    """Two commuting moves at a connected plane shape of up to seven
+    cells, lifted into the connected hex ball at the origin: a lift that
+    succeeds is a path ``validate`` accepts."""
+    shape = canonicalize(cells, changing_plane().workspace.lattice)[0]
+    pairs = _commuting_pairs(shape)
+    assume(pairs)
+    step = pairs[pick % len(pairs)]
+    res = lift_path(CubePath(shape, (step,), None), (0, 0), connected_ball())
+    if res.ok:
+        assert validate(res.path).ok
+
+
+def test_validate_and_lift_accept_a_step_exactly_when_its_cube_is_built():
+    """On the constrained hex trap, every clique of two or more commuting
+    actions leaving a vertex is one step: ``validate`` and ``lift_path``
+    accept it exactly when the build did not refuse the clique, that
+    is, when every corner of its cube is a state."""
+    sf = hex_connectivity_trap(constrained=True)
+    system, lattice = sf.system, sf.system.workspace.lattice
+    cx = build_complex(system, sf.seeds)
+    cliques = 0
+    for vid in range(cx.n_vertices):
+        state = cx.vertex_state(vid)
+        lk = link(cx, state)
+        canon, shift = canonicalize(state, lattice)
+        base = (-shift[0], -shift[1])
+        for mask in range(1 << len(lk.actions)):
+            idx = [i for i in range(len(lk.actions)) if mask >> i & 1]
+            if len(idx) < 2 or any(mask & ~(lk.adjacency[i] | 1 << i) for i in idx):
+                continue  # not a clique of two or more
+            cliques += 1
+            built = mask not in lk.refused
+            step = [lk.actions[i] for i in idx]
+            assert validate(CubePath(state, (frozenset(step),), system)).ok == built
+            in_shape = frozenset(
+                make_action(
+                    a.generator, (a.offset[0] + shift[0], a.offset[1] + shift[1]), a.direction, lattice
+                )
+                for a in step
+            )
+            assert lift_path(CubePath(canon, (in_shape,), None), base, system).ok == built
+    assert cliques == 2006
 
 
 def test_lift_refuses_to_empty_the_shape():

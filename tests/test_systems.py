@@ -180,7 +180,7 @@ def test_hex_ball_sizes():
     assert hex_ball(0) == frozenset([(0, 0)])
     assert len(hex_ball(1)) == 7
     assert len(hex_ball(2)) == 19
-    assert (3, 2) in hex_ball(1, center=(3, 3))
+    assert (0, -1) in hex_ball(1) and (1, 1) not in hex_ball(1)
 
 
 def test_sliding_ring_fixture_layout():

@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from itertools import combinations
 
 import cubeplan.lattice as lat
 from cubeplan.errors import CubeplanError
@@ -777,9 +778,10 @@ def oracle_placement_fault(act, system, embeddings: dict):
 
 def oracle_validate(path) -> PathReport:
     """``cubepaths.validate`` testing every step for emptiness and
-    commutation, every action's placement and admissibility, and
-    applying every action with ``apply_action``, with no memo but the
-    placement faults."""
+    commutation, every action's placement and admissibility, and the
+    global constraint at every corner of the step's cube, each corner
+    reached by ``apply_action`` from the step's start, with no memo but
+    the placement faults."""
     cur = path.start
     system = path.system
     if system is not None:
@@ -813,10 +815,19 @@ def oracle_validate(path) -> PathReport:
                 return PathReport(
                     False, i, f"action {act.gid} at {act.offset} not admissible"
                 )
+        if system is not None:
+            acts = sorted(step)
+            for size in range(1, len(acts) + 1):
+                for sub in combinations(acts, size):
+                    corner = cur
+                    for act in sub:
+                        corner = apply_action(corner, act)
+                    if not system.constraint_holds(corner):
+                        return PathReport(
+                            False, i, "state violates the global constraint"
+                        )
         for act in sorted(step):
             cur = apply_action(cur, act)
-        if system is not None and not system.constraint_holds(cur):
-            return PathReport(False, i, "state violates the global constraint")
     return PathReport(True, None, None)
 
 
