@@ -70,8 +70,12 @@ def hex_pivot_system(
 
 def hex_ball(radius: int) -> frozenset:
     """All hex cells within a given hex distance of the origin."""
-    span = range(-radius, radius + 1)
-    return frozenset({(q, r) for q in span for r in span if abs(q + r) <= radius})
+    out = set()
+    for q in range(-radius, radius + 1):
+        for r in range(-radius, radius + 1):
+            if max(abs(q), abs(r), abs(q + r)) <= radius:
+                out.add((q, r))
+    return frozenset(out)
 
 
 # -- sliding squares -----------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the mutant register: every mutant must fail the tests named for it.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 Each entry of ``REGISTER`` is a mutant: a file under ``src/``, an exact
 old text, the text that replaces it, and the tests that must fail on the
@@ -10,8 +10,7 @@ directory and patches the copy; an entry whose old text does not occur
 exactly once there is refused, so a refactor that moves the code breaks
 the entry loudly.  It then runs each named test alone against the copy.
 A mutant is killed when every named test fails; the named tests must
-first pass together against an unpatched copy.  With NAMEs only those
-entries run.
+first pass together against an unpatched copy.
 
 Prints one line per entry, ``killed`` or ``SURVIVED``.  Exits 0 when
 every entry is killed, 1 when one survives and 2 when an entry is
@@ -21,7 +20,6 @@ Standard library only; the tests run under pytest.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -217,16 +215,8 @@ def check(root: Path, entries, out=sys.stdout) -> int:
     return 1 if survivors else 0
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("names", nargs="*", metavar="NAME", help="entries to run (default all)")
-    args = ap.parse_args(argv)
-    known = {m.name for m in REGISTER}
-    unknown = sorted(set(args.names) - known)
-    if unknown:
-        ap.error(f"no such entry: {', '.join(unknown)}")
-    entries = [m for m in REGISTER if not args.names or m.name in args.names]
-    return check(ROOT, entries)
+def main() -> int:
+    return check(ROOT, REGISTER)
 
 
 if __name__ == "__main__":
