@@ -26,12 +26,12 @@ from .errors import PathError, StateError
 from .model import (
     System,
     _rewrite,
-    admissible_actions,
     apply_action,
     commute,
     cube_holds,
     is_admissible,
 )
+from .statecomplex import PlainFrame
 
 STOP_ON_LENGTH = "stopOnLength"
 NORMALIZE = "normalize"
@@ -371,13 +371,4 @@ def random_edge_path(system: System, start, length: int, rng) -> list:
 
     Stops early only if a state has no admissible actions at all.
     """
-    cur = frozenset(start)
-    moves = []
-    for _ in range(length):
-        acts = admissible_actions(cur, system)
-        if not acts:
-            break
-        act = rng.choice(acts)
-        moves.append(act)
-        cur = _rewrite(cur, act)
-    return moves
+    return PlainFrame(system).walk(start, length, rng)[1]

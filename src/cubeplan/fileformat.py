@@ -243,12 +243,12 @@ def parse_system_file(text: str) -> SystemFile:
 
     # the workspace is refused under its own line, each exclusion under its
     # own, and an obstacle the model refuses under that obstacle's
-    ln, excluded = ws_ln, frozenset()
+    ln = ws_ln
     try:
         Workspace(lattice, cells)
         for skip, ln in excludes:
-            excluded |= skip
-            Workspace(lattice, cells, (), excluded)
+            Workspace(lattice, cells, (), skip)
+        excluded = frozenset().union(*(skip for skip, _ in excludes))
         workspace = Workspace(lattice, cells, tuple(o for o, _ in obstacles), excluded)
     except ModelError as e:
         raise _err(ln if e.index is None else obstacles[e.index][1], str(e)) from e

@@ -512,15 +512,16 @@ def is_admissible(state: frozenset, action: Action, system: System | None) -> bo
 
 
 def cube_holds(state: frozenset, actions, system: System | None) -> bool:
-    """The global rule at all 2^k - 1 corners that k admitted, commuting
-    actions reach from the state: their cube is in the complex only if
+    """The global rule at the corners two or more of k commuting actions
+    reach from the state; ``is_admissible`` must have admitted each there,
+    testing the corners one reaches.  Their cube is in the complex only if
     every corner is.  True at once on a local system or with no system."""
     if system is None or system.constraint_name is None:
         return True
     corners = [state]
     for act in actions:
         corners += [_rewrite(c, act) for c in corners]
-    return all(map(system.constraint_holds, corners[1:]))
+    return all(system.constraint_holds(c) for m, c in enumerate(corners) if m & (m - 1))
 
 
 def admissible_actions(state: frozenset, system: System) -> list:

@@ -29,7 +29,7 @@ from .model import (
     make_action,
     pattern_matches,
 )
-from .statecomplex import CubeComplex, _build
+from .statecomplex import CubeComplex, Frame, _build
 
 # lift_path also gives the placement rule's reasons, imported from model
 REASON_START = "start-invalid"
@@ -71,49 +71,15 @@ def shape_cube_key(numbers) -> tuple:
     return tuple(sorted(numbers))
 
 
-class ShapeFrame:
-    """The frame of a shape complex: states are named up to translation.
-
-    Its actions are ``make_action``'s objects, so the cells and the
-    build's link record resolve their numbers to one object per distinct
-    action, shared with every other user of the system's generators.  It
-    numbers them as the plain catalogue does, placements in the order
-    first seen: i's forward action is number 2i and its backward 2i + 1.
-    """
-
-    def __init__(self, system: System):
-        self.system = system
-        self.lattice = system.workspace.lattice
-        self._first: dict = {}  # placement key -> the forward number
-        self.actions: list = []  # number -> action
+class ShapeFrame(Frame):
+    """The frame of a shape complex: states are named up to translation,
+    each by its canonical shape."""
 
     def actions_at(self, shape: frozenset) -> list:
         return shape_actions(self.system, shape)
 
-    def canonical(self, state: frozenset) -> frozenset:
-        return canonicalize(state, self.lattice)[0]
-
-    def number(self, act) -> int:
-        first = self._first.get(act.placement_key)
-        if first is None:
-            first = self._first[act.placement_key] = len(self.actions)
-            for direction in (FORWARD, BACKWARD):
-                self.actions.append(
-                    make_action(act.generator, act.offset, direction, self.lattice)
-                )
-        return first + act.direction
-
-    def leaving(self, shape: frozenset, actions) -> tuple:
-        """The actions' numbers, the canonical shapes they reach and the
-        translations into those shapes' frames: None for none, and None
-        in place of the tuple when no action translates."""
-        numbers, reached, shifts = [], [], []
-        for act in actions:
-            numbers.append(self.number(act))
-            state, shift = canonicalize(_rewrite(shape, act), self.lattice)
-            reached.append(state)
-            shifts.append(shift if any(shift) else None)
-        return tuple(numbers), reached, tuple(shifts) if any(shifts) else None
+    def place(self, state: frozenset) -> tuple:
+        return canonicalize(state, self.lattice)
 
     def carry(self, numbers, shift: tuple) -> tuple | None:
         """The numbers of the same actions in the frame the shift
@@ -199,18 +165,8 @@ def random_shape_path(system: System, shape, length: int, rng):
     meaningful, only the per-step frames are.
     """
     _require_homogeneous(system)
-    lattice = system.workspace.lattice
-    cur, _ = canonicalize(frozenset(shape), lattice)
-    start = cur
-    steps = []
-    for _ in range(length):
-        acts = shape_actions(system, cur)
-        if not acts:
-            break
-        act = rng.choice(acts)
-        steps.append(frozenset((act,)))
-        cur, _ = canonicalize(_rewrite(cur, act), lattice)
-    return CubePath(start, tuple(steps), None)
+    start, moves = ShapeFrame(system).walk(shape, length, rng)
+    return CubePath(start, tuple(frozenset((act,)) for act in moves), None)
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,13 @@ new.
 
 One builder serves plain and quotient complexes alike.  A *frame* tells
 it how states are named: which actions leave a state, which canonical
-representative stands for a state, how actions are numbered and what
-translation carries them into the frame of the state they reach, and
-how a cube is keyed from those numbers.  The plain frame names every state
-by itself; ``shape`` supplies the translation frame.  Either way the
-result is a ``CubeComplex`` that keeps its frame.
+representative stands for a state and what translation carries actions
+into the frame of the state they reach, and how a cube is keyed from
+its actions' numbers.  Both frames share one numbering of the actions
+the build meets, one ``leaving`` rule and one random walk (``Frame``).
+The plain frame names every state by itself; ``shape`` supplies the
+translation frame.  Either way the result is a ``CubeComplex`` that
+keeps its frame.
 """
 
 from __future__ import annotations
@@ -42,10 +44,13 @@ from .errors import (
     StateError,
 )
 from .model import (
+    BACKWARD,
+    FORWARD,
     System,
     _rewrite,
     admissible_actions,
     commute_pair,
+    make_action,
 )
 
 
@@ -248,33 +253,72 @@ class CubeComplex:
         return [(e, 1 if ends[2 * e] == start else -1) for e, start in walk]
 
 
-class PlainFrame:
-    """The frame of a plain state complex: every state names itself."""
+class Frame:
+    """What both frames do alike: number actions, list those leaving a
+    state and walk at random.  Placements are numbered as first met,
+    placement i's forward action 2i and its backward 2i + 1, each action
+    ``make_action``'s object.  A subclass gives the admissible actions at
+    a state (``actions_at``), the canonical state standing for a state and
+    the shift into it (``place``), and a cube's key (``cube_key``)."""
 
     def __init__(self, system: System):
         self.system = system
-        # an action's number is its position in the catalogue, which lists
-        # placement i forward at position 2i, then backward at 2i + 1
-        self.actions = system.all_actions
-        self.position = {a: i for i, a in enumerate(self.actions)}
+        self.lattice = system.workspace.lattice
+        self._first: dict = {}  # placement key -> the forward number
+        self.actions: list = []  # number -> action
+
+    def number(self, act) -> int:
+        first = self._first.get(act.placement_key)
+        if first is None:
+            first = self._first[act.placement_key] = len(self.actions)
+            for direction in (FORWARD, BACKWARD):
+                self.actions.append(
+                    make_action(act.generator, act.offset, direction, self.lattice)
+                )
+        return first + act.direction
+
+    def canonical(self, state: frozenset) -> frozenset:
+        return self.place(state)[0]
+
+    def leaving(self, state: frozenset, actions) -> tuple:
+        """The actions' numbers, the canonical states they reach and the
+        translations into those states' frames: None for none, and None
+        in place of the tuple when no action translates.  ``actions_at``
+        admitted the actions."""
+        number, place = self.number, self.place
+        numbers, reached, shifts = [], [], []
+        for act in actions:
+            numbers.append(number(act))
+            there, shift = place(_rewrite(state, act))
+            reached.append(there)
+            shifts.append(shift if any(shift) else None)
+        return tuple(numbers), reached, tuple(shifts) if any(shifts) else None
+
+    def walk(self, start, length: int, rng) -> tuple:
+        """A reproducible random walk of up to ``length`` moves from the
+        canonical state standing for ``start``: that state and the
+        actions drawn, each in the frame of the state it leaves.  Stops
+        early only at a state no action leaves."""
+        cur = start = self.canonical(frozenset(start))
+        moves = []
+        while len(moves) < length and (acts := self.actions_at(cur)):
+            moves.append(rng.choice(acts))
+            cur = self.canonical(_rewrite(cur, moves[-1]))
+        return start, moves
+
+
+class PlainFrame(Frame):
+    """The frame of a plain state complex: every state names itself."""
 
     def actions_at(self, state: frozenset) -> list:
         return admissible_actions(state, self.system)
 
-    def canonical(self, state: frozenset) -> frozenset:
-        return state
-
-    def leaving(self, state: frozenset, actions) -> tuple:
-        """The actions' numbers, the states they reach and the
-        translations into those states' frames: None, since every plain
-        state is its own frame.  ``actions_at`` admitted the actions."""
-        position = self.position
-        numbers = tuple([position[a] for a in actions])
-        return numbers, [_rewrite(state, a) for a in actions], None
+    def place(self, state: frozenset) -> tuple:
+        return state, ()
 
     def cube_key(self, vid: int, numbers: tuple) -> tuple:
         """The key of the cube whose actions read ``numbers`` at its
-        all-forward corner, vertex vid."""
+        all-forward corner, vertex vid: they come in placement order."""
         return vid, numbers
 
 
@@ -424,10 +468,11 @@ def _build(frame, seeds, cap: int) -> CubeComplex:
     The closure records every edge it finds (see ``_Edges``): per
     vertex, its leaving actions' numbers, the vids they reach and, in a
     quotient, the translation into each successor's frame, which
-    carries a cube's numbers across the edge.  Both frames number
-    placement i's forward action 2i and its backward 2i + 1, so running
-    an action flips its number's low bit.  After the closure each vertex
-    is ranked once by its state key.
+    carries a cube's numbers across the edge.  The closure numbers the
+    placements it meets in that order, placement i's forward action 2i
+    and its backward 2i + 1 (see ``Frame``), so running an action flips
+    its number's low bit.  After the closure each vertex is ranked once
+    by its state key.
 
     Cubes are then enumerated one dimension at a time, each vertex's
     k-cliques of commuting actions in pass k, so every facet is stored

@@ -27,6 +27,7 @@ from cubeplan.cubepaths import (
 from cubeplan.errors import PathError
 from cubeplan.fileformat import parse_path, serialize_path
 from cubeplan.model import (
+    CONSTRAINTS,
     FORWARD,
     Generator,
     System,
@@ -456,6 +457,27 @@ def test_step_breaking_the_constraint_is_refused_after_it_runs():
         0,
         "state violates the global constraint",
     )
+
+
+def test_validate_tests_the_rule_once_per_corner(monkeypatch):
+    """On a non-local system ``validate`` tests the global rule once at
+    the start and once per corner of each step: ``is_admissible`` tests
+    the corners one move reaches, and ``cube_holds`` only those two or
+    more moves reach, which a walk of single moves has none of."""
+    sf = hex_connectivity_trap(constrained=True)
+    moves = random_edge_path(sf.system, sf.seeds[0], 40, random.Random(3))
+    assert len(moves) == 40
+    path = CubePath(sf.seeds[0], tuple(frozenset((act,)) for act in moves), sf.system)
+    calls = []
+    connected = CONSTRAINTS["connected"]
+
+    def counted(occupied, workspace):
+        calls.append(occupied)
+        return connected(occupied, workspace)
+
+    monkeypatch.setitem(CONSTRAINTS, "connected", counted)
+    assert validate(path).ok
+    assert len(calls) == 41
 
 
 def test_optimizer_refuses_non_local_systems():

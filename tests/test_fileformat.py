@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubeplan
+import cubeplan.lattice as lat
 from cubeplan.cubepaths import CubePath, from_edge_path, random_edge_path
 from cubeplan.errors import FormatError
 from cubeplan.fileformat import (
@@ -246,6 +247,26 @@ def test_a_workspace_is_refused_at_its_own_line():
         graph + "workspace all\nexclude 1\nexclude 9\n",
         r"^line 5: excluded cell 9 invalid for lattice$",
     )
+
+
+def test_exclude_lines_are_checked_in_linear_time(monkeypatch):
+    """Each exclude line is checked on its own cells and the union is
+    taken once, so 300 one-cell lines test each cell a bounded number
+    of times, not once per later line."""
+    text = "lattice square2d\nworkspace all\n" + "".join(
+        f"exclude ({i},0)\n" for i in range(300)
+    )
+    calls = []
+    is_cell = lat.Lattice.is_cell
+
+    def counted(self, cell):
+        calls.append(cell)
+        return is_cell(self, cell)
+
+    monkeypatch.setattr(lat.Lattice, "is_cell", counted)
+    sf = parse_system_file(text)
+    assert sf.system.workspace.excluded == frozenset((i, 0) for i in range(300))
+    assert len(calls) <= 4 * 300
 
 
 GRAPH_TOKEN = (

@@ -163,6 +163,45 @@ def test_an_edge_is_based_at_its_lower_ranked_end(name):
     assert loops == (cx.n_cells(1) if name.startswith("slider") else 0)
 
 
+NUMBERED_COMPLEXES = {
+    "hex-r2-local": EDGE_BASE_COMPLEXES["hex-r2-local"],
+    "arm-5": lambda: build_fixture(arm_system(5)),
+    "hex-trap": EDGE_BASE_COMPLEXES["hex-trap"],
+    "five-module-connected-quotient": lambda: build_shape_complex(
+        hex_pivot_system(VARIANT_CHANGING, None, constraint_name="connected"),
+        [frozenset([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)])],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERED_COMPLEXES))
+def test_both_frames_number_each_action_next_to_its_reverse(name):
+    """Both frames number the placements the build meets, in that
+    order: placement i's forward action is 2i and its backward 2i + 1.
+    Every number the link record and the cells hold indexes
+    ``cx.actions``, and every numbered placement leaves some vertex."""
+    cx = NUMBERED_COMPLEXES[name]()
+    acts = cx.actions
+    for n, act in enumerate(acts):
+        assert act.direction == n & 1
+        assert acts[n ^ 1] == act.reverse()
+    read = {n for leaving in cx._links[0] for n in leaving}
+    assert read <= set(range(len(acts)))
+    for k in range(1, cx.max_dim + 1):
+        assert set(cx._numbers[k]) <= read
+    assert {n >> 1 for n in read} == set(range(len(acts) // 2))
+
+
+def test_a_plain_frame_numbers_only_the_actions_its_build_meets():
+    """A build capped at its seed numbers the placements leaving the
+    seed alone, not the whole catalogue of its workspace."""
+    system = hex_pivot_system(VARIANT_CHANGING, hex_ball(2))
+    cx = build_complex(system, [frozenset([(0, 0), (1, 0), (0, 1), (1, 1)])], max_vertices=1)
+    assert cx.n_vertices == 1
+    (leaving,) = cx._links[0]
+    assert len(cx.actions) == 2 * len(leaving) < len(system.all_actions) == 144
+
+
 SQUARE_COMPLEXES = {
     "agv-grid": lambda: build_fixture(agv_grid_fixture(2, 2)),
     "triangle-shapes": lambda: build_shape_complex(

@@ -147,12 +147,72 @@ REGISTER = (
     Mutant(
         "corners-last-only",
         "cubeplan/model.py",
-        "corners[1:]",
-        "corners[-1:]",
+        "if m & (m - 1))",
+        "if m == len(corners) - 1)",
         (
             "tests/test_shape.py::"
             "test_validate_and_lift_accept_a_step_exactly_when_its_cube_is_built",
         ),
+    ),
+    Mutant(
+        "corners-retest-singles",
+        "cubeplan/model.py",
+        "if m & (m - 1))",
+        "if m)",
+        ("tests/test_cubepaths.py::test_validate_tests_the_rule_once_per_corner",),
+    ),
+    Mutant(
+        "numbering-ignores-direction",
+        "cubeplan/statecomplex.py",
+        "return first + act.direction",
+        "return first",
+        (
+            STATECOMPLEX + "test_both_frames_number_each_action_next_to_its_reverse[hex-trap]",
+            STATECOMPLEX
+            + "test_both_frames_number_each_action_next_to_its_reverse"
+            "[five-module-connected-quotient]",
+        ),
+    ),
+    Mutant(
+        "leaving-drops-the-shift",
+        "cubeplan/statecomplex.py",
+        "shifts.append(shift if any(shift) else None)",
+        "shifts.append(None)",
+        (
+            STATECOMPLEX + "test_shape_records_match_the_cubes_rebuilt_from_states",
+            STATECOMPLEX + "test_connected_hex_quotients_key_cubes_by_numbers_as_by_names",
+        ),
+    ),
+    Mutant(
+        "shape-key-least-number",
+        "cubeplan/shape.py",
+        "return tuple(sorted(numbers))",
+        "return (min(numbers),)",
+        (
+            STATECOMPLEX + "test_random_quotients_key_cubes_by_numbers_as_by_names",
+            STATECOMPLEX + "test_connected_hex_quotients_key_cubes_by_numbers_as_by_names",
+        ),
+    ),
+    Mutant(
+        "obstacle-refused-at-first-line",
+        "cubeplan/fileformat.py",
+        "obstacles[e.index][1]",
+        "obstacles[0][1]",
+        ("tests/test_cli.py::test_each_refusal_exits_with_its_code_and_message[duplicate-obstacle]",),
+    ),
+    Mutant(
+        "seed-refused-at-first-line",
+        "cubeplan/fileformat.py",
+        "seeds[e.index][1]",
+        "seeds[0][1]",
+        ("tests/test_cli.py::test_each_refusal_exits_with_its_code_and_message[bad-second-seed]",),
+    ),
+    Mutant(
+        "sweep-recodes-every-step",
+        "cubeplan/cubepaths.py",
+        "if row[4] is None:",
+        "if True:",
+        ("tests/test_cubepaths.py::test_a_sweep_keeps_the_set_of_every_step_it_did_not_change",),
     ),
 )
 
